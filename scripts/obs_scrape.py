@@ -45,7 +45,7 @@ import urllib.request
 
 DEFAULT_TIMEOUT_S = 300.0
 
-HEALTH_KEYS = ("status", "uptime_s", "window_s", "ingest", "windows",
+HEALTH_KEYS = ("status", "uptime_s", "virtual_time_s", "ingest",
                "campaigns", "http_requests")
 
 # One sample line: name, optional {labels}, value. Prometheus names as the

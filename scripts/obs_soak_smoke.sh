@@ -37,7 +37,6 @@ mkdir -p "$OUT/batch" "$OUT/ckpt"
 # Same world for every leg; small enough that each campaign runs in
 # seconds, big enough that fig04/fig05 are non-trivial.
 export CGN_BENCH_SCALE=0.05 CGN_BENCH_SEED=42
-export CGN_OBSERVATORY_WINDOW_S=600
 
 DAEMON_PID=""
 cleanup() { [[ -n "$DAEMON_PID" ]] && kill "$DAEMON_PID" 2>/dev/null || true; }

@@ -57,10 +57,10 @@ struct RegionRollup {
 };
 
 /// How much of each supervised campaign's *measurement plan* actually ran.
-/// Quarantined or deadline-aborted shards degrade these fractions below
-/// 1.0 — the paper's coverage tables are then lower bounds, and analyses
-/// should report them next to the Table 5 numbers instead of presenting a
-/// partial campaign as a complete one.
+/// Quarantined shards degrade these fractions below 1.0 — the paper's
+/// coverage tables are then lower bounds, and analyses should report them
+/// next to the Table 5 numbers instead of presenting a partial campaign as
+/// a complete one.
 struct MeasurementCoverage {
   std::size_t bt_shards_planned = 0;  ///< ping-sweep shards (BT method)
   std::size_t bt_shards_completed = 0;
@@ -79,7 +79,7 @@ struct MeasurementCoverage {
                : static_cast<double>(nz_shards_completed) /
                      static_cast<double>(nz_shards_planned);
   }
-  /// True when either campaign lost shards to quarantine/deadlines.
+  /// True when either campaign lost shards to quarantine.
   [[nodiscard]] bool degraded() const noexcept {
     return bt_shards_completed < bt_shards_planned ||
            nz_shards_completed < nz_shards_planned;

@@ -26,7 +26,7 @@
 //   --fault-disconnect-after N  hard-close the socket after N sent bytes
 //
 // Exit codes: 0 stream pushed and done-acked, 2 usage error, 3 campaign
-// aborted (kill-switch/watchdog), 4 push connection failed.
+// aborted (kill-switch), 4 push connection failed.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -148,8 +148,7 @@ bool get_campaign_report(super::wire::Reader& r, super::CampaignReport& out) {
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     super::ShardOutcome o;
     const std::uint8_t status = r.u8();
-    if (status > static_cast<std::uint8_t>(
-                     super::ShardStatus::deadline_aborted))
+    if (status > static_cast<std::uint8_t>(super::ShardStatus::quarantined))
       return false;
     o.status = static_cast<super::ShardStatus>(status);
     o.attempts = static_cast<int>(r.u32());

@@ -36,36 +36,24 @@ void render_campaign_json(std::ostream& os,
      << report.count(super::ShardStatus::completed) << ",\"recovered\":"
      << report.count(super::ShardStatus::recovered) << ",\"resumed\":"
      << report.count(super::ShardStatus::resumed) << ",\"quarantined\":"
-     << report.count(super::ShardStatus::quarantined)
-     << ",\"deadline_aborted\":"
-     << report.count(super::ShardStatus::deadline_aborted) << ",\"not_run\":"
+     << report.count(super::ShardStatus::quarantined) << ",\"not_run\":"
      << report.count(super::ShardStatus::not_run)
      << ",\"attempts\":" << report.total_attempts()
      << ",\"coverage\":" << report.coverage()
      << ",\"degraded\":" << (report.degraded() ? "true" : "false") << '}';
 }
 
-void render_window_json(std::ostream& os, const WindowTally& w) {
-  os << "{\"index\":" << w.index << ",\"events\":" << w.events
-     << ",\"bt_contacts\":" << w.bt_contacts << ",\"leaks\":" << w.leaks
-     << ",\"sessions\":" << w.sessions << '}';
-}
-
 }  // namespace
 
 Observatory::Observatory(const netcore::RoutingTable& routes,
-                         const netcore::AsRegistry& registry,
-                         ObservatoryConfig config)
+                         const netcore::AsRegistry& registry)
     : routes_(routes),
       registry_(registry),
-      config_(config),
       started_(std::chrono::steady_clock::now()),
       main_(routes),
       events_counter_(obs::counter("observatory.events")),
       leaks_counter_(obs::counter("observatory.leaks")),
-      sessions_counter_(obs::counter("observatory.sessions")),
-      windows_counter_(obs::counter("observatory.windows_closed")) {
-  if (config_.window_s <= 0.0) config_.window_s = 3600.0;
+      sessions_counter_(obs::counter("observatory.sessions")) {
   auto& reg = obs::MetricsRegistry::global();
   reg.register_probe(kIngestLagProbe, [this] {
     std::lock_guard<std::mutex> lock(mu_);
@@ -86,51 +74,28 @@ Observatory::~Observatory() {
   reg.unregister_probe(kHttpRequestsProbe);
 }
 
-void Observatory::roll_window_locked(double t) {
-  const auto index =
-      static_cast<std::int64_t>(t / config_.window_s);  // windows are ≥ 0
-  if (window_open_ && index == current_window_.index) return;
-  if (window_open_) {
-    closed_windows_.push_back(current_window_);
-    if (closed_windows_.size() > config_.max_window_history)
-      closed_windows_.erase(closed_windows_.begin());
-    ++windows_closed_;
-    windows_counter_.inc();
-  }
-  current_window_ = WindowTally{};
-  current_window_.index = index;
-  window_open_ = true;
-}
-
 void Observatory::ingest_into_locked(Channel& ch, const StreamEvent& event) {
-  roll_window_locked(event.time);
   virtual_time_ = std::max(virtual_time_, event.time);
   ++ch.ingested;
-  ++current_window_.events;
   events_counter_.inc();
   switch (event.kind) {
     case StreamEvent::Kind::bt_queried:
       ch.bt.note_queried(event.contact);
-      ++current_window_.bt_contacts;
       break;
     case StreamEvent::Kind::bt_learned:
       ch.bt.note_learned(event.contact);
-      ++current_window_.bt_contacts;
       break;
     case StreamEvent::Kind::bt_ping_response:
       ch.bt.note_ping_response(event.contact);
-      ++current_window_.bt_contacts;
       break;
     case StreamEvent::Kind::bt_leak:
       ch.bt.note_leak(event.contact, event.internal);
-      ++current_window_.leaks;
       leaks_counter_.inc();
       break;
     case StreamEvent::Kind::nz_session:
       ch.nz.ingest(event.session);
       if (event.session.transition)
         ch.transition_sessions.push_back(event.session);
-      ++current_window_.sessions;
       sessions_counter_.inc();
       break;
   }
@@ -202,20 +167,28 @@ void Observatory::drop_campaign(const std::string& campaign) {
 }
 
 void Observatory::capture_trace(const obs::TraceRing& ring) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring.events_into(trace_events_);
-  if (ring.total_pushed() < trace_total_) trace_tally_seen_.fill(0);
-  trace_total_ = ring.total_pushed();
-  for (std::size_t k = 0; k < obs::TraceRing::kKindTallySlots; ++k) {
-    const std::uint64_t now = ring.kind_tally(static_cast<std::uint8_t>(k));
-    trace_tally_[k] = now;
-    if (now > trace_tally_seen_[k]) {
-      obs::counter("observatory.trace." +
-                   std::string(trace_kind_name(k)))
-          .inc(now - trace_tally_seen_[k]);
-      trace_tally_seen_[k] = now;
+  std::array<std::uint64_t, obs::TraceRing::kKindTallySlots> fresh{};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ring.events_into(trace_events_);
+    if (ring.total_pushed() < trace_total_) trace_tally_seen_.fill(0);
+    trace_total_ = ring.total_pushed();
+    for (std::size_t k = 0; k < obs::TraceRing::kKindTallySlots; ++k) {
+      const std::uint64_t now = ring.kind_tally(static_cast<std::uint8_t>(k));
+      trace_tally_[k] = now;
+      if (now > trace_tally_seen_[k]) {
+        fresh[k] = now - trace_tally_seen_[k];
+        trace_tally_seen_[k] = now;
+      }
     }
   }
+  // Counters are looked up after mu_ is released: /metrics holds the
+  // registry lock while its ingest-lag probe takes mu_, so taking the
+  // registry lock under mu_ here would invert that order.
+  for (std::size_t k = 0; k < fresh.size(); ++k)
+    if (fresh[k] > 0)
+      obs::counter("observatory.trace." + std::string(trace_kind_name(k)))
+          .inc(fresh[k]);
 }
 
 std::uint64_t Observatory::events_ingested() const {
@@ -351,8 +324,7 @@ void Observatory::render_health_locked(std::ostream& os) const {
           .count();
   const auto old_precision = os.precision(12);
   os << "{\"status\":\"" << (main_.done ? "complete" : "streaming")
-     << "\",\"uptime_s\":" << uptime << ",\"window_s\":" << config_.window_s
-     << ",\"virtual_time_s\":" << virtual_time_;
+     << "\",\"uptime_s\":" << uptime << ",\"virtual_time_s\":" << virtual_time_;
   os << ",\"ingest\":{\"announced\":" << main_.announced
      << ",\"ingested\":" << main_.ingested << ",\"lag\":"
      << (main_.announced > main_.ingested ? main_.announced - main_.ingested
@@ -361,17 +333,6 @@ void Observatory::render_health_locked(std::ostream& os) const {
      << ",\"bt_events\":" << main_.bt.events_ingested()
      << ",\"leaks\":" << main_.bt.leaks_ingested()
      << ",\"sessions\":" << main_.nz.sessions_ingested() << '}';
-  os << ",\"windows\":{\"closed\":" << windows_closed_ << ",\"current\":";
-  if (window_open_)
-    render_window_json(os, current_window_);
-  else
-    os << "null";
-  os << ",\"history\":[";
-  for (std::size_t i = 0; i < closed_windows_.size(); ++i) {
-    if (i) os << ',';
-    render_window_json(os, closed_windows_[i]);
-  }
-  os << "]}";
   os << ",\"campaigns\":{";
   bool first = true;
   for (const auto& [kind, report] : main_.reports) {
@@ -518,7 +479,7 @@ HttpResponse Observatory::handle(const std::string& path) const {
             "  GET /metrics          Prometheus text exposition\n"
             "  GET /figures          bench figure sets (JSON)\n"
             "  GET /figures/<name>   a push campaign's figure sets (JSON)\n"
-            "  GET /health           ingest/window/campaign status (JSON)\n"
+            "  GET /health           ingest/campaign status (JSON)\n"
             "  GET /trace            latest hop-trace window (JSON)\n";
     return {200, "text/plain; charset=utf-8", body.str()};
   }

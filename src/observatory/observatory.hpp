@@ -24,7 +24,7 @@
 //   GET /metrics          — Prometheus text exposition of the registry
 //   GET /figures          — default-channel figure sets (bench JSON schema)
 //   GET /figures/<name>   — a push campaign's figure sets (same schema)
-//   GET /health           — uptime, ingest lag, windows, campaigns, push
+//   GET /health           — uptime, ingest lag, campaigns, push
 //   GET /trace            — the latest captured hop-trace window
 //
 // Threading: producers call ingest()/note_*() (the StreamDriver thread
@@ -70,7 +70,7 @@ struct StreamEvent {
   };
 
   Kind kind = Kind::bt_queried;
-  /// Simulated campaign time of the observation — drives windowing.
+  /// Simulated campaign time of the observation (/health virtual_time_s).
   double time = 0.0;
   dht::Contact contact;             ///< bt_* events (the leaker for bt_leak)
   dht::Contact internal;            ///< bt_leak only: the leaked peer
@@ -104,27 +104,10 @@ class EventSink {
   virtual void capture_trace(const obs::TraceRing& ring) { (void)ring; }
 };
 
-/// Per-window ingest tallies (window = floor(event.time / window_s)).
-struct WindowTally {
-  std::int64_t index = 0;
-  std::uint64_t events = 0;
-  std::uint64_t bt_contacts = 0;  ///< queried + learned + ping responses
-  std::uint64_t leaks = 0;
-  std::uint64_t sessions = 0;
-};
-
-struct ObservatoryConfig {
-  /// Window length in simulated seconds (env knob CGN_OBSERVATORY_WINDOW_S).
-  double window_s = 3600.0;
-  /// Closed windows kept for /health (oldest evicted beyond this).
-  std::size_t max_window_history = 48;
-};
-
 class Observatory : public EventSink {
  public:
   Observatory(const netcore::RoutingTable& routes,
-              const netcore::AsRegistry& registry,
-              ObservatoryConfig config = {});
+              const netcore::AsRegistry& registry);
   ~Observatory() override;
 
   Observatory(const Observatory&) = delete;
@@ -235,7 +218,6 @@ class Observatory : public EventSink {
     std::map<std::string, super::CampaignReport> reports;
   };
 
-  void roll_window_locked(double t);
   void ingest_into_locked(Channel& ch, const StreamEvent& event);
   Channel& push_channel_locked(const std::string& campaign);
   [[nodiscard]] const Channel* find_push_locked(
@@ -248,17 +230,12 @@ class Observatory : public EventSink {
 
   const netcore::RoutingTable& routes_;
   const netcore::AsRegistry& registry_;
-  ObservatoryConfig config_;
   std::chrono::steady_clock::time_point started_;
 
   mutable std::mutex mu_;
   Channel main_;
   std::map<std::string, std::unique_ptr<Channel>> push_;
   double virtual_time_ = 0.0;
-  bool window_open_ = false;
-  WindowTally current_window_;
-  std::vector<WindowTally> closed_windows_;
-  std::uint64_t windows_closed_ = 0;
   std::vector<obs::TraceEvent> trace_events_;
   std::array<std::uint64_t, obs::TraceRing::kKindTallySlots> trace_tally_{};
   std::uint64_t trace_total_ = 0;
@@ -268,7 +245,6 @@ class Observatory : public EventSink {
   obs::Counter& events_counter_;
   obs::Counter& leaks_counter_;
   obs::Counter& sessions_counter_;
-  obs::Counter& windows_counter_;
 
   HttpServer server_;
   std::unique_ptr<IngestServer> ingest_;

@@ -10,8 +10,6 @@
 // Flags:
 //   --port N                listen port (0 = ephemeral; default
 //                           CGN_OBSERVATORY_PORT or 9464)
-//   --window S              tally window in simulated seconds (default
-//                           CGN_OBSERVATORY_WINDOW_S or 3600)
 //   --pace-us N             wall-clock pause between ingested events
 //   --abort-after-shards N  Netalyzr campaign kill-switch (checkpoint
 //                           drill; exits 3 on the resulting abort)
@@ -27,8 +25,7 @@
 //                           routes) and serves push campaigns only
 //
 // Exit codes: 0 stream complete, 2 usage/bind error, 3 campaign aborted
-// (kill-switch or watchdog; rerun with the same CGN_SUPER_CHECKPOINT_DIR
-// to resume).
+// (kill-switch; rerun with the same CGN_SUPER_CHECKPOINT_DIR to resume).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -47,7 +44,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port N] [--window S] [--pace-us N]\n"
+               "usage: %s [--port N] [--pace-us N]\n"
                "          [--abort-after-shards N] [--exit-after-stream]\n"
                "          [--ingest-port N] [--ingest-queue N] [--no-stream]\n",
                argv0);
@@ -61,8 +58,6 @@ int main(int argc, char** argv) {
 
   auto port = static_cast<std::uint16_t>(
       scenario::env_u64("CGN_OBSERVATORY_PORT", 9464));
-  observatory::ObservatoryConfig obs_cfg;
-  obs_cfg.window_s = scenario::env_double("CGN_OBSERVATORY_WINDOW_S", 3600.0);
   std::size_t abort_after_shards = 0;
   bool exit_after_stream = false;
   bool no_stream = false;
@@ -83,10 +78,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       port = static_cast<std::uint16_t>(std::atoi(v));
-    } else if (arg == "--window") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      obs_cfg.window_s = std::atof(v);
     } else if (arg == "--pace-us") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -128,7 +119,7 @@ int main(int argc, char** argv) {
   driver_cfg.pace_us = pace_us;
 
   observatory::StreamDriver driver(driver_cfg);
-  observatory::Observatory obs(driver.routes(), driver.registry(), obs_cfg);
+  observatory::Observatory obs(driver.routes(), driver.registry());
 
   std::string error;
   if (!obs.serve(port, &error)) {

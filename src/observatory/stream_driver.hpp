@@ -11,13 +11,13 @@
 // results, and a CGN_SUPER_CHECKPOINT_DIR lets a killed campaign resume
 // shard-exactly (see cgn::super). The batch results are then flattened into
 // StreamEvents — order-independent for the streaming detectors — and
-// stamped with linearly spaced virtual times so the observatory's windowed
-// tallies have a time axis to bin on (Netalyzr times continue after the
-// crawl's, mirroring the paper's staggered deployments).
+// stamped with linearly spaced virtual times, the campaign clock /health
+// reports (Netalyzr times continue after the crawl's, mirroring the
+// paper's staggered deployments).
 //
-// A campaign kill-switch (SupervisorConfig::abort_after_shards) or watchdog
-// abort escapes run() as super::CampaignAborted; the Observatory keeps
-// whatever was ingested and a rerun with the same checkpoint dir resumes.
+// A campaign kill-switch (SupervisorConfig::abort_after_shards) escapes
+// run() as super::CampaignAborted; the Observatory keeps whatever was
+// ingested and a rerun with the same checkpoint dir resumes.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +73,7 @@ class StreamDriver {
   /// Runs the configured campaigns and streams every observation into
   /// `sink` — an in-process Observatory or a PushClient framing the same
   /// events onto a socket. Throws super::CampaignAborted when a campaign
-  /// kill-switch or watchdog fires (already-ingested events stay in the
-  /// sink).
+  /// kill-switch fires (already-ingested events stay in the sink).
   void run(EventSink& sink);
 
   [[nodiscard]] std::uint64_t events_emitted() const noexcept {

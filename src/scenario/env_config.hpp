@@ -50,17 +50,14 @@ inline fault::FaultPlan fault_plan_from_env() {
 }
 
 /// Campaign supervision policy, from the environment. Defaults preserve
-/// historical behaviour (single attempt, quarantine on, no deadlines, no
-/// checkpointing). CGN_SUPER_ATTEMPTS sets the per-shard budget;
-/// CGN_SUPER_SHARD_DEADLINE_S / CGN_SUPER_CAMPAIGN_DEADLINE_S the watchdog
-/// budgets; CGN_SUPER_CHECKPOINT_DIR enables checkpoint/resume (one
-/// `<kind>.ckpt` file per campaign in that directory).
+/// historical behaviour (single attempt, quarantine on, no checkpointing).
+/// CGN_SUPER_ATTEMPTS sets the per-shard budget; CGN_SUPER_CHECKPOINT_DIR
+/// enables checkpoint/resume (one `<kind>.ckpt` file per campaign in that
+/// directory).
 inline super::SupervisorConfig supervisor_config_from_env(
     const std::string& kind) {
   super::SupervisorConfig cfg;
   cfg.max_attempts = static_cast<int>(env_u64("CGN_SUPER_ATTEMPTS", 1));
-  cfg.shard_deadline_s = env_double("CGN_SUPER_SHARD_DEADLINE_S", 0.0);
-  cfg.campaign_deadline_s = env_double("CGN_SUPER_CAMPAIGN_DEADLINE_S", 0.0);
   const char* dir = std::getenv("CGN_SUPER_CHECKPOINT_DIR");
   if (dir && *dir) {
     // CheckpointWriter::open cannot create directories; make the drill

@@ -1,12 +1,8 @@
 #include "super/supervisor.hpp"
 
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -21,7 +17,6 @@ obs::Counter& g_planned = obs::counter("super.shards_planned");
 obs::Counter& g_ok = obs::counter("super.shards_ok");
 obs::Counter& g_retried = obs::counter("super.shards_retried");
 obs::Counter& g_quarantined = obs::counter("super.shards_quarantined");
-obs::Counter& g_deadline_aborts = obs::counter("super.deadline_aborts");
 obs::Counter& g_resumed = obs::counter("super.shards_resumed");
 obs::Counter& g_not_run = obs::counter("super.shards_not_run");
 obs::Counter& g_retry_attempts = obs::counter("super.retry_attempts");
@@ -39,57 +34,6 @@ double seconds_since(SteadyClock::time_point t0) {
 struct ShardCrashError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
-
-/// Wall-clock watchdog shared between the workers and one monitor thread.
-/// Workers publish (slot -> attempt start); the monitor flags overruns.
-struct Watchdog {
-  std::array<std::atomic<std::int64_t>, obs::kMaxThreadSlots> start_us{};
-  std::array<std::atomic<bool>, obs::kMaxThreadSlots> cancel{};
-  std::atomic<bool> campaign_expired{false};
-  std::atomic<bool> stop{false};
-  std::mutex mu;
-  std::condition_variable cv;
-  std::thread thread;
-
-  void launch(SteadyClock::time_point t0, double shard_deadline_s,
-              double campaign_deadline_s) {
-    for (auto& s : start_us) s.store(-1, std::memory_order_relaxed);
-    thread = std::thread([this, t0, shard_deadline_s, campaign_deadline_s] {
-      std::unique_lock<std::mutex> lock(mu);
-      while (!cv.wait_for(lock, std::chrono::milliseconds(2),
-                          [this] { return stop.load(); })) {
-        const auto now = SteadyClock::now();
-        if (campaign_deadline_s > 0 &&
-            std::chrono::duration<double>(now - t0).count() >
-                campaign_deadline_s)
-          campaign_expired.store(true, std::memory_order_relaxed);
-        if (shard_deadline_s <= 0) continue;
-        const std::int64_t now_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(now - t0)
-                .count();
-        for (std::size_t slot = 0; slot < start_us.size(); ++slot) {
-          const std::int64_t began =
-              start_us[slot].load(std::memory_order_relaxed);
-          if (began >= 0 && static_cast<double>(now_us - began) >
-                                shard_deadline_s * 1e6)
-            cancel[slot].store(true, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-
-  void shutdown() {
-    if (!thread.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      stop = true;
-    }
-    cv.notify_all();
-    thread.join();
-  }
-};
-
-thread_local const std::atomic<bool>* t_cancel_flag = nullptr;
 
 std::string aggregate_failures(const CampaignReport& report) {
   std::vector<std::size_t> failed;
@@ -119,7 +63,6 @@ std::string_view to_string(ShardStatus s) noexcept {
     case ShardStatus::recovered: return "recovered";
     case ShardStatus::resumed: return "resumed";
     case ShardStatus::quarantined: return "quarantined";
-    case ShardStatus::deadline_aborted: return "deadline_aborted";
   }
   return "unknown";
 }
@@ -130,14 +73,8 @@ std::string CampaignReport::describe() const {
      << " ok, " << count(ShardStatus::recovered) << " retried, "
      << count(ShardStatus::resumed) << " resumed, "
      << count(ShardStatus::quarantined) << " quarantined, "
-     << count(ShardStatus::deadline_aborted) << " deadline-aborted, "
      << count(ShardStatus::not_run) << " not run";
   return std::move(os).str();
-}
-
-bool ShardSupervisor::cancel_requested() noexcept {
-  return t_cancel_flag != nullptr &&
-         t_cancel_flag->load(std::memory_order_relaxed);
 }
 
 CampaignReport ShardSupervisor::run(
@@ -161,13 +98,6 @@ CampaignReport ShardSupervisor::run(
   }
 
   const int budget = std::max(1, config_.max_attempts);
-  const auto t0 = SteadyClock::now();
-  Watchdog watchdog;
-  const bool watched =
-      config_.shard_deadline_s > 0 || config_.campaign_deadline_s > 0;
-  if (watched)
-    watchdog.launch(t0, config_.shard_deadline_s,
-                    config_.campaign_deadline_s);
 
   std::atomic<std::size_t> finished_this_run{0};
   std::atomic<bool> aborting{false};
@@ -190,13 +120,10 @@ CampaignReport ShardSupervisor::run(
           }
         }
 
-        const std::size_t slot = obs::thread_slot();
         for (int attempt = 1; attempt <= budget; ++attempt) {
-          if (aborting.load(std::memory_order_relaxed) ||
-              watchdog.campaign_expired.load(std::memory_order_relaxed)) {
+          if (aborting.load(std::memory_order_relaxed)) {
             out.status = ShardStatus::not_run;
-            out.error = aborting ? "campaign aborted"
-                                 : "campaign deadline exceeded";
+            out.error = "campaign aborted";
             out.elapsed_s = seconds_since(shard_t0);
             g_not_run.inc();
             return;
@@ -204,15 +131,6 @@ CampaignReport ShardSupervisor::run(
           out.attempts = attempt;
           if (attempt > 1) g_retry_attempts.inc();
 
-          if (watched) {
-            watchdog.cancel[slot].store(false, std::memory_order_relaxed);
-            watchdog.start_us[slot].store(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    SteadyClock::now() - t0)
-                    .count(),
-                std::memory_order_relaxed);
-            t_cancel_flag = &watchdog.cancel[slot];
-          }
           bool ok = false;
           try {
             if (config_.faults != nullptr &&
@@ -226,24 +144,7 @@ CampaignReport ShardSupervisor::run(
           } catch (...) {
             out.error = "unknown exception";
           }
-          const bool over_deadline =
-              watched &&
-              watchdog.cancel[slot].load(std::memory_order_relaxed);
-          if (watched) {
-            watchdog.start_us[slot].store(-1, std::memory_order_relaxed);
-            t_cancel_flag = nullptr;
-          }
           out.elapsed_s = seconds_since(shard_t0);
-
-          if (over_deadline) {
-            // A shard past its deadline is dropped even if it eventually
-            // finished: its results arrived after the SLA and retrying
-            // would only blow the budget again.
-            out.status = ShardStatus::deadline_aborted;
-            if (out.error.empty()) out.error = "shard deadline exceeded";
-            g_deadline_aborts.inc();
-            return;
-          }
           if (ok) {
             out.status = attempt == 1 ? ShardStatus::completed
                                       : ShardStatus::recovered;
@@ -264,8 +165,6 @@ CampaignReport ShardSupervisor::run(
         g_quarantined.inc();
       },
       threads);
-
-  if (watched) watchdog.shutdown();
 
   if (aborting.load()) {
     g_campaign_aborts.inc();

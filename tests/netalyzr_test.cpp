@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "test_topology.hpp"
 
 namespace cgn::netalyzr {
@@ -108,9 +110,16 @@ TEST(NetalyzrClient, PortTranslationVisibleThroughRandomCgn) {
 
 // --- TTL-driven NAT enumeration ------------------------------------------------
 
+// gtest prints a parameter without operator<< as its raw bytes, and that text
+// is part of the test's name; `reserved` fills what would otherwise be
+// uninitialised padding so the name is the same on every run.
 struct EnumCase {
+  EnumCase(bool cpe, bool cgn, int hop, double cgn_t, double cpe_t)
+      : with_cpe(cpe), with_cgn(cgn), cgn_hop(hop), cgn_timeout(cgn_t),
+        cpe_timeout(cpe_t) {}
   bool with_cpe;
   bool with_cgn;
+  std::uint16_t reserved = 0;
   int cgn_hop;
   double cgn_timeout;
   double cpe_timeout;

@@ -227,6 +227,20 @@ TEST(ObservatoryIngestCodec, CampaignReportRoundTrips) {
   }
 }
 
+TEST(ObservatoryIngestCodec, CampaignReportRejectsUnknownShardStatus) {
+  // quarantined is the last ShardStatus; anything past it (including the
+  // retired deadline_aborted byte 5) is a malformed report.
+  super::wire::Writer w;
+  w.u32(1);
+  w.u8(static_cast<std::uint8_t>(super::ShardStatus::quarantined) + 1);
+  w.u32(1);
+  w.f64(0.0);
+  w.str("");
+  super::wire::Reader r(w.bytes());
+  super::CampaignReport out;
+  EXPECT_FALSE(observatory::get_campaign_report(r, out));
+}
+
 TEST(ObservatoryIngestCodec, FrameHeaderChecksumsPayload) {
   const std::string frame =
       observatory::ingest_frame(IngestFrameType::done, "xyz");

@@ -375,12 +375,10 @@ TEST(HttpServerTest, ServesRoutesOverRealSockets) {
 
 // --- observatory: endpoint bodies ------------------------------------------
 
-TEST(ObservatoryEndpoint, WindowsHealthAndFigures) {
+TEST(ObservatoryEndpoint, HealthAndFigures) {
   const RoutingTable routes = two_as_routes();
   const netcore::AsRegistry registry;
-  observatory::ObservatoryConfig cfg;
-  cfg.window_s = 10.0;
-  observatory::Observatory obs(routes, registry, cfg);
+  observatory::Observatory obs(routes, registry);
 
   obs.add_stream_total(5);
   observatory::StreamEvent e;
@@ -388,7 +386,7 @@ TEST(ObservatoryEndpoint, WindowsHealthAndFigures) {
   e.contact = contact(16, 0, 0, 1);
   e.time = 1.0;
   obs.ingest(e);
-  e.time = 15.0;  // crosses into the second window
+  e.time = 15.0;
   obs.ingest(e);
 
   EXPECT_EQ(obs.events_ingested(), 2u);
@@ -399,8 +397,8 @@ TEST(ObservatoryEndpoint, WindowsHealthAndFigures) {
   EXPECT_EQ(health.status, 200);
   EXPECT_NE(health.body.find("\"status\":\"streaming\""), std::string::npos)
       << health.body;
-  EXPECT_NE(health.body.find("\"closed\":1"), std::string::npos)
-      << "first window must have rolled";
+  EXPECT_NE(health.body.find("\"virtual_time_s\":15"), std::string::npos)
+      << "virtual time follows the latest event";
   EXPECT_NE(health.body.find("\"lag\":3"), std::string::npos);
 
   super::CampaignReport report;

@@ -1,14 +1,12 @@
 // Unit tests for cgn::super: wire encoding, checkpoint files, and the
-// shard supervisor's retry/quarantine/watchdog/resume semantics (with
+// shard supervisor's retry/quarantine/resume semantics (with
 // synthetic shard bodies — the end-to-end campaign coverage lives in
 // super_recovery_test.cpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <thread>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -361,49 +359,6 @@ TEST(SuperVisor, RejectedPayloadFallsBackToARun) {
   EXPECT_EQ(report.count(ShardStatus::resumed), 0u);
   EXPECT_EQ(report.count(ShardStatus::completed), 3u);
   for (int n : ran) EXPECT_EQ(n, 2);
-}
-
-TEST(SuperVisor, ShardDeadlineAbortsARunawayShard) {
-  SupervisorConfig cfg;
-  cfg.shard_deadline_s = 0.05;
-  ShardSupervisor supervisor(cfg);
-  const auto t0 = std::chrono::steady_clock::now();
-  const CampaignReport report = supervisor.run(
-      3,
-      [&](std::size_t s) {
-        if (s != 1) return;
-        // Runaway shard: spins until the watchdog asks it to stop (with a
-        // far-out safety valve so a broken watchdog cannot hang the test).
-        while (!ShardSupervisor::cancel_requested() &&
-               std::chrono::steady_clock::now() - t0 <
-                   std::chrono::seconds(10))
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      },
-      nullptr, 1);
-  EXPECT_EQ(report.shards[1].status, ShardStatus::deadline_aborted);
-  EXPECT_EQ(report.shards[1].error, "shard deadline exceeded");
-  EXPECT_EQ(report.count(ShardStatus::completed), 2u);
-  EXPECT_TRUE(report.degraded());
-}
-
-TEST(SuperVisor, CampaignDeadlineStopsDispatchingNewShards) {
-  SupervisorConfig cfg;
-  cfg.campaign_deadline_s = 0.04;
-  ShardSupervisor supervisor(cfg);
-  const CampaignReport report = supervisor.run(
-      8,
-      [](std::size_t) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(25));
-      },
-      nullptr, 1);
-  // The first shard(s) beat the deadline; later dispatches must not run.
-  EXPECT_GE(report.finished(), 1u);
-  EXPECT_GE(report.count(ShardStatus::not_run), 1u);
-  for (const ShardOutcome& o : report.shards) {
-    if (o.status == ShardStatus::not_run) {
-      EXPECT_EQ(o.error, "campaign deadline exceeded");
-    }
-  }
 }
 
 TEST(SuperVisor, EmptyCampaignIsTriviallyComplete) {
