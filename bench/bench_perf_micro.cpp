@@ -3,8 +3,8 @@
 // packet delivery, leakage-graph clustering, and the obs metrics hot path.
 //
 // After the google-benchmark suite, main() hand-times the delivery loop and
-// the obs primitives to estimate the metrics overhead on the hot path (the
-// acceptance bar is <2% per delivery) and writes BENCH_perf_micro.json.
+// the obs primitives to estimate the metrics overhead on the hot path and
+// writes BENCH_perf_micro.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -242,10 +242,8 @@ int main(int argc, char** argv) {
   // increments and 2 histogram observations. The tax is that op bundle
   // priced at the measured per-primitive cost. (A loop-differential
   // estimate was tried and rejected: adding the bundle to the timed loop
-  // perturbs code layout by more than the bundle costs. The primitive-sum
-  // figure matches a ground-truth cross-check — this same binary built
-  // with -DCGN_OBS=OFF times the round trip ~1.4% faster, in line with
-  // the estimate below.)
+  // perturbs code layout by more than the bundle costs. The ground truth
+  // is this same binary built with -DCGN_OBS=OFF.)
   double delivery_ns = 0, counter_ns = 0, observe_ns = 0, tax_ns = 0;
   double delivery_idle_endpoint_ns = 0;
   bool behind_cpe_and_cgn = false;
@@ -335,7 +333,7 @@ int main(int argc, char** argv) {
             << "  counter.inc():      " << counter_ns << " ns\n"
             << "  histogram.observe:  " << observe_ns << " ns\n"
             << "  obs tax per round trip (8 incs + 2 observes): " << tax_ns
-            << " ns (" << overhead_pct << "% — acceptance bar <2%)\n"
+            << " ns (" << overhead_pct << "%)\n"
             << "  echo round trip with idle observatory endpoint: "
             << delivery_idle_endpoint_ns << " ns\n";
 

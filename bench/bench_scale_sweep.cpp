@@ -2,8 +2,8 @@
 // latency grow with CGN_BENCH_SCALE. For each scale the binary re-execs
 // itself as a child process — peak RSS is a per-process high-watermark
 // (/proc/self/status VmHWM), so each scale must start from a clean slate —
-// builds a lazy world, materializes every planned line plus the silent-line
-// ballast, times a warmed NAT444 echo round trip, and reports one JSON line.
+// builds the world, then the silent-line ballast, times a warmed NAT444 echo
+// round trip, and reports one JSON line.
 // The parent aggregates the per-scale samples into BENCH_scale_sweep.json
 // under `scale_<tag>_*` keys that scripts/bench_compare.py gates (peak-RSS
 // regressions warn at >10% and fail at >30% against the committed baseline).
@@ -11,8 +11,8 @@
 // Knobs: CGN_SCALE_SWEEP_SCALES (comma list, default "0.4,1,4,10"),
 // CGN_SILENT_LINES (ballast per CGN AS; default 850 here — enough that the
 // scale-10 world crosses 1,000,000 subscriber lines), plus the usual
-// CGN_BENCH_SEED. The sweep always builds lazily: plan and materialization
-// are timed as separate phases, which is the point of the lazy split.
+// CGN_BENCH_SEED. build_s times the full world build; materialize_s times
+// the silent-line ballast on top of it.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -72,7 +72,6 @@ double ns_per_op(Fn&& fn, int iters) {
 /// line ("@scale_sweep {...}") that the parent scrapes out of the output.
 int run_child() {
   scenario::InternetConfig cfg = bench::scaled_config();
-  cfg.lazy_build = true;  // the sweep measures the plan/materialize split
   if (!std::getenv("CGN_SILENT_LINES"))
     cfg.silent_lines_per_cgn_as = kDefaultSilentLines;
 
@@ -80,7 +79,6 @@ int run_child() {
   auto internet = scenario::build_internet(cfg);
   auto t1 = std::chrono::steady_clock::now();
 
-  internet->materialize_all();
   std::size_t silent_built = 0;
   for (scenario::IspInstance& isp : internet->isps)
     silent_built += internet->materialize_silent_lines(isp);

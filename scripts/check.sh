@@ -4,6 +4,8 @@
 #
 #   format   clang-format --dry-run -Werror over src/ tests/ bench/
 #   tier1    configure + build + full ctest (build/)
+#   obs-off  the same with metrics compiled out (build-obs-off/,
+#            -DCGN_OBS=OFF); obs value-assert tests skip themselves
 #   asan     full ctest under ASan+UBSan (build-asan/, -DCGN_SANITIZE=ON)
 #   tsan     parallel-campaign ctest under TSan (build-tsan/,
 #            -DCGN_SANITIZE=thread, CGN_THREADS=4)
@@ -49,6 +51,13 @@ stage_tier1() {
   cmake -B build -S . >/dev/null
   cmake --build build -j
   ctest --test-dir build --output-on-failure -j "$(nproc)"
+}
+
+stage_obs_off() {
+  echo "== obs-off: configure + build + ctest, -DCGN_OBS=OFF (build-obs-off/) =="
+  cmake -B build-obs-off -S . -DCGN_OBS=OFF >/dev/null
+  cmake --build build-obs-off -j
+  ctest --test-dir build-obs-off --output-on-failure -j "$(nproc)"
 }
 
 stage_asan() {
@@ -111,6 +120,7 @@ fi
 for stage in "${stages[@]}"; do
   case "$stage" in
     format|tier1|asan|tsan|bench|scale|recovery|soak) "stage_$stage" ;;
+    obs-off) stage_obs_off ;;
     *) echo "check.sh: unknown stage '$stage'" >&2; exit 2 ;;
   esac
 done

@@ -253,26 +253,6 @@ std::vector<netalyzr::SessionResult> run_netalyzr_campaign(
     return true;
   };
 
-  // Lazy worlds: build the touched lines up front, serially. Each shard's
-  // session set is a pure function of its own stateless substream, so the
-  // pre-pass re-derives fork(campaign_seed, s) and replays the worker's
-  // shuffle without perturbing any worker draw; workers then run
-  // construction-free (materialization mutates shared builder state and
-  // must not race).
-  if (internet.lazy()) {
-    for (std::size_t s = 0; s < shard_isps.size(); ++s) {
-      IspInstance& isp = *shard_isps[s];
-      sim::Rng rng = sim::Rng::fork(campaign_seed, s);
-      std::vector<std::size_t> order(isp.subscribers.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      rng.shuffle(order);
-      const std::size_t touched =
-          std::min(isp.nz_session_target, order.size());
-      for (std::size_t k = 0; k < touched; ++k)
-        internet.ensure_line(isp, order[k]);
-    }
-  }
-
   super::ShardSupervisor supervisor(
       stamped(config.supervise, internet, "netalyzr", fault::kSaltNetalyzr,
               kNetalyzrPayloadVersion));

@@ -5,10 +5,6 @@ namespace cgn::scenario {
 ChurnStats apply_renumbering_event(Internet& internet,
                                    const ChurnConfig& config) {
   ChurnStats stats;
-  // The renumber draw below is made per *materialized* public CPE line;
-  // build everything first so a lazy world consumes the stream exactly as
-  // an eager one does.
-  internet.materialize_all();
   sim::Rng rng = internet.fork_rng();
   for (int event = 0; event < config.events; ++event) {
     for (IspInstance& isp : internet.isps) {

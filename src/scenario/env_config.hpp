@@ -121,10 +121,8 @@ inline InternetConfig scaled_config() {
   cfg.cellular_ases = scaled(cfg.cellular_ases);
   cfg.fault_plan = fault_plan_from_env();
   cfg.v6 = v6_config_from_env();
-  // CGN_LAZY_WORLD=1 defers per-line construction to first use (figures
-  // unchanged); CGN_SILENT_LINES adds bench-only never-instrumented lines
-  // per CGN AS, built by materialize_silent_lines(). Both default off.
-  cfg.lazy_build = env_u64("CGN_LAZY_WORLD", 0) != 0;
+  // CGN_SILENT_LINES adds bench-only never-instrumented lines per CGN AS,
+  // built by materialize_silent_lines(). Default off.
   cfg.silent_lines_per_cgn_as =
       static_cast<std::size_t>(env_u64("CGN_SILENT_LINES", 0));
   return cfg;

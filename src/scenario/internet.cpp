@@ -45,250 +45,21 @@ netcore::Ipv6Address line_v6_address(std::uint64_t block, std::uint64_t asn,
 
 }  // namespace
 
-/// Deferred per-line construction (README "Scale"). The builder performs
-/// every RNG draw for every subscriber line at *plan* time, in exactly the
-/// order eager construction used to, and records the outcomes here;
-/// materialization replays a recorded plan without touching any generator.
-/// Eager mode (the default) materializes each ISP's homes immediately after
-/// planning them, which reproduces the historical construction order —
-/// node ids, names, registration order — byte-for-byte. Lazy mode defers a
-/// home until its first use; node ids then differ from eager, but no figure
-/// depends on them (shard partitions key on route equality, fingerprints on
-/// addresses/ports), so campaign output stays byte-identical.
-struct LazyWorld {
-  /// One BitTorrent client to attach (primary or second device of a home).
-  struct BtPlan {
-    bool sloppy = false;         ///< propagates unvalidated contacts
-    std::uint64_t dht_seed = 0;  ///< the engine draw rng_.fork() would take
-    dht::NodeId160 dht_id;
-    bool upnp_map = false;  ///< CPE static mapping for port 6881
-    bool deaf = false;      ///< fault plan marks the device unresponsive
-  };
-
-  /// One home: a subscriber line plus (maybe) a second LAN device.
-  struct LinePlan {
-    int index = 0;  ///< loop index within the ISP (names, v6 addresses)
-    int home_id = 0;
-    std::uint32_t slot = 0;  ///< primary's index in isp.subscribers
-    bool behind_cgn = false;
-    bool has_bt = false;
-    bool no_cpe = false;  ///< archetype B (v4 path only)
-    bool multi_home = false;
-    bool materialized = false;
-    netcore::Ipv4Address line_addr;
-    const CpeModel* cpe_model = nullptr;  ///< catalog entry; null: no CPE
-    std::uint64_t cpe_seed = 0;           ///< CPE NAT's forked engine seed
-    nat::TranslatorMode v6_mode = nat::TranslatorMode::nat44;
-    bool has_clat = false;
-    BtPlan bt;      ///< meaningful when has_bt
-    BtPlan second;  ///< meaningful when multi_home
-  };
-
-  /// Per-ISP plan: the attachment points and every home.
-  struct IspLines {
+/// Silent-line ballast (config.silent_lines_per_cgn_as): what
+/// Internet::materialize_silent_lines() needs to add an ISP's
+/// never-instrumented lines after the build. One pool per Internet::isps
+/// entry, same index.
+struct SilentLines {
+  struct Pool {
     std::string as_name;
-    std::size_t isp_slot = 0;  ///< index into Internet::isps
-    sim::NodeId cpe_chain = sim::kNoNode;
     sim::NodeId direct_chain = sim::kNoNode;
-    sim::NodeId public_chain = sim::kNoNode;
-    std::vector<LinePlan> lines;
-    /// subscribers-vector slot -> lines index (seconds map to their home).
-    std::vector<std::uint32_t> slot_to_line;
-    // Silent-line ballast (drawn from nothing; see materialize_silent_lines).
-    std::vector<netcore::Ipv4Address> silent_bases;
-    std::size_t n_subs = 0;
-    std::size_t silent_planned = 0;
-    std::size_t silent_built = 0;
+    std::vector<netcore::Ipv4Address> bases;  ///< the ISP's internal bases
+    std::size_t n_subs = 0;  ///< instrumented lines (silent indices follow)
+    std::size_t planned = 0;
+    std::size_t built = 0;
   };
-
-  bool defer = false;  ///< config.lazy_build
-  std::vector<IspLines> isps;
-  std::unordered_map<netcore::Asn, std::size_t> by_asn;
-
-  void materialize_home(Internet& I, IspLines& L, LinePlan& lp);
-
- private:
-  void build_v4_line(Internet& I, IspLines& L, const LinePlan& lp,
-                     Subscriber& sub);
-  void build_v6_line(Internet& I, IspLines& L, const LinePlan& lp,
-                     Subscriber& sub);
-  Subscriber build_lan_device(Internet& I, IspLines& L, const LinePlan& lp,
-                              const Subscriber& first);
-  void attach_demux(Internet& I, Subscriber& sub);
-  void attach_bt(Internet& I, Subscriber& sub, const BtPlan& bp);
+  std::vector<Pool> pools;
 };
-
-void LazyWorld::attach_demux(Internet& I, Subscriber& sub) {
-  auto demux = std::make_unique<sim::PortDemux>();
-  sub.demux = demux.get();
-  demux->attach(I.net, sub.device);
-  I.demuxes_.push_back(std::move(demux));
-}
-
-void LazyWorld::build_v4_line(Internet& I, IspLines& L, const LinePlan& lp,
-                              Subscriber& sub) {
-  IspInstance& isp = I.isps[L.isp_slot];
-  const sim::NodeId line_scope =
-      lp.behind_cgn ? isp.cgn_node : I.net.root();
-  if (lp.no_cpe) {
-    sim::NodeId attach = lp.behind_cgn ? L.direct_chain : L.public_chain;
-    sub.device = I.net.add_node(
-        attach, L.as_name + "-dev" + std::to_string(lp.home_id));
-    sub.device_address = lp.line_addr;
-    I.net.add_local_address(sub.device, lp.line_addr);
-    I.net.register_address(lp.line_addr, sub.device, line_scope);
-  } else {
-    sim::NodeId attach = lp.behind_cgn ? L.cpe_chain : L.public_chain;
-    const CpeModel& model = *lp.cpe_model;
-    sim::NodeId cpe_node = I.net.add_node(
-        attach, L.as_name + "-cpe" + std::to_string(lp.home_id));
-    nat::NatConfig cfg;
-    cfg.name = model.name;
-    cfg.mapping = model.mapping;
-    cfg.port_allocation = model.allocation;
-    cfg.pooling = nat::Pooling::paired;
-    cfg.udp_timeout_s = model.udp_timeout_s;
-    cfg.hairpinning = model.hairpinning;
-    cfg.hairpin_preserve_source = model.hairpin_preserve_source;
-    cfg.port_min = 1024;
-    auto nat = std::make_unique<nat::NatDevice>(
-        cfg, std::vector<netcore::Ipv4Address>{lp.line_addr},
-        sim::Rng(lp.cpe_seed));
-    sub.cpe = nat.get();
-    sub.cpe_upnp = model.upnp;
-    I.nats_.push_back(std::move(nat));
-    I.net.set_middlebox(cpe_node, sub.cpe);
-    I.net.register_address(lp.line_addr, cpe_node, line_scope);
-
-    sub.device = I.net.add_node(
-        cpe_node, L.as_name + "-dev" + std::to_string(lp.home_id));
-    sub.device_address = model.lan_prefix.at(2);
-    I.net.add_local_address(sub.device, sub.device_address);
-    I.net.register_address(sub.device_address, sub.device, cpe_node);
-    sub.cpe_node = cpe_node;
-  }
-  attach_demux(I, sub);
-}
-
-void LazyWorld::build_v6_line(Internet& I, IspLines& L, const LinePlan& lp,
-                              Subscriber& sub) {
-  IspInstance& isp = I.isps[L.isp_slot];
-  const std::uint64_t asn = isp.asn;
-  const netcore::Ipv4Address underlay = lp.line_addr;
-  sub.v6_mode = lp.v6_mode;
-  sim::NodeId elem_node;
-  if (lp.v6_mode == nat::TranslatorMode::nat64) {
-    sub.device_v6 = line_v6_address(2, asn, lp.index);
-    sub.has_clat = lp.has_clat;
-    if (lp.has_clat) {
-      elem_node = I.net.add_node(
-          L.cpe_chain, L.as_name + "-clat" + std::to_string(lp.home_id));
-      sub.device_address = kClatDeviceV4;
-      auto clat = std::make_unique<v6::ClatElement>(
-          sub.device_v6, isp.cgn_profile->pref64, underlay, kClatDeviceV4);
-      I.net.set_middlebox(elem_node, clat.get());
-      I.clats_.push_back(std::move(clat));
-    } else {
-      elem_node = I.net.add_node(
-          L.cpe_chain, L.as_name + "-v6stk" + std::to_string(lp.home_id));
-      sub.device_address = netcore::Ipv4Address(
-          0xA9FE0000u + static_cast<std::uint32_t>(lp.index) + 257);
-      auto stack = std::make_unique<v6::HostV6Stack>(
-          sub.device_v6, underlay, sub.device_address);
-      sub.v6stack = stack.get();
-      I.net.set_middlebox(elem_node, stack.get());
-      I.v6stacks_.push_back(std::move(stack));
-    }
-    isp.nat64->add_host(sub.device_v6, underlay);
-  } else {  // DS-Lite softwire
-    sub.device_v6 = line_v6_address(1, asn, lp.index);
-    elem_node = I.net.add_node(
-        L.cpe_chain, L.as_name + "-b4" + std::to_string(lp.home_id));
-    sub.device_address = kB4DeviceV4;
-    auto b4 = std::make_unique<v6::B4Element>(
-        sub.device_v6, isp.aftr->aftr_address(), underlay);
-    I.net.set_middlebox(elem_node, b4.get());
-    I.b4s_.push_back(std::move(b4));
-    isp.aftr->add_softwire(sub.device_v6, underlay);
-  }
-  I.net.register_address(underlay, elem_node, isp.cgn_node);
-
-  sub.device = I.net.add_node(
-      elem_node, L.as_name + "-dev" + std::to_string(lp.home_id));
-  I.net.add_local_address(sub.device, sub.device_address);
-  I.net.register_address(sub.device_address, sub.device, elem_node);
-  attach_demux(I, sub);
-}
-
-Subscriber LazyWorld::build_lan_device(Internet& I, IspLines& L,
-                                       const LinePlan& lp,
-                                       const Subscriber& first) {
-  Subscriber sub;
-  sub.home_id = first.home_id;
-  sub.behind_cgn = first.behind_cgn;
-  sub.cpe = first.cpe;
-  sub.cpe_upnp = first.cpe_upnp;
-  sub.cpe_node = first.cpe_node;
-  sub.device = I.net.add_node(
-      first.cpe_node,
-      L.as_name + "-dev" + std::to_string(lp.index) + "b");
-  sub.device_address = netcore::Ipv4Address(first.device_address.value() + 1);
-  I.net.add_local_address(sub.device, sub.device_address);
-  I.net.register_address(sub.device_address, sub.device, first.cpe_node);
-  attach_demux(I, sub);
-  return sub;
-}
-
-void LazyWorld::attach_bt(Internet& I, Subscriber& sub, const BtPlan& bp) {
-  dht::DhtNodeConfig cfg;
-  cfg.table_capacity = I.config.dht_table_capacity;
-  cfg.pings_per_round = 24;  // active clients validate aggressively
-  cfg.validate_before_propagate = !bp.sloppy;
-  netcore::Endpoint local{sub.device_address, 6881};
-  auto node = std::make_unique<dht::DhtNode>(bp.dht_id, local, sub.device,
-                                             cfg, sim::Rng(bp.dht_seed));
-  sub.bt_client = node.get();
-  sub.demux->bind(6881, [ptr = node.get()](sim::Network& n,
-                                           const sim::Packet& p) {
-    ptr->handle(n, p);
-  });
-  if (bp.upnp_map)
-    sub.cpe->add_static_mapping(netcore::Protocol::udp, local, 0.0);
-  I.bt_peer_ptrs_.push_back(node.get());
-  I.dht_nodes_.push_back(std::move(node));
-  if (bp.deaf) I.faults->mark_unresponsive(sub.device, 6881);
-}
-
-void LazyWorld::materialize_home(Internet& I, IspLines& L, LinePlan& lp) {
-  if (lp.materialized) return;
-  lp.materialized = true;
-  IspInstance& isp = I.isps[L.isp_slot];
-
-  Subscriber sub;
-  sub.home_id = lp.home_id;
-  sub.behind_cgn = lp.behind_cgn;
-  if (lp.behind_cgn && lp.v6_mode != nat::TranslatorMode::nat44)
-    build_v6_line(I, L, lp, sub);
-  else
-    build_v4_line(I, L, lp, sub);
-  if (lp.has_bt) attach_bt(I, sub, lp.bt);
-  isp.subscribers[lp.slot] = sub;
-
-  if (lp.multi_home) {
-    // A second BitTorrent device in the same home LAN; both clients
-    // discover each other via local peer discovery.
-    Subscriber& primary = isp.subscribers[lp.slot];
-    Subscriber second = build_lan_device(I, L, lp, primary);
-    attach_bt(I, second, lp.second);
-    dht::DhtNode* a = primary.bt_client;
-    dht::DhtNode* b = second.bt_client;
-    a->learn_contact(dht::Contact{b->id(), b->local_endpoint()},
-                     /*pinned=*/true);
-    b->learn_contact(dht::Contact{a->id(), a->local_endpoint()},
-                     /*pinned=*/true);
-    isp.subscribers[lp.slot + 1] = second;
-  }
-}
 
 /// Performs the actual construction; split from Internet to keep the data
 /// holder readable.
@@ -313,6 +84,211 @@ class InternetBuilder {
     bool cgn = false;
     [[nodiscard]] bool instrumented() const { return bt || nz; }
   };
+
+  // --- Subscriber lines: plan, then build ---------------------------------
+  // build_isp makes every RNG draw for an ISP's lines first, in the recorded
+  // order below, and keeps the outcomes in LinePlans; build_home then turns
+  // each plan into nodes without touching any generator, so node ids, names
+  // and registration order follow the line order.
+
+  /// One BitTorrent client to attach (primary or second device of a home).
+  struct BtPlan {
+    bool sloppy = false;         ///< propagates unvalidated contacts
+    std::uint64_t dht_seed = 0;  ///< the engine draw rng_.fork() would take
+    dht::NodeId160 dht_id;
+    bool upnp_map = false;  ///< CPE static mapping for port 6881
+    bool deaf = false;      ///< fault plan marks the device unresponsive
+  };
+
+  /// One home: a subscriber line plus (maybe) a second LAN device.
+  struct LinePlan {
+    int index = 0;  ///< line index within the ISP (home id, names, v6)
+    bool behind_cgn = false;
+    bool has_bt = false;
+    bool no_cpe = false;  ///< archetype B (v4 path only)
+    bool multi_home = false;
+    netcore::Ipv4Address line_addr;
+    const CpeModel* cpe_model = nullptr;  ///< catalog entry; null: no CPE
+    std::uint64_t cpe_seed = 0;           ///< CPE NAT's forked engine seed
+    nat::TranslatorMode v6_mode = nat::TranslatorMode::nat44;
+    bool has_clat = false;
+    BtPlan bt;      ///< meaningful when has_bt
+    BtPlan second;  ///< meaningful when multi_home
+  };
+
+  /// The ISP a home is built into, and its attachment points.
+  struct IspSite {
+    IspInstance& isp;
+    const std::string& as_name;
+    sim::NodeId cpe_chain;     ///< NAT444 CPEs and v6 elements
+    sim::NodeId direct_chain;  ///< archetype-B devices behind the CGN
+    sim::NodeId public_chain;  ///< lines outside the CGN
+  };
+
+  void attach_demux(Subscriber& sub) {
+    auto demux = std::make_unique<sim::PortDemux>();
+    sub.demux = demux.get();
+    demux->attach(I_.net, sub.device);
+    I_.demuxes_.push_back(std::move(demux));
+  }
+
+  void build_v4_line(const IspSite& site, const LinePlan& lp,
+                     Subscriber& sub) {
+    const std::string home = std::to_string(lp.index);
+    const sim::NodeId line_scope =
+        lp.behind_cgn ? site.isp.cgn_node : I_.net.root();
+    if (lp.no_cpe) {
+      sim::NodeId attach = lp.behind_cgn ? site.direct_chain
+                                         : site.public_chain;
+      sub.device = I_.net.add_node(attach, site.as_name + "-dev" + home);
+      sub.device_address = lp.line_addr;
+      I_.net.add_local_address(sub.device, lp.line_addr);
+      I_.net.register_address(lp.line_addr, sub.device, line_scope);
+    } else {
+      sim::NodeId attach = lp.behind_cgn ? site.cpe_chain : site.public_chain;
+      const CpeModel& model = *lp.cpe_model;
+      sim::NodeId cpe_node =
+          I_.net.add_node(attach, site.as_name + "-cpe" + home);
+      nat::NatConfig cfg;
+      cfg.name = model.name;
+      cfg.mapping = model.mapping;
+      cfg.port_allocation = model.allocation;
+      cfg.pooling = nat::Pooling::paired;
+      cfg.udp_timeout_s = model.udp_timeout_s;
+      cfg.hairpinning = model.hairpinning;
+      cfg.hairpin_preserve_source = model.hairpin_preserve_source;
+      cfg.port_min = 1024;
+      auto nat = std::make_unique<nat::NatDevice>(
+          cfg, std::vector<netcore::Ipv4Address>{lp.line_addr},
+          sim::Rng(lp.cpe_seed));
+      sub.cpe = nat.get();
+      sub.cpe_upnp = model.upnp;
+      I_.nats_.push_back(std::move(nat));
+      I_.net.set_middlebox(cpe_node, sub.cpe);
+      I_.net.register_address(lp.line_addr, cpe_node, line_scope);
+
+      sub.device = I_.net.add_node(cpe_node, site.as_name + "-dev" + home);
+      sub.device_address = model.lan_prefix.at(2);
+      I_.net.add_local_address(sub.device, sub.device_address);
+      I_.net.register_address(sub.device_address, sub.device, cpe_node);
+      sub.cpe_node = cpe_node;
+    }
+    attach_demux(sub);
+  }
+
+  void build_v6_line(const IspSite& site, const LinePlan& lp,
+                     Subscriber& sub) {
+    IspInstance& isp = site.isp;
+    const std::uint64_t asn = isp.asn;
+    const std::string home = std::to_string(lp.index);
+    const netcore::Ipv4Address underlay = lp.line_addr;
+    sub.v6_mode = lp.v6_mode;
+    sim::NodeId elem_node;
+    if (lp.v6_mode == nat::TranslatorMode::nat64) {
+      sub.device_v6 = line_v6_address(2, asn, lp.index);
+      sub.has_clat = lp.has_clat;
+      if (lp.has_clat) {
+        elem_node =
+            I_.net.add_node(site.cpe_chain, site.as_name + "-clat" + home);
+        sub.device_address = kClatDeviceV4;
+        auto clat = std::make_unique<v6::ClatElement>(
+            sub.device_v6, isp.cgn_profile->pref64, underlay, kClatDeviceV4);
+        I_.net.set_middlebox(elem_node, clat.get());
+        I_.clats_.push_back(std::move(clat));
+      } else {
+        elem_node =
+            I_.net.add_node(site.cpe_chain, site.as_name + "-v6stk" + home);
+        sub.device_address = netcore::Ipv4Address(
+            0xA9FE0000u + static_cast<std::uint32_t>(lp.index) + 257);
+        auto stack = std::make_unique<v6::HostV6Stack>(
+            sub.device_v6, underlay, sub.device_address);
+        sub.v6stack = stack.get();
+        I_.net.set_middlebox(elem_node, stack.get());
+        I_.v6stacks_.push_back(std::move(stack));
+      }
+      isp.nat64->add_host(sub.device_v6, underlay);
+    } else {  // DS-Lite softwire
+      sub.device_v6 = line_v6_address(1, asn, lp.index);
+      elem_node = I_.net.add_node(site.cpe_chain, site.as_name + "-b4" + home);
+      sub.device_address = kB4DeviceV4;
+      auto b4 = std::make_unique<v6::B4Element>(
+          sub.device_v6, isp.aftr->aftr_address(), underlay);
+      I_.net.set_middlebox(elem_node, b4.get());
+      I_.b4s_.push_back(std::move(b4));
+      isp.aftr->add_softwire(sub.device_v6, underlay);
+    }
+    I_.net.register_address(underlay, elem_node, isp.cgn_node);
+
+    sub.device = I_.net.add_node(elem_node, site.as_name + "-dev" + home);
+    I_.net.add_local_address(sub.device, sub.device_address);
+    I_.net.register_address(sub.device_address, sub.device, elem_node);
+    attach_demux(sub);
+  }
+
+  Subscriber build_lan_device(const IspSite& site, const Subscriber& first) {
+    Subscriber sub;
+    sub.home_id = first.home_id;
+    sub.behind_cgn = first.behind_cgn;
+    sub.cpe = first.cpe;
+    sub.cpe_upnp = first.cpe_upnp;
+    sub.cpe_node = first.cpe_node;
+    sub.device = I_.net.add_node(
+        first.cpe_node,
+        site.as_name + "-dev" + std::to_string(first.home_id) + "b");
+    sub.device_address =
+        netcore::Ipv4Address(first.device_address.value() + 1);
+    I_.net.add_local_address(sub.device, sub.device_address);
+    I_.net.register_address(sub.device_address, sub.device, first.cpe_node);
+    attach_demux(sub);
+    return sub;
+  }
+
+  void attach_bt(Subscriber& sub, const BtPlan& bp) {
+    dht::DhtNodeConfig cfg;
+    cfg.table_capacity = I_.config.dht_table_capacity;
+    cfg.pings_per_round = 24;  // active clients validate aggressively
+    cfg.validate_before_propagate = !bp.sloppy;
+    netcore::Endpoint local{sub.device_address, 6881};
+    auto node = std::make_unique<dht::DhtNode>(bp.dht_id, local, sub.device,
+                                               cfg, sim::Rng(bp.dht_seed));
+    sub.bt_client = node.get();
+    sub.demux->bind(6881, [ptr = node.get()](sim::Network& n,
+                                             const sim::Packet& p) {
+      ptr->handle(n, p);
+    });
+    if (bp.upnp_map)
+      sub.cpe->add_static_mapping(netcore::Protocol::udp, local, 0.0);
+    I_.bt_peer_ptrs_.push_back(node.get());
+    I_.dht_nodes_.push_back(std::move(node));
+    if (bp.deaf) I_.faults->mark_unresponsive(sub.device, 6881);
+  }
+
+  /// Builds one planned home and appends its subscriber slot(s).
+  void build_home(const IspSite& site, const LinePlan& lp) {
+    Subscriber sub;
+    sub.home_id = lp.index;
+    sub.behind_cgn = lp.behind_cgn;
+    if (lp.behind_cgn && lp.v6_mode != nat::TranslatorMode::nat44)
+      build_v6_line(site, lp, sub);
+    else
+      build_v4_line(site, lp, sub);
+    if (lp.has_bt) attach_bt(sub, lp.bt);
+    site.isp.subscribers.push_back(sub);
+
+    if (lp.multi_home) {
+      // A second BitTorrent device in the same home LAN; both clients
+      // discover each other via local peer discovery.
+      Subscriber second = build_lan_device(site, sub);
+      attach_bt(second, lp.second);
+      dht::DhtNode* a = sub.bt_client;
+      dht::DhtNode* b = second.bt_client;
+      a->learn_contact(dht::Contact{b->id(), b->local_endpoint()},
+                       /*pinned=*/true);
+      b->learn_contact(dht::Contact{a->id(), a->local_endpoint()},
+                       /*pinned=*/true);
+      site.isp.subscribers.push_back(second);
+    }
+  }
 
   void build_universe() {
     const InternetConfig& cfg = I_.config;
@@ -612,21 +588,6 @@ class InternetBuilder {
         agg_bottom, static_cast<int>(rng_.uniform(1, 3)),
         plan.info.name + "-pub");
 
-    // Subscribers: plan first (all RNG draws, in the order eager
-    // construction used to make them), then materialize. Eager worlds
-    // materialize right here, reproducing the historical node-id/name
-    // sequence exactly; lazy worlds stop at the plan.
-    LazyWorld::IspLines L;
-    L.as_name = plan.info.name;
-    L.cpe_chain = cpe_chain_bottom;
-    L.direct_chain = direct_chain_bottom;
-    L.public_chain = public_chain_bottom;
-    L.silent_bases = internal_bases;
-    L.n_subs = n_subs;
-    if (plan.cgn && !internal_bases.empty() &&
-        direct_chain_bottom != sim::kNoNode)
-      L.silent_planned = cfg.silent_lines_per_cgn_as;
-
     // Injected-unresponsive BitTorrent peers: the client's inbound UDP is
     // discarded (app crashed / strict host firewall) while its own outbound
     // still refreshes NAT state — the peers the crawler probes and then
@@ -635,11 +596,14 @@ class InternetBuilder {
         faults_on
             ? fplan.peers.rate_for(static_cast<std::uint32_t>(plan.info.asn))
             : 0.0;
-    int home_id = 0;
+
+    // Subscribers: plan every line first (all RNG draws, in the recorded
+    // order), then build the homes in line order.
+    std::vector<LinePlan> lines(n_subs);
+    std::size_t n_slots = 0;
     for (std::size_t i = 0; i < n_subs; ++i) {
-      LazyWorld::LinePlan lp;
+      LinePlan& lp = lines[i];
       lp.index = static_cast<int>(i);
-      lp.home_id = home_id++;
       lp.has_bt = i < bt_count;
       lp.behind_cgn =
           plan.cgn && rng_.chance(isp.cgn_profile->cgn_subscriber_fraction);
@@ -669,8 +633,8 @@ class InternetBuilder {
             (lp.behind_cgn && rng_.chance(isp.cgn_profile->no_cpe_fraction));
         if (!lp.no_cpe) {
           lp.cpe_model = &sample_cpe(rng_);
-          // rng_.fork() == Rng(engine_()); record the engine draw so the
-          // materializer can reconstruct the identical device RNG.
+          // rng_.fork() == Rng(engine_()); record the engine draw so
+          // build_v4_line can reconstruct the identical device RNG.
           lp.cpe_seed = rng_.engine()();
         }
       }
@@ -679,7 +643,7 @@ class InternetBuilder {
       // One BT client's draws, in attach_bt_client's order. The DhtNode
       // constructor call evaluated its arguments right-to-left (GCC):
       // the rng_.fork() engine draw lands before the node-id draw.
-      auto plan_bt = [&](LazyWorld::BtPlan& bp) {
+      auto plan_bt = [&](BtPlan& bp) {
         bp.sloppy = rng_.chance(cfg.sloppy_peer_fraction);
         bp.dht_seed = rng_.engine()();
         bp.dht_id = dht::NodeId160::random(rng_);
@@ -691,40 +655,26 @@ class InternetBuilder {
       lp.multi_home = lp.has_bt && !plan.info.cellular && has_cpe &&
                       rng_.chance(cfg.multi_device_home_fraction);
       if (lp.multi_home) plan_bt(lp.second);
-
-      lp.slot = static_cast<std::uint32_t>(isp.subscribers.size());
-      const auto line_no = static_cast<std::uint32_t>(L.lines.size());
-      // Placeholder slots keep isp.subscribers at its final size (stable
-      // references, correct campaign shuffle domain) before any home is
-      // built; plan-known fields are pre-filled for callers that only
-      // classify lines.
-      Subscriber& placeholder = isp.subscribers.emplace_back();
-      placeholder.home_id = lp.home_id;
-      placeholder.behind_cgn = lp.behind_cgn;
-      placeholder.v6_mode = lp.v6_mode;
-      L.slot_to_line.push_back(line_no);
-      if (lp.multi_home) {
-        Subscriber& second = isp.subscribers.emplace_back();
-        second.home_id = lp.home_id;
-        second.behind_cgn = lp.behind_cgn;
-        L.slot_to_line.push_back(line_no);
-      }
-      L.lines.push_back(std::move(lp));
+      n_slots += lp.multi_home ? 2 : 1;
     }
 
-    const std::size_t isp_slot = I_.isps.size();
-    I_.isp_index[isp.asn] = isp_slot;
+    isp.subscribers.reserve(n_slots);
+    const IspSite site{isp, plan.info.name, cpe_chain_bottom,
+                       direct_chain_bottom, public_chain_bottom};
+    for (const LinePlan& lp : lines) build_home(site, lp);
+
+    SilentLines::Pool& silent = I_.silent_->pools.emplace_back();
+    if (plan.cgn && !internal_bases.empty() &&
+        direct_chain_bottom != sim::kNoNode) {
+      silent.as_name = plan.info.name;
+      silent.direct_chain = direct_chain_bottom;
+      silent.bases = std::move(internal_bases);
+      silent.n_subs = n_subs;
+      silent.planned = cfg.silent_lines_per_cgn_as;
+    }
+
+    I_.isp_index[isp.asn] = I_.isps.size();
     I_.isps.push_back(std::move(isp));
-    L.isp_slot = isp_slot;
-
-    LazyWorld& lw = *I_.lazy_;
-    lw.by_asn[I_.isps.back().asn] = lw.isps.size();
-    lw.isps.push_back(std::move(L));
-    if (!lw.defer) {
-      LazyWorld::IspLines& stored = lw.isps.back();
-      for (LazyWorld::LinePlan& line : stored.lines)
-        lw.materialize_home(I_, stored, line);
-    }
   }
 
   netcore::Ipv4Address next_public_address(netcore::PrefixCarver& carver) {
@@ -749,10 +699,9 @@ class InternetBuilder {
   std::vector<netcore::Ipv4Address> public_cache_;
 };
 
-Internet::Internet(const InternetConfig& cfg) : config(cfg), rng_(cfg.seed) {
+Internet::Internet(const InternetConfig& cfg)
+    : config(cfg), rng_(cfg.seed), silent_(std::make_unique<SilentLines>()) {
   obs::ScopedPhase phase("build_internet");
-  lazy_ = std::make_unique<LazyWorld>();
-  lazy_->defer = cfg.lazy_build;
   faults = std::make_unique<fault::FaultInjector>(cfg.fault_plan);
   // Attach only an active injector: clean runs keep a null pointer on the
   // delivery path and build output identical to a no-fault binary.
@@ -762,74 +711,27 @@ Internet::Internet(const InternetConfig& cfg) : config(cfg), rng_(cfg.seed) {
 
 Internet::~Internet() = default;
 
-bool Internet::lazy() const noexcept { return lazy_ && lazy_->defer; }
-
-const std::vector<dht::DhtNode*>& Internet::bt_peers() {
-  if (lazy()) {
-    // Materialize every BT home in plan order, then rebuild the pointer
-    // list by walking subscriber slots — primaries before their second
-    // device, lines in order, ISPs in order: exactly the eager push order,
-    // however the homes were interleaved with other on-demand builds.
-    for (LazyWorld::IspLines& L : lazy_->isps)
-      for (LazyWorld::LinePlan& lp : L.lines)
-        if (lp.has_bt) lazy_->materialize_home(*this, L, lp);
-    bt_peer_ptrs_.clear();
-    for (IspInstance& isp : isps)
-      for (Subscriber& sub : isp.subscribers)
-        if (sub.bt_client) bt_peer_ptrs_.push_back(sub.bt_client);
-  }
-  return bt_peer_ptrs_;
-}
-
-Subscriber& Internet::ensure_line(IspInstance& isp, std::size_t slot) {
-  if (lazy()) {
-    auto it = lazy_->by_asn.find(isp.asn);
-    if (it != lazy_->by_asn.end()) {
-      LazyWorld::IspLines& L = lazy_->isps[it->second];
-      if (slot < L.slot_to_line.size())
-        lazy_->materialize_home(*this, L, L.lines[L.slot_to_line[slot]]);
-    }
-  }
-  return isp.subscribers[slot];
-}
-
-void Internet::materialize_all() {
-  if (!lazy()) return;
-  for (LazyWorld::IspLines& L : lazy_->isps)
-    for (LazyWorld::LinePlan& lp : L.lines)
-      lazy_->materialize_home(*this, L, lp);
-}
-
 std::size_t Internet::materialize_silent_lines(IspInstance& isp) {
-  if (!lazy_) return 0;
-  auto it = lazy_->by_asn.find(isp.asn);
-  if (it == lazy_->by_asn.end()) return 0;
-  LazyWorld::IspLines& L = lazy_->isps[it->second];
+  auto it = isp_index.find(isp.asn);
+  if (it == isp_index.end()) return 0;
+  SilentLines::Pool& pool = silent_->pools[it->second];
   // Silent lines share the real lines' addressing formula; their indices
   // start past n_subs, so the blocks never collide with an instrumented
   // line whatever the base rotation.
-  for (; L.silent_built < L.silent_planned; ++L.silent_built) {
-    const std::size_t j = L.n_subs + L.silent_built;
-    netcore::Ipv4Address base = L.silent_bases[j % L.silent_bases.size()];
+  for (; pool.built < pool.planned; ++pool.built) {
+    const std::size_t j = pool.n_subs + pool.built;
+    netcore::Ipv4Address base = pool.bases[j % pool.bases.size()];
     netcore::Ipv4Address addr(
         base.value() + static_cast<std::uint32_t>(j + 1) * 256 + 2);
     sim::NodeId dev = net.add_node(
-        L.direct_chain, L.as_name + "-sln" + std::to_string(L.silent_built));
+        pool.direct_chain, pool.as_name + "-sln" + std::to_string(pool.built));
     net.add_local_address(dev, addr);
     net.register_address(addr, dev, isp.cgn_node);
     auto demux = std::make_unique<sim::PortDemux>();
     demux->attach(net, dev);
     demuxes_.push_back(std::move(demux));
   }
-  return L.silent_built;
-}
-
-std::size_t Internet::planned_subscriber_count() const {
-  std::size_t n = 0;
-  for (const IspInstance& isp : isps) n += isp.subscribers.size();
-  if (lazy_)
-    for (const LazyWorld::IspLines& L : lazy_->isps) n += L.silent_planned;
-  return n;
+  return pool.built;
 }
 
 std::unique_ptr<Internet> build_internet(const InternetConfig& config) {

@@ -96,12 +96,7 @@ struct InternetConfig {
   /// clean runs are byte-identical to a no-fault build.
   fault::FaultPlan fault_plan;
 
-  // --- Lazy materialization (README "Scale") -------------------------------
-  /// Defer per-line construction until a campaign first touches the line.
-  /// The builder performs every RNG draw at plan time in eager order, so
-  /// campaign figures are byte-identical to an eager build at any worker
-  /// count; only node construction (and its memory) moves to first use.
-  bool lazy_build = false;
+  // --- Scale ballast (README "Scale") -------------------------------------
   /// Bench-only ballast: never-instrumented archetype-B lines per CGN AS,
   /// built on demand by materialize_silent_lines(). Planned with zero RNG
   /// draws, so a non-zero value perturbs no figure.
@@ -167,9 +162,8 @@ struct Servers {
   std::unique_ptr<dht::TrackerServer> tracker;
 };
 
-/// Deferred-construction state (defined in internet.cpp): the recorded
-/// per-line plans of a lazy_build world plus the silent-line pools.
-struct LazyWorld;
+/// Per-ISP silent-line ballast pools (defined in internet.cpp).
+struct SilentLines;
 
 class Internet {
  public:
@@ -212,37 +206,23 @@ class Internet {
                                          : it->second;
   }
 
-  /// All BitTorrent peers across all ISPs. In a lazy world this first
-  /// materializes every BT home (in plan order) and rebuilds the pointer
-  /// list in subscriber-slot order, which equals the eager push order.
-  [[nodiscard]] const std::vector<dht::DhtNode*>& bt_peers();
+  /// All BitTorrent peers across all ISPs, in subscriber-slot order.
+  [[nodiscard]] const std::vector<dht::DhtNode*>& bt_peers() const {
+    return bt_peer_ptrs_;
+  }
 
   /// Deterministic RNG forked from the build seed for campaign drivers.
   [[nodiscard]] sim::Rng fork_rng() { return rng_.fork(); }
 
-  // --- Lazy materialization ------------------------------------------------
-  /// True when this world defers line construction (config.lazy_build).
-  [[nodiscard]] bool lazy() const noexcept;
-  /// Materializes the home owning `isp.subscribers[slot]` (a no-op on eager
-  /// worlds and already-built homes) and returns the subscriber.
-  Subscriber& ensure_line(IspInstance& isp, std::size_t slot);
-  /// Materializes every planned home. Campaign drivers that iterate the
-  /// whole subscriber population (e.g. churn) call this first so their RNG
-  /// consumption matches an eager world.
-  void materialize_all();
   /// Builds this ISP's silent-line ballast (config.silent_lines_per_cgn_as);
   /// returns the number of lines the ISP now carries beyond its plan.
   std::size_t materialize_silent_lines(IspInstance& isp);
-  /// Lines this world would hold fully materialized: placeholder subscriber
-  /// slots plus planned silent lines. Constant from construction on.
-  [[nodiscard]] std::size_t planned_subscriber_count() const;
 
  private:
   friend class InternetBuilder;
-  friend struct LazyWorld;
 
   sim::Rng rng_;
-  std::unique_ptr<LazyWorld> lazy_;
+  std::unique_ptr<SilentLines> silent_;
   std::unordered_map<netcore::Asn, bool> truth_cgn_;
   std::unordered_map<netcore::Asn, nat::TranslatorMode> truth_transition_;
   std::vector<dht::DhtNode*> bt_peer_ptrs_;

@@ -37,14 +37,14 @@ TEST(Stats, QuantilesAndBoxplot) {
   auto box = boxplot(v);
   EXPECT_EQ(box.n, 5u);
   EXPECT_DOUBLE_EQ(box.median, 30);
-  EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
-  EXPECT_THROW(quantile(v, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile(v, 1.5), std::invalid_argument);
 }
 
 TEST(Stats, ModeAndTies) {
   EXPECT_EQ(mode<int>({1, 2, 2, 3}), 2);
   EXPECT_EQ(mode<int>({3, 1, 3, 1}), 1) << "smallest wins ties";
-  EXPECT_THROW(mode<int>({}), std::invalid_argument);
+  EXPECT_THROW((void)mode<int>({}), std::invalid_argument);
 }
 
 TEST(Stats, HistogramClampsOutliers) {
@@ -263,9 +263,9 @@ TEST(Coverage, Table5CombinesMethodsOverPopulations) {
 
   BtDetectionResult bt;
   bt.per_as[1] = {.asn = 1, .queried_peers = 50, .covered = true,
-                  .cgn_positive = true};
+                  .cgn_positive = true, .detected_ranges = {}};
   bt.per_as[3] = {.asn = 3, .queried_peers = 10, .covered = true,
-                  .cgn_positive = false};
+                  .cgn_positive = false, .detected_ranges = {}};
 
   NetalyzrDetectionResult nz;
   {

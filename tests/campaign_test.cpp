@@ -56,8 +56,9 @@ TEST_F(CampaignFixture, SessionsCarryCoherentAddressLayers) {
     ASSERT_TRUE(origin.has_value());
     EXPECT_EQ(*origin, s.asn);
     // NAT444 signature: a reserved IPcpe implies IPcpe != IPpub.
-    if (s.ip_cpe && netcore::is_reserved(*s.ip_cpe))
+    if (s.ip_cpe && netcore::is_reserved(*s.ip_cpe)) {
       EXPECT_NE(*s.ip_cpe, *s.ip_pub);
+    }
   }
 }
 

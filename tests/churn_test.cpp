@@ -116,9 +116,10 @@ TEST(Renumbering, ScenarioChurnRenumbersOnlyPublicCpeLines) {
   // Every renumbered line still resolves to its own AS.
   for (const auto& isp : internet->isps)
     for (const auto& sub : isp.subscribers)
-      if (!sub.behind_cgn && sub.cpe)
+      if (!sub.behind_cgn && sub.cpe) {
         EXPECT_EQ(internet->routes.origin_of(sub.cpe->external_pool().front()),
                   isp.asn);
+      }
 }
 
 }  // namespace

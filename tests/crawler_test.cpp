@@ -169,7 +169,9 @@ TEST(DhtCrawler, SymmetricCgnYieldsNoLeaks) {
   analysis::BtDetector detector;
   auto result = detector.analyze(w.crawler->dataset(), w.routes);
   auto it = result.per_as.find(1);
-  if (it != result.per_as.end()) EXPECT_FALSE(it->second.cgn_positive);
+  if (it != result.per_as.end()) {
+    EXPECT_FALSE(it->second.cgn_positive);
+  }
 }
 
 TEST(DhtCrawler, ConformantHairpinYieldsNoLeaks) {

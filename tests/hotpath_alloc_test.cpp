@@ -19,17 +19,26 @@ std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// All kept out of line: once inlined, GCC pairs the malloc/free inside
+// with the caller's new/delete expression and reports
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace cgn::sim {
 namespace {

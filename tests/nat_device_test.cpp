@@ -173,7 +173,9 @@ TEST(NatDevice, SequentialAllocatesIncreasingPorts) {
                             static_cast<std::uint16_t>(30000 + i)},
                            {Ipv4Address{16, 9, 9, 9}, 80});
     (void)nat.process_outbound(p, 0.0);
-    if (i > 0) EXPECT_EQ(p.src.port, last + 1);
+    if (i > 0) {
+      EXPECT_EQ(p.src.port, last + 1);
+    }
     last = p.src.port;
   }
 }

@@ -126,9 +126,10 @@ TEST_P(NatInvariants, ConformantHairpinNeverExposesInternalSource) {
             sim::Middlebox::Verdict::forward);
   Packet hp = Packet::udp({Ipv4Address(10, 0, 0, 2), 43000}, a_out.src);
   auto verdict = nat.process_hairpin(hp, 1.0);
-  if (verdict == sim::Middlebox::Verdict::forward)
+  if (verdict == sim::Middlebox::Verdict::forward) {
     EXPECT_FALSE(netcore::is_reserved(hp.src.address))
         << "conformant hairpinning must present a translated source";
+  }
 }
 
 TEST_P(NatInvariants, GarbageCollectionIsIdempotent) {

@@ -34,8 +34,8 @@ TEST(Ipv4Address, OrdersNumerically) {
 
 TEST(Ipv4Address, OctetOutOfRangeThrows) {
   Ipv4Address a(1, 2, 3, 4);
-  EXPECT_THROW(a.octet(4), std::out_of_range);
-  EXPECT_THROW(a.octet(-1), std::out_of_range);
+  EXPECT_THROW((void)a.octet(4), std::out_of_range);
+  EXPECT_THROW((void)a.octet(-1), std::out_of_range);
 }
 
 TEST(Endpoint, FormatsAndCompares) {
@@ -71,7 +71,7 @@ TEST(Ipv4Prefix, SizeAndAt) {
   EXPECT_EQ(p.size(), 256u);
   EXPECT_EQ(p.at(0), Ipv4Address(192, 168, 1, 0));
   EXPECT_EQ(p.at(255), Ipv4Address(192, 168, 1, 255));
-  EXPECT_THROW(p.at(256), std::out_of_range);
+  EXPECT_THROW((void)p.at(256), std::out_of_range);
 }
 
 TEST(Ipv4Prefix, RejectsBadLengths) {
@@ -111,7 +111,7 @@ TEST(ReservedRanges, PrefixOfRoundTrips) {
     EXPECT_EQ(classify_reserved(p.address()), r);
     EXPECT_EQ(classify_reserved(p.at(p.size() - 1)), r);
   }
-  EXPECT_THROW(prefix_of(ReservedRange::none), std::invalid_argument);
+  EXPECT_THROW((void)prefix_of(ReservedRange::none), std::invalid_argument);
 }
 
 TEST(ReservedRanges, IsReservedAgrees) {

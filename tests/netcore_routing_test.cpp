@@ -74,9 +74,9 @@ TEST(AsRegistry, AddAndLookup) {
   EXPECT_TRUE(reg.contains(1));
   EXPECT_FALSE(reg.contains(3));
   EXPECT_EQ(reg.get(2).name, "B");
-  EXPECT_THROW(reg.get(3), std::out_of_range);
+  EXPECT_THROW((void)reg.get(3), std::out_of_range);
   EXPECT_EQ(reg.find(3), nullptr);
-  EXPECT_THROW(reg.add({.asn = 1}), std::invalid_argument);
+  EXPECT_THROW(reg.add({.asn = 1, .name = "dup"}), std::invalid_argument);
   EXPECT_EQ(reg.count_pbl_eyeball(), 2u);
   EXPECT_EQ(reg.count_apnic_eyeball(), 1u);
   EXPECT_EQ(reg.count_cellular(), 1u);

@@ -112,9 +112,10 @@ TEST(Survey, InternalScarcityImpliesCgn) {
   sim::Rng rng(5);
   auto responses = survey::generate_responses(5000, rng);
   for (const auto& r : responses)
-    if (r.faces_internal_scarcity)
+    if (r.faces_internal_scarcity) {
       EXPECT_EQ(r.cgn, survey::CgnStatus::deployed)
           << "internal-space scarcity only arises in CGN deployments";
+    }
 }
 
 TEST(Survey, TabulateEmptyIsAllZero) {

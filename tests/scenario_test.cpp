@@ -6,6 +6,7 @@
 #include "analysis/bt_detector.hpp"
 #include "analysis/coverage.hpp"
 #include "analysis/netalyzr_detector.hpp"
+#include "netalyzr/session.hpp"
 
 namespace cgn::scenario {
 namespace {
@@ -44,7 +45,9 @@ TEST(InternetBuilder, BuildsConsistentUniverse) {
     for (const Subscriber& s : isp.subscribers) {
       EXPECT_NE(s.device, sim::kNoNode);
       EXPECT_NE(s.demux, nullptr);
-      if (s.behind_cgn) EXPECT_TRUE(isp.cgn_profile.has_value());
+      if (s.behind_cgn) {
+        EXPECT_TRUE(isp.cgn_profile.has_value());
+      }
     }
   }
 }
@@ -68,16 +71,65 @@ TEST(InternetBuilder, SubscriberAddressingMatchesArchetypes) {
     for (const Subscriber& s : isp.subscribers) {
       if (isp.cellular) {
         EXPECT_EQ(s.cpe, nullptr) << "cellular devices attach directly";
-        if (!s.behind_cgn)
+        if (!s.behind_cgn) {
           EXPECT_EQ(internet->routes.origin_of(s.device_address), isp.asn);
+        }
       } else if (s.cpe) {
         EXPECT_TRUE(netcore::is_reserved(s.device_address))
             << "LAN devices live in RFC1918 space";
       }
-      if (!s.behind_cgn && !s.cpe && !isp.cellular)
+      if (!s.behind_cgn && !s.cpe && !isp.cellular) {
         EXPECT_EQ(internet->routes.origin_of(s.device_address), isp.asn);
+      }
     }
   }
+}
+
+TEST(InternetBuilder, BtPeersFollowSubscriberSlotOrder) {
+  auto internet = build_internet(small_config());
+  std::vector<const dht::DhtNode*> slots;
+  for (const IspInstance& isp : internet->isps)
+    for (const Subscriber& s : isp.subscribers)
+      if (s.bt_client) slots.push_back(s.bt_client);
+  const auto& peers = internet->bt_peers();
+  ASSERT_EQ(peers.size(), slots.size());
+  for (std::size_t i = 0; i < peers.size(); ++i)
+    EXPECT_EQ(peers[i], slots[i]) << "peer " << i;
+}
+
+TEST(InternetBuilder, SilentLinesAddBallastWithoutPerturbingFigures) {
+  constexpr std::size_t kSilent = 40;
+  auto netalyzr_fingerprint = [](const InternetConfig& world) {
+    auto internet = build_internet(world);
+    NetalyzrCampaignConfig cfg;
+    cfg.enum_fraction = 0.5;
+    cfg.stun_fraction = 0.5;
+    const auto sessions = run_netalyzr_campaign(*internet, cfg);
+    EXPECT_GT(sessions.size(), 50u);
+    return netalyzr::fingerprint(sessions);
+  };
+  InternetConfig with_ballast = small_config();
+  with_ballast.silent_lines_per_cgn_as = kSilent;
+
+  // Planning ballast costs no RNG draw: campaign output is unchanged.
+  EXPECT_EQ(netalyzr_fingerprint(with_ballast),
+            netalyzr_fingerprint(small_config()));
+
+  // Building it adds exactly the planned lines: kSilent per CGN ISP, one
+  // node each, and nothing on a second call.
+  auto internet = build_internet(with_ballast);
+  const std::size_t nodes_before = internet->net.node_count();
+  std::size_t built = 0;
+  for (IspInstance& isp : internet->isps) {
+    const std::size_t lines = internet->materialize_silent_lines(isp);
+    EXPECT_EQ(lines, isp.cgn ? kSilent : 0u) << "AS" << isp.asn;
+    built += lines;
+  }
+  EXPECT_GT(built, 0u);
+  EXPECT_EQ(internet->net.node_count(), nodes_before + built);
+  for (IspInstance& isp : internet->isps)
+    EXPECT_EQ(internet->materialize_silent_lines(isp), isp.cgn ? kSilent : 0u);
+  EXPECT_EQ(internet->net.node_count(), nodes_before + built);
 }
 
 TEST(FullPipeline, CrawlDetectsLeakyCgnsWithoutFalsePositives) {

@@ -211,10 +211,10 @@ TEST(Rng, DeterministicAndBounded) {
     EXPECT_GE(v1, 5u);
     EXPECT_LE(v1, 10u);
   }
-  EXPECT_THROW(r1.uniform(10, 5), std::invalid_argument);
-  EXPECT_THROW(r1.index(0), std::invalid_argument);
+  EXPECT_THROW((void)r1.uniform(10, 5), std::invalid_argument);
+  EXPECT_THROW((void)r1.index(0), std::invalid_argument);
   std::vector<double> w{0.0, 0.0};
-  EXPECT_THROW(r1.weighted(w), std::invalid_argument);
+  EXPECT_THROW((void)r1.weighted(w), std::invalid_argument);
 }
 
 TEST(Rng, WeightedRespectsZeroWeight) {

@@ -40,7 +40,9 @@ TEST(Pref64, RoundTripsEveryRfc6052Length) {
       ASSERT_TRUE(back.has_value()) << "/" << len;
       EXPECT_EQ(*back, v4) << "/" << len;
       // RFC 6052 §2.2: the u octet (byte 8) stays zero in the suffix.
-      if (len < 96) EXPECT_EQ(embedded.byte(8), 0) << "/" << len;
+      if (len < 96) {
+        EXPECT_EQ(embedded.byte(8), 0) << "/" << len;
+      }
     }
   }
 }
