@@ -88,36 +88,6 @@ double Histogram::quantile(double q) const {
   return bounds_.back();
 }
 
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  for (auto& s : sums_) s.v.store(0.0, std::memory_order_relaxed);
-  for (auto& s : isums_) s.v.store(0, std::memory_order_relaxed);
-}
-
-void Histogram::merge_from(const Histogram& other) {
-  const std::size_t n = bounds_.size() + 1;
-  if (other.bounds_ != bounds_) return;  // incompatible shapes: skip
-  const auto counts = other.bucket_counts();
-  const std::size_t slot = detail::t_metric_slot;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& b = bucket_cell(slot, i);
-    b.store(b.load(std::memory_order_relaxed) + counts[i],
-            std::memory_order_relaxed);
-  }
-  std::uint64_t isum = 0;
-  for (const auto& s : other.isums_)
-    isum += s.v.load(std::memory_order_relaxed);
-  auto& is = isums_[slot].v;
-  is.store(is.load(std::memory_order_relaxed) + isum,
-           std::memory_order_relaxed);
-  double dsum = 0.0;
-  for (const auto& s : other.sums_)
-    dsum += s.v.load(std::memory_order_relaxed);
-  auto& ds = sums_[slot].v;
-  ds.store(ds.load(std::memory_order_relaxed) + dsum,
-           std::memory_order_relaxed);
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry instance;
   return instance;
@@ -160,47 +130,6 @@ void MetricsRegistry::register_probe(const std::string& name, Probe probe) {
 void MetricsRegistry::unregister_probe(const std::string& name) {
   std::lock_guard lock(mu_);
   probes_.erase(name);
-}
-
-void MetricsRegistry::reset_values() {
-  std::lock_guard lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
-}
-
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  if (&other == this) return;
-  // Lock ordering: other first, and never merge two registries into each
-  // other concurrently. In practice `other` is a quiesced per-shard
-  // registry, so contention is nil.
-  std::scoped_lock lock(other.mu_, mu_);
-  for (const auto& [name, c] : other.counters_) {
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-      it = counters_.emplace(name, std::make_unique<Counter>()).first;
-    it->second->inc(c->value());
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    auto it = gauges_.find(name);
-    if (it == gauges_.end())
-      it = gauges_.emplace(name, std::make_unique<Gauge>()).first;
-    it->second->add(g->value());
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-      it = histograms_
-               .emplace(name, std::make_unique<Histogram>(h->bounds()))
-               .first;
-    it->second->merge_from(*h);
-  }
-}
-
-std::size_t MetricsRegistry::metric_count() const {
-  std::lock_guard lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         probes_.size();
 }
 
 void MetricsRegistry::export_json(std::ostream& os) const {

@@ -103,9 +103,6 @@ class Counter {
     for (const auto& c : cells_) total += c.v.load(std::memory_order_relaxed);
     return total;
   }
-  void reset() noexcept {
-    for (auto& c : cells_) c.v.store(0, std::memory_order_relaxed);
-  }
 
  private:
   std::array<detail::PaddedAtomic<std::uint64_t>, kMaxThreadSlots> cells_;
@@ -136,25 +133,10 @@ class Gauge {
       (void)v;
     }
   }
-  /// Raises the calling thread's cell to at least `v` — a single-writer
-  /// high-water mark (queue depths, lag ceilings). Like set(), only
-  /// meaningful when one thread owns the gauge.
-  void track_max(std::int64_t v) noexcept {
-    if constexpr (kMetricsEnabled) {
-      auto& cell = cells_[detail::t_metric_slot].v;
-      if (cell.load(std::memory_order_relaxed) < v)
-        cell.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
-  }
   [[nodiscard]] std::int64_t value() const noexcept {
     std::int64_t total = 0;
     for (const auto& c : cells_) total += c.v.load(std::memory_order_relaxed);
     return total;
-  }
-  void reset() noexcept {
-    for (auto& c : cells_) c.v.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -242,12 +224,6 @@ class Histogram {
   /// sensible to extrapolate to). 0 when empty.
   [[nodiscard]] double quantile(double q) const;
 
-  void reset() noexcept;
-
-  /// Adds `other`'s observations into this histogram (into the calling
-  /// thread's slot). Bounds must match; used by MetricsRegistry::merge_from.
-  void merge_from(const Histogram& other);
-
  private:
   [[nodiscard]] std::atomic<std::uint64_t>& bucket_cell(std::size_t slot,
                                                         std::size_t i) noexcept {
@@ -265,8 +241,7 @@ class Histogram {
 };
 
 /// Owns every metric by name. Handles returned by counter()/gauge()/
-/// histogram() stay valid for the registry's lifetime — reset_values()
-/// zeroes values but never invalidates a handle. The process-global
+/// histogram() stay valid for the registry's lifetime. The process-global
 /// instance (global()) is what instrumented subsystems register against;
 /// tests that want isolation construct their own.
 class MetricsRegistry {
@@ -288,18 +263,6 @@ class MetricsRegistry {
   using Probe = std::function<double()>;
   void register_probe(const std::string& name, Probe probe);
   void unregister_probe(const std::string& name);
-
-  /// Zeroes all counter/gauge/histogram values; handles stay valid and
-  /// probes stay registered.
-  void reset_values();
-
-  /// Folds `other`'s metric values into this registry, creating metrics
-  /// that don't exist here yet. Callers merging several registries must do
-  /// so in a fixed (shard) order so double-sum rounding is reproducible;
-  /// integer totals merge exactly in any order. Probes are not copied.
-  void merge_from(const MetricsRegistry& other);
-
-  [[nodiscard]] std::size_t metric_count() const;
 
   /// One JSON object: {"counters":{...},"gauges":{...},
   /// "histograms":{name:{bounds,buckets,count,sum,p50,p90,p99}},

@@ -167,28 +167,11 @@ void Observatory::drop_campaign(const std::string& campaign) {
 }
 
 void Observatory::capture_trace(const obs::TraceRing& ring) {
-  std::array<std::uint64_t, obs::TraceRing::kKindTallySlots> fresh{};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ring.events_into(trace_events_);
-    if (ring.total_pushed() < trace_total_) trace_tally_seen_.fill(0);
-    trace_total_ = ring.total_pushed();
-    for (std::size_t k = 0; k < obs::TraceRing::kKindTallySlots; ++k) {
-      const std::uint64_t now = ring.kind_tally(static_cast<std::uint8_t>(k));
-      trace_tally_[k] = now;
-      if (now > trace_tally_seen_[k]) {
-        fresh[k] = now - trace_tally_seen_[k];
-        trace_tally_seen_[k] = now;
-      }
-    }
-  }
-  // Counters are looked up after mu_ is released: /metrics holds the
-  // registry lock while its ingest-lag probe takes mu_, so taking the
-  // registry lock under mu_ here would invert that order.
-  for (std::size_t k = 0; k < fresh.size(); ++k)
-    if (fresh[k] > 0)
-      obs::counter("observatory.trace." + std::string(trace_kind_name(k)))
-          .inc(fresh[k]);
+  std::lock_guard<std::mutex> lock(mu_);
+  ring.events_into(trace_events_);
+  trace_total_ = ring.total_pushed();
+  for (std::size_t k = 0; k < obs::TraceRing::kKindTallySlots; ++k)
+    trace_tally_[k] = ring.kind_tally(static_cast<std::uint8_t>(k));
 }
 
 std::uint64_t Observatory::events_ingested() const {

@@ -121,9 +121,7 @@ class Observatory : public EventSink {
   void note_campaign_report(const std::string& kind,
                             const super::CampaignReport& report) override;
 
-  /// Copies the ring's retained events + kind tallies for /trace and bumps
-  /// the observatory.trace.* counters by the tally deltas since the last
-  /// capture of the same ring lineage.
+  /// Copies the ring's retained events + kind tallies for /trace.
   void capture_trace(const obs::TraceRing& ring) override;
 
   // --- producer side: named push-campaign channels -------------------------
@@ -239,8 +237,6 @@ class Observatory : public EventSink {
   std::vector<obs::TraceEvent> trace_events_;
   std::array<std::uint64_t, obs::TraceRing::kKindTallySlots> trace_tally_{};
   std::uint64_t trace_total_ = 0;
-  std::array<std::uint64_t, obs::TraceRing::kKindTallySlots>
-      trace_tally_seen_{};
 
   obs::Counter& events_counter_;
   obs::Counter& leaks_counter_;

@@ -8,6 +8,27 @@
 
 namespace cgn::sim {
 
+namespace {
+
+/// Calls f(field, counter) for every NetworkStats field and the counter in
+/// `h` that is its only store.
+template <typename Handles, typename F>
+void for_each_stat(const Handles& h, F&& f) {
+  f(&NetworkStats::sent, h.sent);
+  f(&NetworkStats::delivered, h.delivered);
+  f(&NetworkStats::dropped_ttl, h.dropped_ttl);
+  f(&NetworkStats::dropped_no_route, h.dropped_no_route);
+  f(&NetworkStats::dropped_filtered, h.dropped_filtered);
+  f(&NetworkStats::dropped_no_mapping, h.dropped_no_mapping);
+  f(&NetworkStats::dropped_other, h.dropped_other);
+  f(&NetworkStats::dropped_fault_loss, h.dropped_fault_loss);
+  f(&NetworkStats::dropped_fault_unresponsive, h.dropped_fault_unresponsive);
+  f(&NetworkStats::duplicated, h.duplicated);
+  f(&NetworkStats::route_cache_hits, h.route_cache_hits);
+}
+
+}  // namespace
+
 Network::ObsHandles Network::make_obs_handles() {
   // Bucket per hop count up to the kMaxHops ceiling; paths in the synthetic
   // Internet are short, so low buckets are exact.
@@ -24,6 +45,7 @@ Network::ObsHandles Network::make_obs_handles() {
       .dropped_fault_loss = obs::counter("sim.net.dropped.fault_loss"),
       .dropped_fault_unresponsive =
           obs::counter("sim.net.dropped.fault_unresponsive"),
+      .duplicated = obs::counter("sim.net.duplicated"),
       .route_cache_hits = obs::counter("sim.net.route_cache_hits"),
       .hops = obs::histogram("sim.net.hops", kHopBounds),
   };
@@ -49,6 +71,7 @@ Network::Network(Clock& clock) : clock_(&clock) {
   core.name = "core";
   nodes_.push_back(std::move(core));
   grow_route_cache();
+  reset_stats();
 }
 
 void Network::grow_route_cache() {
@@ -122,24 +145,18 @@ void Network::unregister_address(netcore::Ipv4Address address, NodeId owner,
 
 NodeId Network::parent(NodeId node) const { return nodes_.at(node).parent; }
 
-const NetworkStats& Network::stats() const noexcept {
-  stats_merged_ = {};
-  for (const auto& padded : stats_cells_) {
-    const NetworkStats& cell = padded.v;
-    stats_merged_.sent += cell.sent;
-    stats_merged_.delivered += cell.delivered;
-    stats_merged_.dropped_ttl += cell.dropped_ttl;
-    stats_merged_.dropped_no_route += cell.dropped_no_route;
-    stats_merged_.dropped_filtered += cell.dropped_filtered;
-    stats_merged_.dropped_no_mapping += cell.dropped_no_mapping;
-    stats_merged_.dropped_other += cell.dropped_other;
-    stats_merged_.dropped_fault_loss += cell.dropped_fault_loss;
-    stats_merged_.dropped_fault_unresponsive +=
-        cell.dropped_fault_unresponsive;
-    stats_merged_.duplicated += cell.duplicated;
-    stats_merged_.route_cache_hits += cell.route_cache_hits;
-  }
-  return stats_merged_;
+NetworkStats Network::stats() const noexcept {
+  NetworkStats s;
+  for_each_stat(obs_, [&](auto field, const obs::Counter& c) {
+    s.*field = c.value() - baseline_.*field;
+  });
+  return s;
+}
+
+void Network::reset_stats() noexcept {
+  for_each_stat(obs_, [this](auto field, const obs::Counter& c) {
+    baseline_.*field = c.value();
+  });
 }
 
 NodeId Network::top_route(netcore::Ipv4Address address) const {
@@ -202,43 +219,33 @@ DeliveryResult Network::finish(DeliveryResult r, SendCtx& ctx) {
   // hop. Nested sends (receiver replies) carry their own context, so the
   // counts are exact.
   if (ctx.cache_hits > 0) {
-    stats_cell().route_cache_hits +=
-        static_cast<std::uint64_t>(ctx.cache_hits);
     obs_.route_cache_hits.inc(static_cast<std::uint64_t>(ctx.cache_hits));
     ctx.cache_hits = 0;
   }
   switch (r.reason) {
     case DropReason::none:
-      ++stats_cell().delivered;
       obs_.delivered.inc();
       obs_.hops.observe_small(static_cast<std::uint32_t>(r.hops));
       break;
     case DropReason::ttl_expired:
-      ++stats_cell().dropped_ttl;
       obs_.dropped_ttl.inc();
       break;
     case DropReason::no_route:
-      ++stats_cell().dropped_no_route;
       obs_.dropped_no_route.inc();
       break;
     case DropReason::filtered:
-      ++stats_cell().dropped_filtered;
       obs_.dropped_filtered.inc();
       break;
     case DropReason::no_mapping:
-      ++stats_cell().dropped_no_mapping;
       obs_.dropped_no_mapping.inc();
       break;
     case DropReason::fault_loss:
-      ++stats_cell().dropped_fault_loss;
       obs_.dropped_fault_loss.inc();
       break;
     case DropReason::fault_unresponsive:
-      ++stats_cell().dropped_fault_unresponsive;
       obs_.dropped_fault_unresponsive.inc();
       break;
     default:
-      ++stats_cell().dropped_other;
       obs_.dropped_other.inc();
       break;
   }
@@ -262,7 +269,7 @@ DeliveryResult Network::deliver_at(NodeId node, Packet& pkt, int hops,
     // Injected duplication: the receiver sees the same datagram twice, as
     // after a spurious link-layer retransmission.
     if (faults_ && faults_->duplicate_delivery()) {
-      ++stats_cell().duplicated;
+      obs_.duplicated.inc();
       nodes_[node].receiver(*this, pkt);
     }
   }
@@ -274,7 +281,6 @@ DeliveryResult Network::deliver_at(NodeId node, Packet& pkt, int hops,
 }
 
 DeliveryResult Network::send(Packet pkt, NodeId from) {
-  ++stats_cell().sent;
   obs_.sent.inc();
   // One TLS read resolves this thread's route-cache stripe for the whole
   // delivery (every hop used to re-derive the slot via the metric cell).

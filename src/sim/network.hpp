@@ -84,7 +84,9 @@ struct DeliveryResult {
   NodeId final_node = kNoNode;  ///< delivering node, or node of drop
 };
 
-/// Aggregate delivery statistics (diagnostics and tests).
+/// Delivery outcomes since the Network's construction or last
+/// reset_stats(). A view, not a store: each field is one sim.net.* counter
+/// (see Network::stats()), so a -DCGN_OBS=OFF build reads all zeros.
 struct NetworkStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
@@ -158,13 +160,13 @@ class Network {
   /// send returns.
   DeliveryResult send(Packet pkt, NodeId from);
 
-  /// Delivery statistics merged over thread slots (see obs::ThreadSlotScope).
-  /// Call only while no worker is mid-send; campaign code reads it after
-  /// the shard barrier.
-  [[nodiscard]] const NetworkStats& stats() const noexcept;
-  void reset_stats() noexcept {
-    for (auto& cell : stats_cells_) cell.v = {};
-  }
+  /// Delivery outcomes since construction or the last reset_stats(): the
+  /// process-global sim.net.* counters minus this Network's baseline. The
+  /// counters are shared, so the view is exact while one Network carries
+  /// the process's traffic at a time (every caller does).
+  [[nodiscard]] NetworkStats stats() const noexcept;
+  /// Moves the baseline to the counters' current values.
+  void reset_stats() noexcept;
 
   /// The clock packets are stamped with: the calling thread's
   /// ThreadClockScope override when one is active (campaign shards), else
@@ -246,6 +248,7 @@ class Network {
     obs::Counter& dropped_other;
     obs::Counter& dropped_fault_loss;
     obs::Counter& dropped_fault_unresponsive;
+    obs::Counter& duplicated;
     obs::Counter& route_cache_hits;
     obs::Histogram& hops;
   };
@@ -309,21 +312,6 @@ class Network {
                     static_cast<std::uint8_t>(kind), code, clock().now()});
   }
 
-  /// One slot's delivery stats, padded out to its own cache lines: the
-  /// bare 88-byte struct made adjacent workers' cells share lines, so the
-  /// per-hop/per-send increments false-shared across cores.
-  struct alignas(64) StatsCell {
-    NetworkStats v;
-  };
-
-  /// The calling thread's stats cell. Cells are per obs thread slot, so
-  /// concurrent shard workers never write the same cell (plain non-atomic
-  /// fields stay race-free and, padded, never share a cache line);
-  /// stats() merges them.
-  [[nodiscard]] NetworkStats& stats_cell() noexcept {
-    return stats_cells_[obs::thread_slot()].v;
-  }
-
   Clock* clock_;
   std::vector<Node> nodes_;
   /// Per-slot route-cache stripes (route_stripe()); stride >= nodes_.size().
@@ -331,9 +319,8 @@ class Network {
              obs::kMaxThreadSlots>
       route_stripes_;
   std::size_t route_stride_ = 0;
-  std::array<StatsCell, obs::kMaxThreadSlots> stats_cells_{};
-  mutable NetworkStats stats_merged_;  ///< scratch for stats()
   ObsHandles obs_ = make_obs_handles();
+  NetworkStats baseline_;  ///< counter values at construction/reset_stats()
   obs::TraceRing* trace_ = nullptr;
   fault::FaultInjector* faults_ = nullptr;
 };

@@ -5,7 +5,6 @@
 
 #include <sstream>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_topology.hpp"
 
@@ -285,58 +284,6 @@ TEST(NetworkNat, HopTraceRecordsNat444Path) {
       Packet::udp({line.device_address, 5001}, {mini.server_address, 80}),
       line.device);
   EXPECT_EQ(ring.total_pushed(), 0u);
-}
-
-TEST(NetworkNat, ObsCountersTrackNetworkStats) {
-  if (!obs::kMetricsEnabled)
-    GTEST_SKIP() << "metrics compiled out (-DCGN_OBS=OFF)";
-  // The global obs counters are shared across every Network in the process,
-  // so compare *deltas* over a traffic mix whose per-Network outcome is
-  // known from stats().
-  struct Snapshot {
-    std::uint64_t sent, delivered, no_mapping, ttl;
-    static Snapshot take() {
-      return {obs::counter("sim.net.sent").value(),
-              obs::counter("sim.net.delivered").value(),
-              obs::counter("sim.net.dropped.no_mapping").value(),
-              obs::counter("sim.net.dropped.ttl_expired").value()};
-    }
-  };
-  MiniNet mini;
-  LineConfig lc;
-  lc.with_cpe = true;
-  lc.cpe.name = "cpe";
-  lc.cpe.udp_timeout_s = 30.0;
-  auto line = mini.add_line(lc);
-  const Snapshot before = Snapshot::take();
-  const sim::NetworkStats stats_before = mini.net.stats();
-
-  // delivered, ttl_expired, and (after expiry) no_mapping outcomes.
-  (void)mini.net.send(
-      Packet::udp({line.device_address, 5000}, {mini.server_address, 80}),
-      line.device);
-  (void)mini.net.send(
-      Packet::udp({line.device_address, 5000}, {mini.server_address, 80}, 1),
-      line.device);
-  mini.clock.advance(31.0);
-  (void)mini.net.send(
-      Packet::udp({mini.server_address, 80}, {Ipv4Address(16, 0, 1, 2), 5000}),
-      mini.server_host);
-
-  const Snapshot after = Snapshot::take();
-  const sim::NetworkStats& stats = mini.net.stats();
-  EXPECT_EQ(after.sent - before.sent, stats.sent - stats_before.sent);
-  EXPECT_EQ(after.delivered - before.delivered,
-            stats.delivered - stats_before.delivered);
-  EXPECT_EQ(after.no_mapping - before.no_mapping,
-            stats.dropped_no_mapping - stats_before.dropped_no_mapping);
-  EXPECT_EQ(after.ttl - before.ttl,
-            stats.dropped_ttl - stats_before.dropped_ttl);
-  // Sanity on the mix itself: one of each outcome.
-  EXPECT_EQ(stats.sent - stats_before.sent, 3u);
-  EXPECT_EQ(stats.delivered - stats_before.delivered, 1u);
-  EXPECT_EQ(stats.dropped_ttl - stats_before.dropped_ttl, 1u);
-  EXPECT_EQ(stats.dropped_no_mapping - stats_before.dropped_no_mapping, 1u);
 }
 
 }  // namespace

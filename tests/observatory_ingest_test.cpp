@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "netcore/as_registry.hpp"
-#include "obs/metrics.hpp"
 #include "observatory/http.hpp"
 #include "observatory/ingest.hpp"
 #include "observatory/observatory.hpp"
@@ -587,17 +586,6 @@ TEST_F(ObservatoryHttpHardeningTest, LargeBodySurvivesPartialSends) {
   ASSERT_NE(body_at, std::string::npos);
   EXPECT_EQ(got.size() - body_at - 4, big_body_.size())
       << "send() short writes must not truncate the body";
-}
-
-TEST(ObservatoryHttpMetrics, GaugeTrackMaxKeepsHighWaterMark) {
-  if (!obs::kMetricsEnabled)
-    GTEST_SKIP() << "metrics compiled out (-DCGN_OBS=OFF)";
-  obs::Gauge g;
-  g.track_max(7);
-  g.track_max(3);  // lower: must not regress
-  EXPECT_EQ(g.value(), 7);
-  g.track_max(11);
-  EXPECT_EQ(g.value(), 11);
 }
 
 }  // namespace

@@ -144,29 +144,6 @@ TEST(TraceRingTallies, CountKindsAcrossOverwrites) {
   EXPECT_EQ(ring.total_pushed(), 0u);
 }
 
-// --- sim: route-cache hits surface as an obs counter ------------------------
-
-TEST(RouteCacheObsCounter, CountsHits) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  const std::uint64_t before = obs::counter("sim.net.route_cache_hits").value();
-  sim::Clock clock;
-  sim::Network net(clock);
-  const sim::NodeId ra = net.add_router_chain(net.root(), 2, "a");
-  const sim::NodeId host = net.add_node(ra, "host");
-  const Ipv4Address addr_a{16, 0, 0, 1};
-  net.add_local_address(host, addr_a);
-  net.register_address(addr_a, host, net.root());
-  const sim::NodeId rb = net.add_router_chain(net.root(), 2, "b");
-  const sim::NodeId server = net.add_node(rb, "server");
-  const Ipv4Address addr_b{16, 0, 0, 2};
-  net.add_local_address(server, addr_b);
-  net.register_address(addr_b, server, net.root());
-  for (int i = 0; i < 3; ++i)
-    (void)net.send(sim::Packet::udp({addr_a, 1}, {addr_b, 2}), host);
-  const std::uint64_t after = obs::counter("sim.net.route_cache_hits").value();
-  EXPECT_GT(after, before) << "repeat sends must hit the route cache";
-}
-
 // --- analysis: streaming detectors ------------------------------------------
 
 dht::Contact contact(std::uint8_t a, std::uint8_t b, std::uint8_t c,

@@ -15,6 +15,7 @@
 #include "sim/clock.hpp"
 #include "sim/network.hpp"
 #include "sim/rng.hpp"
+#include "test_metrics.hpp"
 
 namespace cgn {
 namespace {
@@ -239,11 +240,6 @@ TEST(ThreadClockScope, IsThreadLocal) {
   }).join();
 }
 
-// Value-recording assertions only hold when the hot path is compiled in.
-#define CGN_SKIP_IF_METRICS_DISABLED()                                    \
-  if (!obs::kMetricsEnabled)                                              \
-  GTEST_SKIP() << "metrics compiled out (-DCGN_OBS=OFF)"
-
 TEST(MetricSlots, WorkerIncrementsMergeExactly) {
   CGN_SKIP_IF_METRICS_DISABLED();
   obs::Counter& c = obs::counter("par_test.merge_counter");
@@ -252,45 +248,6 @@ TEST(MetricSlots, WorkerIncrementsMergeExactly) {
       12, [&](std::size_t s) { c.inc(s + 1); }, 4);
   // 1 + 2 + ... + 12, regardless of which slot each increment landed in.
   EXPECT_EQ(c.value() - before, 78u);
-}
-
-TEST(MetricSlots, NetworkStatsMergeAcrossWorkers) {
-  sim::Clock clock;
-  sim::Network net(clock);
-  const sim::NodeId host = net.add_node(net.root(), "h");
-  const netcore::Ipv4Address addr(16, 0, 0, 1);
-  net.add_local_address(host, addr);
-  net.register_address(addr, host, net.root());
-  net.set_receiver(host, [](sim::Network&, const sim::Packet&) {});
-  net.reset_stats();
-  par::run_shards(
-      8,
-      [&](std::size_t) {
-        (void)net.send(sim::Packet::udp({addr, 1}, {addr, 2}), host);
-      },
-      4);
-  // Each send self-delivers at the host's own address.
-  EXPECT_EQ(net.stats().sent, 8u);
-}
-
-TEST(MetricsRegistry, MergeFromFoldsValuesAndCreatesMissing) {
-  CGN_SKIP_IF_METRICS_DISABLED();
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.counter("shared").inc(2);
-  b.counter("shared").inc(5);
-  b.counter("only_b").inc(7);
-  b.gauge("level").add(-3);
-  b.histogram("h", {1, 2, 4}).observe_small(3);
-  a.merge_from(b);
-  EXPECT_EQ(a.counter("shared").value(), 7u);
-  EXPECT_EQ(a.counter("only_b").value(), 7u);
-  EXPECT_EQ(a.gauge("level").value(), -3);
-  obs::Histogram& h = a.histogram("h", {1, 2, 4});
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.sum(), 3.0);
-  // b is untouched.
-  EXPECT_EQ(b.counter("shared").value(), 5u);
 }
 
 }  // namespace

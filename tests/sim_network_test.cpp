@@ -4,6 +4,7 @@
 
 #include "nat/nat_device.hpp"
 #include "sim/demux.hpp"
+#include "test_metrics.hpp"
 #include "test_topology.hpp"
 
 namespace cgn::sim {
@@ -69,7 +70,9 @@ TEST(Network, UnroutedDestinationDrops) {
       Packet::udp({w.addr_a, 1}, {Ipv4Address{99, 0, 0, 1}, 2}), w.a);
   EXPECT_FALSE(result.delivered);
   EXPECT_EQ(result.reason, DropReason::no_route);
-  EXPECT_EQ(w.net.stats().dropped_no_route, 1u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(w.net.stats().dropped_no_route, 1u);
+  }
 }
 
 TEST(Network, TtlExpiresMidPath) {
@@ -166,13 +169,46 @@ TEST(Network, AddNodeValidatesParent) {
 
 TEST(Network, StatsAccumulateAndReset) {
   TwoHosts w;
-  (void)w.net.send(Packet::udp({w.addr_a, 1}, {w.addr_b, 2}), w.a);
-  (void)w.net.send(Packet::udp({w.addr_a, 1}, {w.addr_b, 2}, 1), w.a);
-  EXPECT_EQ(w.net.stats().sent, 2u);
-  EXPECT_EQ(w.net.stats().delivered, 1u);
-  EXPECT_EQ(w.net.stats().dropped_ttl, 1u);
+  EXPECT_TRUE(w.net.send(Packet::udp({w.addr_a, 1}, {w.addr_b, 2}), w.a)
+                  .delivered);
+  EXPECT_EQ(w.net.send(Packet::udp({w.addr_a, 1}, {w.addr_b, 2}, 1), w.a)
+                .reason,
+            DropReason::ttl_expired);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(w.net.stats().sent, 2u);
+    EXPECT_EQ(w.net.stats().delivered, 1u);
+    EXPECT_EQ(w.net.stats().dropped_ttl, 1u);
+  }
   w.net.reset_stats();
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(w.net.stats().sent, 0u);
+  }
+}
+
+TEST(Network, StatsSnapshotsAreIndependentValues) {
+  CGN_SKIP_IF_METRICS_DISABLED();
+  TwoHosts w;
+  // Each stats() call returns its own value: a snapshot taken before a
+  // send must not change when a later call reads the counters again.
+  const auto& before = w.net.stats();
+  (void)w.net.send(Packet::udp({w.addr_a, 1}, {w.addr_b, 2}), w.a);
+  const auto& after = w.net.stats();
+  EXPECT_EQ(after.sent - before.sent, 1u);
+  EXPECT_EQ(after.delivered - before.delivered, 1u);
+}
+
+TEST(Network, StatsStartAtZeroForEachNetwork) {
+  CGN_SKIP_IF_METRICS_DISABLED();
+  {
+    TwoHosts earlier;
+    (void)earlier.net.send(
+        Packet::udp({earlier.addr_a, 1}, {earlier.addr_b, 2}), earlier.a);
+  }
+  // The counters behind stats() are process-global; a new Network's view
+  // starts from its construction, not from the earlier Network's traffic.
+  TwoHosts w;
   EXPECT_EQ(w.net.stats().sent, 0u);
+  EXPECT_EQ(w.net.stats().delivered, 0u);
 }
 
 TEST(PortDemux, RoutesByDestinationPort) {
