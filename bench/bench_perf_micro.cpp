@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the core data-path operations:
-// NAT translation, LPM routing lookups, DHT closest-k selection, end-to-end
-// packet delivery, leakage-graph clustering, and the obs metrics hot path.
+// NAT translation, LPM routing lookups, DHT find_nodes handling and
+// routing-table churn, end-to-end packet delivery, leakage-graph clustering,
+// and the obs metrics hot path.
 //
 // After the google-benchmark suite, main() hand-times the delivery loop and
 // the obs primitives to estimate the metrics overhead on the hot path and
@@ -9,7 +10,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #ifdef __linux__
 #include <sched.h>
@@ -176,28 +179,70 @@ void BM_ObsHistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHistogramObserve);
 
-void BM_DhtClosestK(benchmark::State& state) {
-  sim::Rng rng(3);
-  dht::DhtNodeConfig cfg;
-  cfg.table_capacity = static_cast<std::size_t>(state.range(0));
+/// A DHT node with a table of `n` contacts on one host of a bare network.
+struct DhtTableFixture {
   sim::Clock clock;
-  sim::Network net(clock);
-  sim::NodeId host = net.add_node(net.root(), "h");
-  dht::DhtNode node(dht::NodeId160::random(rng),
-                    {netcore::Ipv4Address(16, 0, 0, 1), 6881}, host, cfg,
-                    sim::Rng(4));
-  for (int i = 0; i < state.range(0); ++i)
-    node.learn_contact({dht::NodeId160::random(rng),
-                        {netcore::Ipv4Address(16, 1, 0, 1),
-                         static_cast<std::uint16_t>(1000 + i)}});
-  for (auto _ : state) {
-    // all_contacts + the closest-k path exercised via handle() would need
-    // packets; measure table scans directly.
-    benchmark::DoNotOptimize(node.all_contacts());
+  sim::Network net{clock};
+  sim::Rng rng{3};
+  std::unique_ptr<dht::DhtNode> node;
+
+  DhtTableFixture(std::size_t n, dht::DhtNodeConfig cfg) {
+    cfg.table_capacity = n;
+    const netcore::Ipv4Address addr(16, 0, 0, 1);
+    sim::NodeId host = net.add_node(net.root(), "h");
+    net.add_local_address(host, addr);
+    net.register_address(addr, host, net.root());
+    node = std::make_unique<dht::DhtNode>(dht::NodeId160::random(rng),
+                                          netcore::Endpoint{addr, 6881}, host,
+                                          cfg, sim::Rng(4));
+    for (std::size_t i = 0; i < n; ++i) node->learn_contact(fresh_contact(i));
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+
+  dht::Contact fresh_contact(std::size_t i) {
+    return {dht::NodeId160::random(rng),
+            {netcore::Ipv4Address(16, 1, static_cast<std::uint8_t>(i >> 8),
+                                  static_cast<std::uint8_t>(i)),
+             6881}};
+  }
+};
+
+/// One find_nodes query through DhtNode::handle: sender refresh, closest-k
+/// over the full table, and the (unroutable, dropped) nodes reply.
+void BM_DhtClosestK(benchmark::State& state) {
+  dht::DhtNodeConfig cfg;
+  cfg.validate_before_propagate = false;  // every entry is eligible
+  DhtTableFixture fx(static_cast<std::size_t>(state.range(0)), cfg);
+  sim::Packet query = sim::Packet::udp(
+      {netcore::Ipv4Address(16, 2, 0, 1), 6881}, fx.node->local_endpoint());
+  const dht::NodeId160 sender = dht::NodeId160::random(fx.rng);
+  std::uint64_t tx = 0;
+  for (auto _ : state) {
+    query.payload = dht::Message{
+        dht::FindNodesMsg{++tx, sender, dht::NodeId160::random(fx.rng)}};
+    fx.node->handle(fx.net, query);
+    benchmark::DoNotOptimize(fx.node->stats().find_nodes_received);
+  }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DhtClosestK)->Arg(64)->Arg(128)->Arg(256);
+
+/// learn_contact of a never-seen contact into a full table: a lookup miss
+/// over every slot, then an eviction scan.
+void BM_DhtTableChurn(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  DhtTableFixture fx(n, {});
+  std::vector<dht::Contact> fresh;
+  for (std::size_t i = 0; i < 4096; ++i)
+    fresh.push_back(fx.fresh_contact(n + i));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    fx.node->learn_contact(fresh[next]);
+    benchmark::DoNotOptimize(fx.node->table_size());
+    next = (next + 1) % fresh.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DhtTableChurn)->Arg(64)->Arg(200)->Arg(256);
 
 void BM_UnionFindClustering(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

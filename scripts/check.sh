@@ -72,7 +72,7 @@ stage_tsan() {
   cmake -B build-tsan -S . -DCGN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target cgn_tests
   CGN_THREADS=4 ctest --test-dir build-tsan --output-on-failure \
-    -R 'RunShards|ConfiguredThreads|RngFork|ThreadClockScope|MetricSlots|CampaignParallel|Fault|RouteCache|Super' \
+    -R 'RunShards|ConfiguredThreads|RngFork|ThreadClockScope|MetricSlots|CampaignParallel|Fault|RouteCache|Super|DhtNode|DhtTable' \
     -j "$(nproc)"
 }
 

@@ -1,6 +1,8 @@
 #include "dht/dht_node.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 
@@ -11,6 +13,17 @@ namespace {
 obs::Counter& g_messages_sent = obs::counter("dht.messages_sent");
 obs::Counter& g_messages_received = obs::counter("dht.messages_received");
 obs::Counter& g_contacts_validated = obs::counter("dht.contacts_validated");
+
+// Ids are uniformly random, so their first word alone separates contacts
+// with distinct ids; the mixed-in endpoint separates one id's endpoints.
+std::uint32_t fingerprint(const Contact& c) {
+  std::uint32_t id_word;
+  std::memcpy(&id_word, c.id.bytes().data(), sizeof id_word);
+  const std::uint64_t ep =
+      (std::uint64_t{c.endpoint.address.value()} << 16) | c.endpoint.port;
+  return id_word ^
+         static_cast<std::uint32_t>((ep * 0x9E3779B97F4A7C15ull) >> 32);
+}
 }  // namespace
 
 DhtNode::DhtNode(NodeId160 id, netcore::Endpoint local_endpoint,
@@ -32,67 +45,86 @@ void DhtNode::send_ping(sim::Network& net, const Contact& contact) {
   send_message(net, contact.endpoint, PingMsg{tx, id_});
 }
 
-std::size_t DhtNode::find_index(const Contact& contact) const {
-  for (std::size_t i = 0; i < contacts_.size(); ++i)
-    if (contacts_[i] == contact) return i;
+void DhtNode::ping_if_unvalidated(sim::Network& net, std::size_t i) {
+  if (i == kNotFound || (flags_[i] & (kValidated | kPingInflight))) return;
+  flags_[i] |= kPingInflight;
+  const Contact contact = contacts_[i];
+  send_ping(net, contact);
+}
+
+std::size_t DhtNode::find_index(const Contact& contact,
+                                std::uint32_t fp) const {
+  for (std::size_t i = 0; i < fp_.size(); ++i)
+    if (fp_[i] == fp && contacts_[i] == contact) return i;
   return kNotFound;
 }
 
-void DhtNode::add_candidate(const Contact& contact, sim::SimTime now) {
-  if (contact.id == id_) return;  // never store ourselves
-  if (std::size_t i = find_index(contact); i != kNotFound) {
+std::size_t DhtNode::find_index(const Contact& contact) const {
+  return find_index(contact, fingerprint(contact));
+}
+
+std::size_t DhtNode::stalest_slot() const {
+  // last_seen >= 0, so its IEEE bits order like its value and the packed
+  // key orders like (validated, last_seen); strict < keeps the first index.
+  std::uint64_t best = ~std::uint64_t{0};
+  std::size_t victim = kNotFound;
+  for (std::size_t i = 0; i < flags_.size(); ++i) {
+    const std::uint64_t flags = flags_[i];
+    const std::uint64_t pinned = (flags & kPinned) ? ~std::uint64_t{0} : 0;
+    const std::uint64_t key = ((flags & kValidated) << 63) |
+                              std::bit_cast<std::uint64_t>(last_seen_[i]) |
+                              pinned;
+    if (key < best) {
+      best = key;
+      victim = i;
+    }
+  }
+  return victim;
+}
+
+std::size_t DhtNode::add_candidate(const Contact& contact, sim::SimTime now) {
+  if (contact.id == id_) return kNotFound;  // never store ourselves
+  const std::uint32_t fp = fingerprint(contact);
+  if (std::size_t i = find_index(contact, fp); i != kNotFound) {
     last_seen_[i] = now;
-    return;
+    return i;
   }
   if (contacts_.size() >= config_.table_capacity) {
     // Kademlia-style retention: validated (live) entries are kept; the
     // stalest unvalidated candidate makes room. Only when every entry is
     // validated does the stalest validated one rotate out.
-    std::size_t stalest = kNotFound;
-    for (std::size_t i = 0; i < contacts_.size(); ++i) {
-      if (flags_[i] & kPinned) continue;
-      const bool validated = flags_[i] & kValidated;
-      const bool stalest_validated =
-          stalest != kNotFound && (flags_[stalest] & kValidated);
-      if (stalest == kNotFound || (!validated && stalest_validated) ||
-          (validated == stalest_validated &&
-           last_seen_[i] < last_seen_[stalest]))
-        stalest = i;
-    }
-    if (stalest == kNotFound) return;  // everything pinned: drop newcomer
+    const std::size_t stalest = stalest_slot();
+    if (stalest == kNotFound) return kNotFound;  // all pinned: drop newcomer
     contacts_[stalest] = contact;
+    fp_[stalest] = fp;
     flags_[stalest] = 0;
     last_seen_[stalest] = now;
-    return;
+    return stalest;
   }
   contacts_.push_back(contact);
+  fp_.push_back(fp);
   flags_.push_back(0);
   last_seen_.push_back(now);
+  return contacts_.size() - 1;
 }
 
 void DhtNode::mark_validated(const Contact& contact, sim::SimTime now) {
-  if (std::size_t i = find_index(contact); i != kNotFound) {
-    if (!(flags_[i] & kValidated)) {
-      ++stats_.contacts_validated;
-      g_contacts_validated.inc();
-    }
-    flags_[i] = static_cast<std::uint8_t>((flags_[i] | kValidated) &
-                                          ~kPingInflight);
-    last_seen_[i] = now;
-  } else {
-    add_candidate(contact, now);
-    if (std::size_t fresh = find_index(contact); fresh != kNotFound) {
-      flags_[fresh] |= kValidated;
-      ++stats_.contacts_validated;
-      g_contacts_validated.inc();
-    }
+  const std::size_t i = add_candidate(contact, now);
+  if (i == kNotFound) return;
+  if (!(flags_[i] & kValidated)) {
+    ++stats_.contacts_validated;
+    g_contacts_validated.inc();
   }
+  flags_[i] =
+      static_cast<std::uint8_t>((flags_[i] | kValidated) & ~kPingInflight);
 }
 
 std::vector<Contact> DhtNode::closest(const NodeId160& target, std::size_t k,
                                       bool validated_only) const {
-  std::vector<std::uint32_t> idx;
-  idx.reserve(contacts_.size());
+  // Per-thread scratch: the ping sweep runs handle() on several workers at
+  // once, and nothing below sends, so no call can re-enter it.
+  thread_local std::vector<std::uint32_t> idx;
+  idx.clear();
   for (std::size_t i = 0; i < contacts_.size(); ++i)
     if (!validated_only || (flags_[i] & kValidated))
       idx.push_back(static_cast<std::uint32_t>(i));
@@ -116,19 +148,14 @@ void DhtNode::handle(sim::Network& net, const sim::Packet& pkt) {
 
   if (const auto* ping = std::get_if<PingMsg>(msg)) {
     ++stats_.pings_received;
-    Contact sender{ping->sender, pkt.src};
-    add_candidate(sender, now);
+    const Contact sender{ping->sender, pkt.src};
+    const std::size_t i = add_candidate(sender, now);
     send_message(net, pkt.src, PongMsg{ping->tx, id_});
     // Validate new senders right away (before churn can evict them). For a
     // hairpin-observed internal endpoint this ping-back is the step that
-    // turns it into propagatable — leakable — contact information.
-    if (config_.ping_new_candidates) {
-      std::size_t i = find_index(sender);
-      if (i != kNotFound && !(flags_[i] & (kValidated | kPingInflight))) {
-        flags_[i] |= kPingInflight;
-        send_ping(net, sender);
-      }
-    }
+    // turns it into propagatable — leakable — contact information. No
+    // receiver answers a pong, so slot i still holds the sender.
+    if (config_.ping_new_candidates) ping_if_unvalidated(net, i);
     return;
   }
   if (const auto* pong = std::get_if<PongMsg>(msg)) {
@@ -155,17 +182,11 @@ void DhtNode::handle(sim::Network& net, const sim::Packet& pkt) {
   }
   if (const auto* reply = std::get_if<AnnounceReply>(msg)) {
     for (const Contact& c : reply->peers) {
-      add_candidate(c, now);
+      const std::size_t i = add_candidate(c, now);
       // A BitTorrent client connects to swarm peers right away; the ping
       // doubles as DHT validation. When the peer is behind the same NAT,
       // this is the packet that hairpins and exposes internal endpoints.
-      if (config_.ping_announce_peers) {
-        std::size_t i = find_index(c);
-        if (i != kNotFound && !(flags_[i] & (kValidated | kPingInflight))) {
-          flags_[i] |= kPingInflight;
-          send_ping(net, c);
-        }
-      }
+      if (config_.ping_announce_peers) ping_if_unvalidated(net, i);
     }
     return;
   }
@@ -195,7 +216,8 @@ void DhtNode::run_maintenance(sim::Network& net) {
   // Abandon stale pings so candidates can be retried or evicted. Collect
   // first, erase after: FlatMap's backward-shift erase moves entries under
   // an in-flight iteration. Nothing here sends, so order is unobservable.
-  std::vector<std::uint64_t> expired_tx;
+  thread_local std::vector<std::uint64_t> expired_tx;
+  expired_tx.clear();
   for (const auto& [tx, p] : pending_) {
     if (now - p.sent_at > config_.ping_timeout_s) {
       if (std::size_t i = find_index(p.contact); i != kNotFound)
@@ -220,7 +242,13 @@ void DhtNode::run_maintenance(sim::Network& net) {
   }
 
   // Random-target lookups keep the table populated and the NAT mapping warm.
-  std::vector<Contact> validated = validated_contacts();
+  // Peers are drawn from the table as it stands now. A synchronous nodes
+  // reply can evict a validated slot between draws, so the draw list holds
+  // copies (in per-thread scratch, like expired_tx), not slot indices.
+  thread_local std::vector<Contact> validated;
+  validated.clear();
+  for (std::size_t i = 0; i < contacts_.size(); ++i)
+    if (flags_[i] & kValidated) validated.push_back(contacts_[i]);
   if (validated.empty()) return;
   for (int i = 0; i < config_.lookups_per_round; ++i) {
     NodeId160 target = NodeId160::random(rng_);
@@ -234,11 +262,8 @@ void DhtNode::run_maintenance(sim::Network& net) {
 }
 
 void DhtNode::learn_contact(const Contact& contact, bool pinned) {
-  add_candidate(contact, 0.0);
-  if (pinned) {
-    if (std::size_t i = find_index(contact); i != kNotFound)
-      flags_[i] |= kPinned;
-  }
+  const std::size_t i = add_candidate(contact, 0.0);
+  if (pinned && i != kNotFound) flags_[i] |= kPinned;
 }
 
 void DhtNode::announce(sim::Network& net, const netcore::Endpoint& tracker,

@@ -108,9 +108,19 @@ class DhtNode {
   void send_message(sim::Network& net, const netcore::Endpoint& dst,
                     Message msg);
   void send_ping(sim::Network& net, const Contact& contact);
-  void add_candidate(const Contact& contact, sim::SimTime now);
+  /// Pings slot `i` (kNotFound: nothing) unless it is validated or a ping
+  /// to it is already in flight.
+  void ping_if_unvalidated(sim::Network& net, std::size_t i);
+  /// Refreshes `contact`, or stores it (evicting if the table is full).
+  /// Returns the slot it now occupies; kNotFound when it was not stored.
+  std::size_t add_candidate(const Contact& contact, sim::SimTime now);
   void mark_validated(const Contact& contact, sim::SimTime now);
+  [[nodiscard]] std::size_t find_index(const Contact& contact,
+                                       std::uint32_t fp) const;
   [[nodiscard]] std::size_t find_index(const Contact& contact) const;
+  /// Eviction victim: the unpinned slot with the smallest (validated,
+  /// last_seen, index); kNotFound when every slot is pinned.
+  [[nodiscard]] std::size_t stalest_slot() const;
   [[nodiscard]] std::vector<Contact> closest(const NodeId160& target,
                                              std::size_t k,
                                              bool validated_only) const;
@@ -122,13 +132,16 @@ class DhtNode {
   sim::Rng rng_;
   DhtNodeStats stats_;
 
-  // Struct-of-arrays routing table: every hot scan (the identity probe on
-  // each received packet, the closest-k filter, eviction) walks exactly the
-  // column it needs — dense Contact records for comparisons, one flag byte
-  // per entry for state filters — instead of striding over a padded AoS
-  // entry. With millions of peers resident this is the difference between
-  // the table fitting in cache-friendly columns and thrashing.
+  // Struct-of-arrays routing table: every hot scan walks exactly the column
+  // it needs instead of striding over a padded AoS entry. The identity
+  // probe on each received contact scans `fp_`, a 32-bit fingerprint of
+  // (id, endpoint), and compares the full Contact only on a fingerprint
+  // match. Eviction packs each slot into one 64-bit key, validated bit over
+  // the IEEE bits of last_seen (pinned: ~0), and takes the first minimum.
+  // The closest-k filter reads one flag byte per entry. Slots never move:
+  // a contact keeps its slot until evicted, and slot order is table order.
   std::vector<Contact> contacts_;
+  std::vector<std::uint32_t> fp_;
   std::vector<std::uint8_t> flags_;
   std::vector<sim::SimTime> last_seen_;
   flat::FlatMap<std::uint64_t, Pending> pending_;

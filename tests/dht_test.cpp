@@ -153,6 +153,277 @@ TEST(DhtNode, TableEvictsWhenFull) {
   EXPECT_EQ(pair.a->table_size(), 8u);
 }
 
+/// The routing table as a straightforward implementation keeps it: a
+/// linear identity scan and a branchy stalest-entry scan for eviction.
+/// DhtNode's fingerprinted, packed-key table must match it slot for slot.
+struct ReferenceTable {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  struct Entry {
+    Contact contact;
+    bool validated = false, inflight = false, pinned = false;
+    sim::SimTime last_seen = 0;
+  };
+  NodeId160 self;
+  std::size_t capacity = 0;
+  std::vector<Entry> entries;
+  std::uint64_t validations = 0;
+  // Branch coverage, so the sequences provably reach both eviction tiers.
+  std::uint64_t validated_evictions = 0, all_pinned_drops = 0;
+
+  std::size_t find(const Contact& c) const {
+    for (std::size_t i = 0; i < entries.size(); ++i)
+      if (entries[i].contact == c) return i;
+    return kNone;
+  }
+
+  void add(const Contact& c, sim::SimTime now) {
+    if (c.id == self) return;
+    if (std::size_t i = find(c); i != kNone) {
+      entries[i].last_seen = now;
+      return;
+    }
+    if (entries.size() >= capacity) {
+      std::size_t stalest = kNone;
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (entries[i].pinned) continue;
+        const bool validated = entries[i].validated;
+        const bool stalest_validated =
+            stalest != kNone && entries[stalest].validated;
+        if (stalest == kNone || (!validated && stalest_validated) ||
+            (validated == stalest_validated &&
+             entries[i].last_seen < entries[stalest].last_seen))
+          stalest = i;
+      }
+      if (stalest == kNone) {
+        ++all_pinned_drops;
+        return;
+      }
+      validated_evictions += entries[stalest].validated;
+      entries[stalest] = Entry{c, false, false, false, now};
+      return;
+    }
+    entries.push_back(Entry{c, false, false, false, now});
+  }
+
+  void mark_validated(const Contact& c, sim::SimTime now) {
+    if (std::size_t i = find(c); i != kNone) {
+      validations += !entries[i].validated;
+      entries[i].validated = true;
+      entries[i].inflight = false;
+      entries[i].last_seen = now;
+      return;
+    }
+    add(c, now);
+    if (std::size_t i = find(c); i != kNone) {
+      entries[i].validated = true;
+      ++validations;
+    }
+  }
+
+  std::vector<Contact> all() const {
+    std::vector<Contact> out;
+    for (const Entry& e : entries) out.push_back(e.contact);
+    return out;
+  }
+  std::vector<Contact> validated() const {
+    std::vector<Contact> out;
+    for (const Entry& e : entries)
+      if (e.validated) out.push_back(e.contact);
+    return out;
+  }
+};
+
+/// Node A under test plus a peer host P whose eight ports answer pings and
+/// find_nodes when "alive". A reference model replays A's protocol steps on
+/// a ReferenceTable: a ping to an alive port validates synchronously, any
+/// other ping or lookup waits in `pending` until it times out.
+class DhtTableDifferential {
+ public:
+  static constexpr std::uint16_t kPort0 = 7000;
+  static constexpr int kPorts = 8;
+
+  explicit DhtTableDifferential(std::uint64_t seed)
+      : rng_(seed), model_rng_(seed + 1) {
+    cfg_.table_capacity = 12;
+    cfg_.pings_per_round = 3;
+    cfg_.lookups_per_round = 2;
+    cfg_.lookup_fanout = 2;
+    LineConfig lc;
+    lc.with_cpe = false;
+    lc.line_public = Ipv4Address{16, 0, 1, 2};
+    line_a_ = mini_.add_line(lc, 11);
+    lc.line_public = Ipv4Address{16, 0, 2, 2};
+    line_p_ = mini_.add_line(lc, 22);
+    const NodeId160 self = NodeId160::random(rng_);
+    a_ = std::make_unique<DhtNode>(self, Endpoint{line_a_.device_address, 6881},
+                                   line_a_.device, cfg_, sim::Rng(seed + 1));
+    line_a_.demux->bind(6881, [this](sim::Network& n, const sim::Packet& p) {
+      a_->handle(n, p);
+    });
+    model_.self = self;
+    model_.capacity = cfg_.table_capacity;
+    // Ids repeat across endpoints and endpoints across ids; A's own id is
+    // in the pool too (never stored).
+    for (int i = 0; i < 10; ++i) ids_.push_back(NodeId160::random(rng_));
+    ids_.push_back(self);
+    for (int p = 0; p < kPorts; ++p) {
+      alive_[p] = rng_.index(3) != 0;
+      const auto port = static_cast<std::uint16_t>(kPort0 + p);
+      line_p_.demux->bind(port, [this, port](sim::Network& n,
+                                             const sim::Packet& pkt) {
+        respond(n, pkt, port);
+      });
+    }
+  }
+
+  void step() {
+    const Contact c = random_contact();
+    switch (rng_.index(3)) {
+      case 0: {  // out-of-band discovery, sometimes pinned
+        const bool pinned = rng_.index(16) == 0;
+        a_->learn_contact(c, pinned);
+        model_.add(c, 0.0);
+        if (std::size_t i = model_.find(c); pinned && i != model_.kNone)
+          model_.entries[i].pinned = true;
+        break;
+      }
+      case 1: {  // inbound ping from c
+        sim::Packet ping = sim::Packet::udp(c.endpoint, a_->local_endpoint());
+        ping.payload = Message{PingMsg{++p_tx_, c.id}};
+        mini_.net.send(std::move(ping), line_p_.device);
+        model_.add(c, now());
+        std::size_t i = model_.find(c);
+        if (i != model_.kNone && !model_.entries[i].validated &&
+            !model_.entries[i].inflight) {
+          model_.entries[i].inflight = true;
+          model_ping(c);
+        }
+        break;
+      }
+      default:
+        a_->run_maintenance(mini_.net);
+        model_maintenance();
+    }
+    static constexpr double kAdvance[] = {0, 0, 1, 5, 40};
+    mini_.clock.advance(kAdvance[rng_.index(5)]);
+  }
+
+  const ReferenceTable& model() const { return model_; }
+
+  void expect_agree(int step) const {
+    ASSERT_EQ(a_->all_contacts(), model_.all()) << "step " << step;
+    ASSERT_EQ(a_->validated_contacts(), model_.validated()) << "step " << step;
+    ASSERT_EQ(a_->stats().contacts_validated, model_.validations)
+        << "step " << step;
+  }
+
+ private:
+  sim::SimTime now() const { return mini_.clock.now(); }
+  bool alive(const Contact& c) const {
+    return alive_[c.endpoint.port - kPort0];
+  }
+
+  Contact random_contact() {
+    const auto port = static_cast<std::uint16_t>(kPort0 + rng_.index(kPorts));
+    return {ids_[rng_.index(ids_.size())],
+            Endpoint{line_p_.device_address, port}};
+  }
+
+  /// What P's find_nodes answer carries: a function of the target alone.
+  std::vector<Contact> reply_contacts(const NodeId160& target) const {
+    std::vector<Contact> out;
+    const auto& b = target.bytes();
+    for (int k = 0; k < b[0] % 4; ++k)
+      out.push_back({ids_[b[1 + 2 * k] % ids_.size()],
+                     Endpoint{line_p_.device_address,
+                              static_cast<std::uint16_t>(
+                                  kPort0 + b[2 + 2 * k] % kPorts)}});
+    return out;
+  }
+
+  void respond(sim::Network& net, const sim::Packet& pkt, std::uint16_t port) {
+    if (!alive_[port - kPort0]) return;
+    const auto* msg = std::any_cast<Message>(&pkt.payload);
+    if (!msg) return;
+    const Endpoint self{line_p_.device_address, port};
+    sim::Packet reply = sim::Packet::udp(self, pkt.src);
+    if (const auto* ping = std::get_if<PingMsg>(msg))
+      reply.payload = Message{PongMsg{ping->tx, ids_[0]}};
+    else if (const auto* fn = std::get_if<FindNodesMsg>(msg))
+      reply.payload =
+          Message{NodesMsg{fn->tx, ids_[0], reply_contacts(fn->target)}};
+    else
+      return;
+    net.send(std::move(reply), line_p_.device);
+  }
+
+  void model_ping(const Contact& c) {
+    if (alive(c))
+      model_.mark_validated(c, now());
+    else
+      pending_.push_back({c, now()});
+  }
+
+  void model_maintenance() {
+    std::erase_if(pending_, [&](const std::pair<Contact, sim::SimTime>& p) {
+      if (now() - p.second <= cfg_.ping_timeout_s) return false;
+      if (std::size_t i = model_.find(p.first); i != model_.kNone)
+        model_.entries[i].inflight = false;
+      return true;
+    });
+    int budget = cfg_.pings_per_round;
+    for (std::size_t i = 0; i < model_.entries.size() && budget > 0; ++i) {
+      if (model_.entries[i].validated || model_.entries[i].inflight) continue;
+      model_.entries[i].inflight = true;
+      model_ping(model_.entries[i].contact);
+      --budget;
+    }
+    const std::vector<Contact> validated = model_.validated();
+    if (validated.empty()) return;
+    for (int l = 0; l < cfg_.lookups_per_round; ++l) {
+      const NodeId160 target = NodeId160::random(model_rng_);
+      for (int f = 0; f < cfg_.lookup_fanout; ++f) {
+        const Contact peer = validated[model_rng_.index(validated.size())];
+        if (!alive(peer)) {
+          pending_.push_back({peer, now()});
+          continue;
+        }
+        model_.mark_validated(peer, now());
+        for (const Contact& c : reply_contacts(target)) model_.add(c, now());
+      }
+    }
+  }
+
+  sim::Rng rng_;
+  DhtNodeConfig cfg_;
+  MiniNet mini_;
+  MiniNet::Line line_a_, line_p_;
+  std::unique_ptr<DhtNode> a_;
+  std::vector<NodeId160> ids_;
+  bool alive_[kPorts] = {};
+  std::uint64_t p_tx_ = 0;
+  ReferenceTable model_;
+  sim::Rng model_rng_;  ///< replays A's lookup draws
+  std::vector<std::pair<Contact, sim::SimTime>> pending_;
+};
+
+TEST(DhtTable, MatchesReferenceModelOverRandomSequences) {
+  std::uint64_t validated_evictions = 0, all_pinned_drops = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    DhtTableDifferential run(seed);
+    for (int step = 0; step < 400; ++step) {
+      run.step();
+      run.expect_agree(step);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    validated_evictions += run.model().validated_evictions;
+    all_pinned_drops += run.model().all_pinned_drops;
+  }
+  EXPECT_GT(validated_evictions, 0u);
+  EXPECT_GT(all_pinned_drops, 0u);
+}
+
 TEST(Tracker, RecordsObservedEndpointsAndSamplesPeers) {
   MiniNet mini;
   // Tracker host at the core.
