@@ -3,7 +3,7 @@
 # and the nightly workflow):
 #
 #  1. bench_scale_sweep over the requested scales (PR smoke sweeps 0.4 and
-#     1; the nightly goes through 4) — each scale runs in its own child
+#     1; the nightly goes through 10) — each scale runs in its own child
 #     process so peak RSS (/proc/self/status VmHWM) is per-scale;
 #  2. the resulting BENCH_scale_sweep.json is schema-checked (every
 #     scale_<tag>_rss_kib positive and paired with its ns_per_packet
@@ -16,7 +16,7 @@
 #
 # Usage: scripts/scale_smoke.sh [builddir] [scales]
 #        scripts/scale_smoke.sh                 # build, scales 0.4,1
-#        scripts/scale_smoke.sh build 0.4,1,4   # nightly sweep
+#        scripts/scale_smoke.sh build 0.4,1,4,10   # nightly sweep
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -460,9 +460,9 @@ class FlatSet
 
 /// Membership set over the full 16-bit port space as a flat bitmap: 8 KiB,
 /// O(1) everything, no hashing, no per-insert allocation. The word array is
-/// allocated on first insert so idle NAT devices (most CPEs in a large
-/// world) stay tiny; clear() keeps the allocation, matching the restart
-/// path's reuse pattern.
+/// allocated on first insert, so NAT devices that never take a chunk stay
+/// tiny; clear() keeps the allocation, matching the restart path's reuse
+/// pattern.
 class PortSet {
  public:
   [[nodiscard]] bool contains(std::uint16_t p) const noexcept {

@@ -31,7 +31,6 @@ obs::Counter& g_fault_restarts = obs::counter("nat.fault_restarts");
 obs::Counter& g_restart_flushed = obs::counter("nat.fault_restart_flushed");
 obs::Counter& g_pressure_drops = obs::counter("nat.fault_pressure_drops");
 obs::Gauge& g_active_mappings = obs::gauge("nat.active_mappings");
-obs::Gauge& g_ports_in_use = obs::gauge("nat.ports_in_use");
 obs::Gauge& g_port_capacity = obs::gauge("nat.port_capacity");
 
 // Derived port-pool pressure, sampled at export time.
@@ -40,7 +39,7 @@ obs::Gauge& g_port_capacity = obs::gauge("nat.port_capacity");
       "nat.port_pool_utilization", [] {
         auto capacity = g_port_capacity.value();
         return capacity == 0 ? 0.0
-                             : static_cast<double>(g_ports_in_use.value()) /
+                             : static_cast<double>(g_active_mappings.value()) /
                                    static_cast<double>(capacity);
       });
   return true;
@@ -109,8 +108,6 @@ NatDevice::NatDevice(NatConfig config,
   for (std::size_t i = 0; i < pool_.size(); ++i) pool_index_.emplace(pool_[i], i);
   if (pool_index_.size() != pool_.size())
     throw std::invalid_argument(config_.name + ": duplicate pool addresses");
-  used_ports_udp_.resize(pool_.size());
-  used_ports_tcp_.resize(pool_.size());
   seq_cursor_.assign(pool_.size(), config_.port_min);
   chunks_taken_.resize(pool_.size());
   const std::int64_t ports_per_proto =
@@ -120,10 +117,6 @@ NatDevice::NatDevice(NatConfig config,
 }
 
 NatDevice::~NatDevice() {
-  std::int64_t ports = 0;
-  for (const auto& used : used_ports_udp_) ports += used.size();
-  for (const auto& used : used_ports_tcp_) ports += used.size();
-  g_ports_in_use.sub(ports);
   g_active_mappings.sub(static_cast<std::int64_t>(mappings_.size()));
   const std::int64_t ports_per_proto =
       static_cast<std::int64_t>(config_.port_max) - config_.port_min + 1;
@@ -173,16 +166,11 @@ void NatDevice::reset_state(sim::SimTime now) {
   g_restart_flushed.inc(mappings_.size());
 
   g_active_mappings.sub(static_cast<std::int64_t>(mappings_.size()));
-  std::int64_t ports = 0;
-  for (const auto& used : used_ports_udp_) ports += used.size();
-  for (const auto& used : used_ports_tcp_) ports += used.size();
-  g_ports_in_use.sub(ports);
 
   mappings_.clear();
   by_external_.clear();
   slab_.clear();
-  for (auto& used : used_ports_udp_) used.clear();
-  for (auto& used : used_ports_tcp_) used.clear();
+  free_slots_.clear();
   seq_cursor_.assign(pool_.size(), config_.port_min);
   paired_pool_.clear();
   subscriber_chunks_.clear();
@@ -235,19 +223,13 @@ void NatDevice::erase_mapping(const OutKey& key) {
     on_expired_(key.proto, m.external, m.created_at,
                 m.last_refresh + timeout_for(m));
   by_external_.erase(InKey{key.proto, m.external});
-  auto pool_it = pool_index_.find(m.external.address);
-  if (pool_it != pool_index_.end()) {
-    auto& used = key.proto == netcore::Protocol::udp
-                     ? used_ports_udp_[pool_it->second]
-                     : used_ports_tcp_[pool_it->second];
-    g_ports_in_use.sub(static_cast<std::int64_t>(used.erase(m.external.port)));
-  }
   g_active_mappings.sub(1);
-  // Key-based erase before the slab slot dies: `key` may alias the stored
+  // Key-based erase before the slot is reset: `key` may alias the stored
   // m.key (find_in passes it), and FlatMap::erase only reads the key during
-  // the probe — while the slab object is still alive.
+  // the probe — while the slot still holds it.
   mappings_.erase(key);
-  slab_.erase(h);
+  slab_[h] = Mapping{};  // releases the contacted sets
+  free_slots_.push_back(h);
 }
 
 NatDevice::Mapping* NatDevice::find_out(const OutKey& key, sim::SimTime now) {
@@ -294,8 +276,11 @@ std::optional<std::uint16_t> NatDevice::allocate_port(
     std::size_t pool_index, netcore::Protocol proto,
     std::uint16_t internal_port, netcore::Ipv4Address internal_ip,
     sim::SimTime now) {
-  auto& used = proto == netcore::Protocol::udp ? used_ports_udp_[pool_index]
-                                               : used_ports_tcp_[pool_index];
+  const netcore::Ipv4Address external_ip = pool_[pool_index];
+  auto used = [&](std::uint32_t p) {
+    return by_external_.contains(
+        InKey{proto, {external_ip, static_cast<std::uint16_t>(p)}});
+  };
   const std::uint32_t lo = config_.port_min;
   std::uint32_t hi = config_.port_max;
   // During a pressure window the top reserve share of the range is blocked
@@ -313,8 +298,7 @@ std::optional<std::uint16_t> NatDevice::allocate_port(
   auto seq_scan = [&](std::uint32_t start) -> std::optional<std::uint16_t> {
     for (std::uint32_t i = 0; i < range; ++i) {
       std::uint32_t p = lo + (start - lo + i) % range;
-      if (!used.contains(static_cast<std::uint16_t>(p)))
-        return static_cast<std::uint16_t>(p);
+      if (!used(p)) return static_cast<std::uint16_t>(p);
     }
     return std::nullopt;
   };
@@ -322,7 +306,7 @@ std::optional<std::uint16_t> NatDevice::allocate_port(
   switch (config_.port_allocation) {
     case PortAllocation::preservation: {
       if (internal_port >= lo && internal_port <= hi &&
-          !used.contains(internal_port))
+          !used(internal_port))
         return internal_port;
       // Collision (or out of range): fall back to the next free port.
       std::uint32_t start = internal_port >= lo && internal_port <= hi
@@ -344,7 +328,7 @@ std::optional<std::uint16_t> NatDevice::allocate_port(
     case PortAllocation::random: {
       for (int attempt = 0; attempt < 32; ++attempt) {
         auto p = static_cast<std::uint16_t>(rng_.uniform(lo, hi));
-        if (!used.contains(p)) return p;
+        if (!used(p)) return p;
       }
       return seq_scan(lo + static_cast<std::uint32_t>(rng_.index(range)));
     }
@@ -356,11 +340,11 @@ std::optional<std::uint16_t> NatDevice::allocate_port(
       const std::uint32_t cs = config_.chunk_size;
       for (int attempt = 0; attempt < 32; ++attempt) {
         auto p = static_cast<std::uint16_t>(base + rng_.index(cs));
-        if (p <= hi && !used.contains(p)) return p;
+        if (p <= hi && !used(p)) return p;
       }
       for (std::uint32_t i = 0; i < cs; ++i) {
         auto p = static_cast<std::uint16_t>(base + i);
-        if (p <= hi && !used.contains(p)) return p;
+        if (p <= hi && !used(p)) return p;
       }
       return std::nullopt;  // the subscriber's chunk is exhausted
     }
@@ -468,11 +452,14 @@ NatDevice::Mapping* NatDevice::create_mapping(const OutKey& key,
     return nullptr;
   }
 
-  auto& used = key.proto == netcore::Protocol::udp ? used_ports_udp_[pool_idx]
-                                                   : used_ports_tcp_[pool_idx];
-  used.insert(*port);
-
-  const std::uint32_t h = slab_.emplace();
+  std::uint32_t h;
+  if (free_slots_.empty()) {
+    h = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    h = free_slots_.back();
+    free_slots_.pop_back();
+  }
   Mapping& m = slab_[h];
   m.key = key;
   m.external = netcore::Endpoint{pool_[pool_idx], *port};
@@ -483,7 +470,6 @@ NatDevice::Mapping* NatDevice::create_mapping(const OutKey& key,
   ++stats_.mappings_created;
   g_mappings_created.inc();
   g_active_mappings.add(1);
-  g_ports_in_use.add(1);
   if (on_created_) on_created_(key.proto, key.internal, m.external, now);
   return &m;
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "flat/arena.hpp"
 #include "flat/flat.hpp"
 #include "nat/nat_types.hpp"
 #include "netcore/ipv4.hpp"
@@ -46,7 +45,7 @@ class NatDevice final : public sim::Middlebox {
   NatDevice(NatConfig config, std::vector<netcore::Ipv4Address> external_pool,
             sim::Rng rng);
   /// Rolls the device's live state out of the global obs gauges
-  /// (nat.active_mappings, nat.ports_in_use, nat.port_capacity).
+  /// (nat.active_mappings, nat.port_capacity).
   ~NatDevice() override;
 
   NatDevice(const NatDevice&) = delete;
@@ -129,8 +128,8 @@ class NatDevice final : public sim::Middlebox {
                          double restart_phase_s, double pressure_phase_s);
 
   /// Device reboot: keeps configuration (pool, port range, strategy, RNG)
-  /// but flushes all dynamic state — mappings, used-port sets, sequential
-  /// cursors, paired-pool stickiness and chunk_random bookkeeping
+  /// but flushes all dynamic state — mappings, sequential cursors,
+  /// paired-pool stickiness and chunk_random bookkeeping
   /// (subscriber chunk assignments + taken-chunk sets), firing the expiry
   /// hook for every live mapping so the TranslationLog closes its records.
   /// Freed chunks are immediately reusable (see nat_fault_test).
@@ -220,21 +219,20 @@ class NatDevice final : public sim::Middlebox {
   sim::Rng rng_;
   NatStats stats_;
 
-  // Mapping storage is a chunked slab (stable addresses, 32-bit handles);
-  // both translation maps hold handles into it instead of fat values. The
+  // Mapping storage is a vector slab indexed by 32-bit handles; both
+  // translation maps hold handles into it instead of fat values. The
   // outbound path resolves OutKey -> handle -> Mapping; the inbound path
-  // resolves InKey -> handle directly — one probe plus a slab deref where
-  // it used to chain two full map lookups. Handle values are deterministic
-  // (LIFO slot reuse), so mapping behaviour stays byte-reproducible.
+  // resolves InKey -> handle directly. Freed slots are reused LIFO from
+  // `free_slots_`, so handle values are deterministic. Growing the vector
+  // moves Mappings: no Mapping* or Mapping& may live across create_mapping.
   // Iteration that can fire observer hooks always walks `mappings_` (never
-  // the slab) so the visit order is identical to the pre-slab layout.
-  flat::Arena<Mapping> slab_;
+  // the slab). `by_external_` is the only record of which external ports
+  // are taken.
+  std::vector<Mapping> slab_;
+  std::vector<std::uint32_t> free_slots_;
   flat::FlatMap<OutKey, std::uint32_t, OutKeyHash> mappings_;
   flat::FlatMap<InKey, std::uint32_t, InKeyHash> by_external_;
 
-  // Per (pool index, protocol) used ports, as 16-bit-port-space bitmaps.
-  std::vector<flat::PortSet> used_ports_udp_;
-  std::vector<flat::PortSet> used_ports_tcp_;
   // Sequential allocation cursors per pool index.
   std::vector<std::uint32_t> seq_cursor_;
   // Paired pooling: sticky internal IP -> pool index.

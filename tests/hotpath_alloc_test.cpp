@@ -1,8 +1,8 @@
 // Proof of the zero-allocation packet path: after warm-up, a NAT444 echo
 // round trip (device -> CPE -> CGN -> server, reply descending back) must
-// perform no heap allocation at all. The test replaces the global operator
-// new to count allocations; counting is gated so the rest of the binary is
-// unaffected.
+// perform no heap allocation at all. Also bounds what a small NAT costs to
+// build. The test replaces the global operator new to count allocations and
+// bytes; counting is gated so the rest of the binary is unaffected.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <new>
 #include <vector>
 
+#include "nat/nat_device.hpp"
 #include "netcore/ipv6.hpp"
 #include "sim/network.hpp"
 #include "test_topology.hpp"
@@ -17,14 +18,17 @@
 namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 }  // namespace
 
 // All kept out of line: once inlined, GCC pairs the malloc/free inside
 // with the caller's new/delete expression and reports
 // -Wmismatched-new-delete.
 [[gnu::noinline]] void* operator new(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed))
+  if (g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
@@ -47,6 +51,7 @@ using netcore::Endpoint;
 
 TEST(HotPathAlloc, CounterSeesAllocations) {
   g_allocs.store(0);
+  g_alloc_bytes.store(0);
   g_counting.store(true);
   {
     std::vector<int> v(100);
@@ -54,6 +59,30 @@ TEST(HotPathAlloc, CounterSeesAllocations) {
   }
   g_counting.store(false);
   EXPECT_GE(g_allocs.load(), 1u);
+  EXPECT_GE(g_alloc_bytes.load(), 100 * sizeof(int));
+}
+
+TEST(HotPathAlloc, OneMappingNatStaysSmall) {
+  // A CPE holds a handful of mappings, and a world builds one per line:
+  // its first mappings must cost bytes, not fixed-size slabs or port-space
+  // bitmaps.
+  g_alloc_bytes.store(0);
+  g_counting.store(true);
+  {
+    nat::NatDevice cpe(nat::NatConfig{}, {netcore::Ipv4Address(16, 1, 0, 1)},
+                       Rng(1));
+    const Endpoint remote{netcore::Ipv4Address(16, 9, 9, 9), 80};
+    Packet udp = Packet::udp({netcore::Ipv4Address(192, 168, 1, 2), 4000},
+                             remote);
+    Packet tcp = Packet::tcp({netcore::Ipv4Address(192, 168, 1, 2), 4001},
+                             remote, TcpFlag::syn);
+    EXPECT_EQ(cpe.process_outbound(udp, 0.0), Middlebox::Verdict::forward);
+    EXPECT_EQ(cpe.process_outbound(tcp, 0.0), Middlebox::Verdict::forward);
+  }
+  g_counting.store(false);
+  EXPECT_LT(g_alloc_bytes.load(), 4096u)
+      << "a one-address NAT with two mappings allocated "
+      << g_alloc_bytes.load() << " bytes";
 }
 
 TEST(HotPathAlloc, WarmedNat444EchoRoundTripIsAllocationFree) {
@@ -74,8 +103,8 @@ TEST(HotPathAlloc, WarmedNat444EchoRoundTripIsAllocationFree) {
   line.demux->bind(device_ep.port,
                    [&](Network&, const Packet&) { ++echoed; });
 
-  // Warm-up: establish the NAT mappings, grow every table past its final
-  // size and fault in the lazy port bitmaps.
+  // Warm-up: establish the NAT mappings and grow every table past its
+  // final size.
   for (int i = 0; i < 64; ++i)
     world.net.send(Packet::udp(device_ep, server_ep), line.device);
   ASSERT_EQ(echoed, 64u);

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
+
+#include "obs/metrics.hpp"
 
 namespace cgn::nat {
 namespace {
@@ -145,6 +148,124 @@ TEST_P(NatInvariants, GarbageCollectionIsIdempotent) {
   nat.collect_garbage(1000.0);
   EXPECT_EQ(nat.stats().mappings_expired, expired_once);
   EXPECT_EQ(nat.active_mappings(1000.0), 0u);
+}
+
+TEST_P(NatInvariants, ChurnKeepsOneMappingPerExternalPort) {
+  // A tiny port range (two 8-port chunks per address) keeps the device
+  // near exhaustion, so freed ports must really be handed out again.
+  NatConfig cfg = make_config();
+  cfg.port_min = 1024;
+  cfg.port_max = 1039;
+  cfg.chunk_size = 8;
+  NatDevice nat(cfg, pool(2), sim::Rng(8));
+  sim::Rng rng(9);
+  const auto& gauge = obs::gauge("nat.active_mappings");
+  const std::int64_t gauge_base = gauge.value();
+
+  // Every stored mapping by external (proto, endpoint), kept by the hooks.
+  using ExtKey = std::tuple<Protocol, std::uint32_t, std::uint16_t>;
+  std::set<ExtKey> stored;
+  // Ports freed in the current step, as (proto, pool index, port).
+  std::set<std::tuple<Protocol, std::size_t, std::uint16_t>> freed;
+  auto pool_slot = [&](Ipv4Address a) {
+    const auto& p = nat.external_pool();
+    return static_cast<std::size_t>(std::find(p.begin(), p.end(), a) -
+                                    p.begin());
+  };
+  nat.set_observer(
+      [&](Protocol proto, const Endpoint&, const Endpoint& ext, sim::SimTime) {
+        EXPECT_TRUE(stored.emplace(proto, ext.address.value(), ext.port).second)
+            << "two live mappings share " << ext.to_string();
+      },
+      [&](Protocol proto, const Endpoint& ext, sim::SimTime, sim::SimTime) {
+        EXPECT_EQ(stored.erase({proto, ext.address.value(), ext.port}), 1u);
+        freed.emplace(proto, pool_slot(ext.address), ext.port);
+      });
+
+  std::vector<Ipv4Address> hosts;
+  for (int i = 0; i < 32; ++i) hosts.push_back(Ipv4Address(10, 0, 0, 1 + i));
+  const Endpoint remote{Ipv4Address(16, 9, 9, 9), 80};
+  std::uint16_t next_port = 1000;  // fresh internal ports: always a new flow
+  std::vector<std::pair<Protocol, Endpoint>> flows;
+  auto send = [&](Protocol proto, const Endpoint& internal, sim::SimTime t,
+                  bool established) {
+    Packet p = proto == Protocol::udp
+                   ? Packet::udp(internal, remote)
+                   : Packet::tcp(internal, remote,
+                                 established ? sim::TcpFlag::none
+                                             : sim::TcpFlag::syn);
+    return nat.process_outbound(p, t) == sim::Middlebox::Verdict::forward;
+  };
+  auto any_proto = [&] {
+    return rng.index(2) == 0 ? Protocol::udp : Protocol::tcp;
+  };
+
+  sim::SimTime now = 0;
+  std::uint8_t renumbered = 0;
+  for (int step = 0; step < 300; ++step) {
+    freed.clear();
+    switch (rng.index(6)) {
+      case 0:  // outbound flows: new ones, and refreshes of earlier ones
+        for (int i = 0; i < 6; ++i) {
+          if (!flows.empty() && rng.index(2) == 0) {
+            const auto& [proto, internal] = flows[rng.index(flows.size())];
+            (void)send(proto, internal, now, rng.index(2) == 0);
+          } else {
+            const Protocol proto = any_proto();
+            const Endpoint internal{hosts[rng.index(hosts.size())],
+                                    next_port++};
+            if (send(proto, internal, now, rng.index(2) == 0))
+              flows.emplace_back(proto, internal);
+          }
+        }
+        break;
+      case 1:  // UPnP mapping, new or over an existing flow
+        if (!flows.empty() && rng.index(2) == 0) {
+          const auto& [proto, internal] = flows[rng.index(flows.size())];
+          (void)nat.add_static_mapping(proto, internal, now);
+        } else {
+          (void)nat.add_static_mapping(
+              any_proto(), {hosts[rng.index(hosts.size())], next_port++}, now);
+        }
+        break;
+      case 2: {  // clock advance: within, or past, the UDP/TCP timeouts
+        static constexpr sim::SimTime kAdvance[] = {10, 150, 300, 8000};
+        now += kAdvance[rng.index(4)];
+        break;
+      }
+      case 3:
+        nat.collect_garbage(now);
+        EXPECT_EQ(stored.size(), nat.active_mappings(now));
+        if (obs::kMetricsEnabled) {
+          EXPECT_EQ(gauge.value() - gauge_base,
+                    static_cast<std::int64_t>(nat.active_mappings(now)));
+        }
+        break;
+      case 4: {
+        const auto old = nat.external_pool()[rng.index(2)];
+        ASSERT_TRUE(
+            nat.renumber_external(old, Ipv4Address(16, 2, 0, ++renumbered)));
+        break;
+      }
+      case 5:
+        nat.reset_state(now);
+        break;
+    }
+    if (freed.empty()) continue;
+    // Every freed port must be allocatable again: fill the device from
+    // every host and protocol until allocation fails (one host can hold at
+    // most the 32 ports of a protocol), then look for each.
+    for (const auto& host : hosts)
+      for (Protocol proto : {Protocol::udp, Protocol::tcp})
+        for (int n = 0; n <= 32 && send(proto, {host, next_port++}, now, false);
+             ++n) {
+        }
+    for (const auto& [proto, slot, port] : freed)
+      EXPECT_TRUE(stored.contains(
+          {proto, nat.external_pool()[slot].value(), port}))
+          << "step " << step << ": freed port " << port << " never reused";
+    if (HasFailure()) break;
+  }
 }
 
 std::string combo_name(
