@@ -3,9 +3,9 @@
 // routing-table churn, end-to-end packet delivery, leakage-graph clustering,
 // and the obs metrics hot path.
 //
-// After the google-benchmark suite, main() hand-times the delivery loop and
-// the obs primitives to estimate the metrics overhead on the hot path and
-// writes BENCH_perf_micro.json.
+// After the google-benchmark suite, main() hand-times the NAT444 echo
+// round trip and the Netalyzr campaign's thread scaling and writes
+// BENCH_perf_micro.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -278,18 +278,13 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks();
   }
 
-  // Hand-timed overhead estimate on the campaign hot loop: a TCP echo
-  // round trip exactly as NetalyzrClient::run_basic issues it — request
-  // through the CPE NAT, the ISP's CGN and the routed core to the echo
-  // server, whose reply crosses both NATs back. Per round trip the obs
-  // layer sees sent/delivered and the hop histogram on both directions
-  // plus one translation counter in each NAT each way — 8 counter
-  // increments and 2 histogram observations. The tax is that op bundle
-  // priced at the measured per-primitive cost. (A loop-differential
-  // estimate was tried and rejected: adding the bundle to the timed loop
-  // perturbs code layout by more than the bundle costs. The ground truth
-  // is this same binary built with -DCGN_OBS=OFF.)
-  double delivery_ns = 0, counter_ns = 0, observe_ns = 0, tax_ns = 0;
+  // Hand-timed campaign hot loop: a TCP echo round trip exactly as
+  // NetalyzrClient::run_basic issues it — request through the CPE NAT, the
+  // ISP's CGN and the routed core to the echo server, whose reply crosses
+  // both NATs back. (The metrics cost on this path is measured by building
+  // the same binary with -DCGN_OBS=OFF; BM_ObsCounterInc and
+  // BM_ObsHistogramObserve time the primitives.)
+  double delivery_ns = 0;
   double delivery_idle_endpoint_ns = 0;
   bool behind_cpe_and_cgn = false;
   {
@@ -320,12 +315,6 @@ int main(int argc, char** argv) {
         }
     const cgn::netcore::Endpoint dst =
         internet->servers.netalyzr->echo_endpoint();
-    cgn::obs::Counter& c = cgn::obs::counter("perf.counter_probe");
-    cgn::obs::Histogram& h =
-        cgn::obs::histogram("perf.histogram_probe", {1, 2, 4, 8, 16, 32});
-    counter_ns = ns_per_op([&] { c.inc(); }, 2'000'000);
-    // The integer fast path is what Network::finish uses for hop counts.
-    observe_ns = ns_per_op([&] { h.observe_small(8); }, 2'000'000);
 
     std::uint64_t tx = 0;
     auto deliver = [&] {
@@ -340,8 +329,6 @@ int main(int argc, char** argv) {
     delivery_ns = 1e18;
     for (int rep = 0; rep < 5; ++rep)
       delivery_ns = std::min(delivery_ns, ns_per_op(deliver, 100'000));
-    // The obs op bundle one round trip executes (see comment above).
-    tax_ns = 8 * counter_ns + 2 * observe_ns;
 
     // The observatory endpoint's idle cost on the same hot path: an
     // HttpServer blocked in accept() shares no state with the sim, so the
@@ -363,22 +350,11 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // delivery_ns already contains one tax bundle; the compiled-out baseline
-  // is therefore delivery_ns - tax_ns.
-  const double overhead_pct =
-      delivery_ns > tax_ns
-          ? 100.0 * tax_ns / (delivery_ns - tax_ns)
-          : 0.0;
-
-  std::cout << "\nObs hot-path overhead (metrics "
+  std::cout << "\nEcho round trip (metrics "
             << (cgn::obs::kMetricsEnabled ? "enabled" : "compiled out")
             << ", " << (behind_cpe_and_cgn ? "CPE+CGN line" : "fallback line")
             << "):\n"
             << "  echo round trip (CPE+CGN): " << delivery_ns << " ns\n"
-            << "  counter.inc():      " << counter_ns << " ns\n"
-            << "  histogram.observe:  " << observe_ns << " ns\n"
-            << "  obs tax per round trip (8 incs + 2 observes): " << tax_ns
-            << " ns (" << overhead_pct << "%)\n"
             << "  echo round trip with idle observatory endpoint: "
             << delivery_idle_endpoint_ns << " ns\n";
 
@@ -441,10 +417,6 @@ int main(int argc, char** argv) {
       "perf_micro",
       {{"echo_roundtrip_ns", delivery_ns},
        {"echo_roundtrip_idle_endpoint_ns", delivery_idle_endpoint_ns},
-       {"counter_inc_ns", counter_ns},
-       {"histogram_observe_ns", observe_ns},
-       {"obs_tax_per_roundtrip_ns", tax_ns},
-       {"obs_overhead_pct_estimate", overhead_pct},
        {"metrics_enabled", cgn::obs::kMetricsEnabled ? 1.0 : 0.0},
        {"netalyzr_campaign_s_1t", campaign_s[0]},
        {"netalyzr_campaign_s_2t", campaign_s[1]},

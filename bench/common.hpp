@@ -181,9 +181,7 @@ inline void write_bench_json(const std::string& name, const Figures& figures) {
     os << ",\"fault_plan_hash\":\"" << hex << '"'
        << ",\"fault_plan_active\":" << (plan.active() ? "true" : "false")
        << ",\"retry\":{\"attempts\":" << retry.attempts
-       << ",\"base_backoff_s\":" << retry.base_backoff_s
-       << ",\"backoff_factor\":" << retry.backoff_factor
-       << ",\"jitter_fraction\":" << retry.jitter_fraction << '}';
+       << ",\"base_backoff_s\":" << retry.base_backoff_s << '}';
   }
   os << ",\"figures\":";
   analysis::render_figures_json(os, figures);

@@ -13,6 +13,10 @@
 #            byte-identical, phase timings vs bench/baselines/, plus the
 #            fig01 and fig14 (transition) 1-vs-4-worker figure byte-compares
 #            (see scripts/bench_smoke.sh and scripts/bench_compare.py)
+#   figures  figure gate: the 18 figure/table benches and the 3 ablations
+#            at scale 0.1, seed 42, at 1 and 4 workers; every `figures`
+#            object must equal bench/baselines/figures.json (see
+#            scripts/figures_gate.py, which prints each differing bench.key)
 #   scale    scale-sweep smoke: bench_scale_sweep at scales 0.4 and 1
 #            (CGN_SCALE_STAGE_SCALES overrides; the nightly workflow passes
 #            0.4,1,4,10), peak RSS and ns/packet gated against
@@ -94,6 +98,13 @@ stage_bench() {
   scripts/bench_smoke.sh build
 }
 
+stage_figures() {
+  echo "== figures: figure gate at 1 and 4 workers (scripts/figures_gate.py) =="
+  cmake -B build -S . >/dev/null
+  cmake --build build -j
+  python3 scripts/figures_gate.py check --build build
+}
+
 stage_scale() {
   echo "== scale: sweep smoke (peak-RSS + ns/packet gate) =="
   cmake -B build -S . >/dev/null
@@ -119,7 +130,7 @@ fi
 
 for stage in "${stages[@]}"; do
   case "$stage" in
-    format|tier1|asan|tsan|bench|scale|recovery|soak) "stage_$stage" ;;
+    format|tier1|asan|tsan|bench|figures|scale|recovery|soak) "stage_$stage" ;;
     obs-off) stage_obs_off ;;
     *) echo "check.sh: unknown stage '$stage'" >&2; exit 2 ;;
   esac

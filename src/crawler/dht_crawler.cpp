@@ -62,7 +62,7 @@ std::optional<std::vector<dht::Contact>> DhtCrawler::query(
   // Each attempt is a fresh query: new tx, new random target. A lost reply
   // costs one backoff interval on the retry clock's scoped timeline.
   std::optional<std::vector<dht::Contact>> reply;
-  fault::retry_loop(config_.retry, retry_clock_, &rng_, [&] {
+  fault::retry_loop(config_.retry, retry_clock_, [&] {
     std::uint64_t tx = next_tx_++;
     awaiting_tx_ = tx;
     reply_contacts_.reset();
@@ -149,7 +149,6 @@ std::size_t DhtCrawler::crawl_step(sim::Network& net,
 }
 
 std::size_t DhtCrawler::ping_step(sim::Network& net, std::size_t budget) {
-  if (!config_.ping_learned) return 0;
   if (!ping_queue_built_) {
     ping_queue_ = data_.learned_contacts();
     ping_cursor_ = 0;
@@ -158,7 +157,7 @@ std::size_t DhtCrawler::ping_step(sim::Network& net, std::size_t budget) {
   std::size_t issued = 0;
   while (issued < budget && ping_cursor_ < ping_queue_.size()) {
     const dht::Contact& peer = ping_queue_[ping_cursor_++];
-    const bool pong = fault::retry_loop(config_.retry, retry_clock_, &rng_, [&] {
+    const bool pong = fault::retry_loop(config_.retry, retry_clock_, [&] {
       std::uint64_t tx = next_tx_++;
       awaiting_tx_ = tx;
       pong_tx_.reset();
@@ -181,16 +180,15 @@ std::size_t DhtCrawler::ping_step(sim::Network& net, std::size_t budget) {
 
 DhtCrawler::PingShardOutcome DhtCrawler::ping_shard(
     sim::Network& net, std::span<const dht::Contact> contacts,
-    std::size_t shard_id, sim::Clock* clock, sim::Rng* rng) {
+    std::size_t shard_id, sim::Clock* clock) {
   PingShardOutcome out;
-  if (!config_.ping_learned) return out;
   PingCtx ctx;
   tls_ping_ctx_ = &ctx;
   // Tx ids live in the shard's own namespace, far above the serial
   // counter's range, so no two in-flight pings ever share an id.
   std::uint64_t k = 0;
   for (const dht::Contact& peer : contacts) {
-    const bool pong = fault::retry_loop(config_.retry, clock, rng, [&] {
+    const bool pong = fault::retry_loop(config_.retry, clock, [&] {
       const std::uint64_t tx = ((shard_id + 1) << 32) | ++k;
       ctx.awaiting = tx;
       ctx.got_pong = false;

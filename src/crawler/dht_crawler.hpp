@@ -30,11 +30,6 @@ struct CrawlConfig {
   /// Upper bound on leak batches per peer (the paper continues "as long as
   /// we continue to harvest"; this caps pathological peers).
   int max_leak_batches = 8;
-  /// Probe learned peers with bt_ping after the crawl.
-  bool ping_learned = true;
-  /// Virtual seconds the driver should advance between crawl steps; the
-  /// crawler itself never advances the clock.
-  sim::SimTime step_interval_s = 0.0;
   /// Retransmission policy for find_nodes queries and bt_pings. The default
   /// (attempts = 1) sends once and never retries — the pre-fault behaviour.
   fault::RetryPolicy retry;
@@ -92,13 +87,11 @@ class DhtCrawler {
   /// not mutate stats_ or the dataset — the campaign driver absorbs the
   /// outcomes in shard order after the barrier. Contact lists must target
   /// disjoint routing subtrees (see Network::top_route).
-  /// `clock`/`rng` drive the retry policy's backoff and jitter for this
-  /// shard (both may be null; pass the shard's private clock and a
-  /// substream keyed on shard_id to stay thread-count invariant).
+  /// `clock` drives the retry policy's backoff for this shard (may be
+  /// null; pass the shard's private clock to stay thread-count invariant).
   [[nodiscard]] PingShardOutcome ping_shard(
       sim::Network& net, std::span<const dht::Contact> contacts,
-      std::size_t shard_id, sim::Clock* clock = nullptr,
-      sim::Rng* rng = nullptr);
+      std::size_t shard_id, sim::Clock* clock = nullptr);
 
   /// Folds shard outcomes into stats() and dataset() in the given order.
   void absorb_ping_outcomes(std::span<const PingShardOutcome> outcomes);

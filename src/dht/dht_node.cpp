@@ -155,7 +155,7 @@ void DhtNode::handle(sim::Network& net, const sim::Packet& pkt) {
     // hairpin-observed internal endpoint this ping-back is the step that
     // turns it into propagatable — leakable — contact information. No
     // receiver answers a pong, so slot i still holds the sender.
-    if (config_.ping_new_candidates) ping_if_unvalidated(net, i);
+    ping_if_unvalidated(net, i);
     return;
   }
   if (const auto* pong = std::get_if<PongMsg>(msg)) {
@@ -186,7 +186,7 @@ void DhtNode::handle(sim::Network& net, const sim::Packet& pkt) {
       // A BitTorrent client connects to swarm peers right away; the ping
       // doubles as DHT validation. When the peer is behind the same NAT,
       // this is the packet that hairpins and exposes internal endpoints.
-      if (config_.ping_announce_peers) ping_if_unvalidated(net, i);
+      ping_if_unvalidated(net, i);
     }
     return;
   }

@@ -34,11 +34,6 @@ struct DhtNodeConfig {
   /// BEP-5-conformant nodes only propagate validated contacts. The paper
   /// measured ~1.3% of real peers violating this.
   bool validate_before_propagate = true;
-  /// Contact tracker-announced swarm peers immediately (as a client opening
-  /// peer connections would) instead of waiting for table maintenance.
-  bool ping_announce_peers = true;
-  /// Ping-back previously unknown senders immediately to validate them.
-  bool ping_new_candidates = true;
 };
 
 /// Per-node counters for tests and calibration.

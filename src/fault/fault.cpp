@@ -1,9 +1,6 @@
 #include "fault/fault.hpp"
 
-#include <algorithm>
 #include <sstream>
-#include <utility>
-#include <vector>
 
 namespace cgn::fault {
 
@@ -36,17 +33,11 @@ std::string FaultPlan::describe() const {
   os.precision(12);
   os << "seed=" << seed << " loss=" << link.loss_rate
      << " dup=" << link.duplication_rate
-     << " unresponsive=" << peers.unresponsive_fraction;
-  // Canonical order for the per-AS overrides so the hash is stable.
-  std::vector<std::pair<std::uint32_t, double>> overrides(peers.by_as.begin(),
-                                                          peers.by_as.end());
-  std::sort(overrides.begin(), overrides.end());
-  for (const auto& [asn, rate] : overrides)
-    os << " unresponsive[AS" << asn << "]=" << rate;
-  os << " restart_period=" << nat.restart_period_s
-     << " pressure_period=" << nat.pressure_period_s
-     << " pressure_duration=" << nat.pressure_duration_s
-     << " pressure_reserve=" << nat.pressure_reserve_fraction;
+     << " unresponsive=" << peers.unresponsive_fraction
+     << " restart_period=" << nat.restart_period_s
+     // Port-pool pressure windows were removed; the literal keeps every
+     // plan's hash (and with it the recorded checkpoint keys) unchanged.
+     << " pressure_period=0 pressure_duration=0 pressure_reserve=0";
   // Appended only when set so plans predating shard crashes keep their hash.
   if (shards.crash_rate > 0) os << " shard_crash=" << shards.crash_rate;
   return os.str();

@@ -1,23 +1,21 @@
 // Deterministic fault injection.
 //
 // The paper's vantage points measure through a lossy Internet: probes vanish,
-// DHT peers go deaf, CGNs reboot and flush their translation state, and port
-// pools run hot. A FaultPlan describes those impairments declaratively; a
-// FaultInjector turns the plan into per-packet decisions drawn from
-// Rng::fork substreams, so a given (seed, plan) fires the exact same faults
-// no matter how many worker threads the campaign runs on. With the default
-// (inactive) plan the injector draws no random numbers at all, which keeps
-// clean runs byte-identical to a build without fault hooks.
+// DHT peers go deaf, and CGNs reboot and flush their translation state. A
+// FaultPlan describes those impairments declaratively; a FaultInjector turns
+// the plan into per-packet decisions drawn from Rng::fork substreams, so a
+// given (seed, plan) fires the exact same faults no matter how many worker
+// threads the campaign runs on. With the default (inactive) plan the
+// injector draws no random numbers at all, which keeps clean runs
+// byte-identical to a build without fault hooks.
 //
 // Injection points: sim::Network (per-hop loss, delivery duplication,
-// unresponsive endpoints) and nat::NatDevice (scheduled restarts, port-pool
-// pressure windows). Consumers opt into resilience via fault::RetryPolicy
-// (see retry.hpp).
+// unresponsive endpoints) and nat::NatDevice (scheduled restarts). Consumers
+// opt into resilience via fault::RetryPolicy (see retry.hpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
@@ -35,14 +33,7 @@ struct LinkFaults {
 /// (BitTorrent client crashed, strict firewall) while its own outbound
 /// still flows — the peers Richter et al. probe and then discard (§4).
 struct PeerFaults {
-  double unresponsive_fraction = 0.0;  ///< default share of BT peers per AS
-  /// Per-AS overrides (ASN -> fraction), for skewed scenarios.
-  std::unordered_map<std::uint32_t, double> by_as;
-
-  [[nodiscard]] double rate_for(std::uint32_t asn) const {
-    auto it = by_as.find(asn);
-    return it == by_as.end() ? unresponsive_fraction : it->second;
-  }
+  double unresponsive_fraction = 0.0;  ///< share of BT peers per AS
 };
 
 /// Campaign-infrastructure faults: a measurement *worker* (not the network)
@@ -58,14 +49,9 @@ struct ShardFaults {
 };
 
 /// CGN device faults: scheduled restarts that flush all dynamic state
-/// (mappings, port accounting, chunk assignments) and transient port-pool
-/// pressure windows during which part of the external port range is
-/// unusable (e.g. reserved by an operator maintenance job).
+/// (mappings, port accounting, chunk assignments).
 struct NatFaults {
   double restart_period_s = 0.0;  ///< 0 disables restarts
-  double pressure_period_s = 0.0;        ///< 0 disables pressure windows
-  double pressure_duration_s = 0.0;      ///< window length per period
-  double pressure_reserve_fraction = 0.0;  ///< top share of ports blocked
 };
 
 /// The complete impairment scenario. Value-semantic and cheap to copy; an
@@ -81,8 +67,7 @@ struct FaultPlan {
 
   [[nodiscard]] bool active() const {
     return link.loss_rate > 0 || link.duplication_rate > 0 ||
-           peers.unresponsive_fraction > 0 || !peers.by_as.empty() ||
-           nat.restart_period_s > 0 || nat.pressure_period_s > 0 ||
+           peers.unresponsive_fraction > 0 || nat.restart_period_s > 0 ||
            shards.crash_rate > 0;
   }
 
@@ -99,7 +84,6 @@ inline constexpr std::uint64_t kSaltSerial = 0;
 inline constexpr std::uint64_t kSaltNetalyzr = 1;
 inline constexpr std::uint64_t kSaltPingSweep = 2;
 inline constexpr std::uint64_t kSaltBuilder = 3;
-inline constexpr std::uint64_t kSaltRetryJitter = 4;
 inline constexpr std::uint64_t kSaltShardCrash = 5;
 
 class FaultInjector;

@@ -6,7 +6,7 @@
 // unresponsive. retry_loop() is the single implementation both drivers
 // share. Backoff runs on a scoped timeline: the caller's (virtual,
 // per-shard) clock advances between attempts — so time-dependent middlebox
-// state (mapping expiry, pressure windows) evolves while a probe waits —
+// state (mapping expiry, scheduled restarts) evolves while a probe waits —
 // and rewinds to the probe's start time when the loop ends, because the
 // live tools multiplex thousands of probes concurrently and their timeouts
 // overlap rather than serialize. Timing-sensitive probes (TTL enumeration,
@@ -17,7 +17,6 @@
 #include <algorithm>
 
 #include "sim/clock.hpp"
-#include "sim/rng.hpp"
 
 namespace cgn::fault {
 
@@ -29,24 +28,19 @@ void note_retry_exhausted();
 }  // namespace detail
 
 /// Attempt budget + backoff schedule. The default (attempts = 1) is "no
-/// retries": retry_loop degenerates to a single attempt with no RNG draws
-/// and no clock advance, keeping clean runs bit-identical to the pre-fault
-/// code path.
+/// retries": retry_loop degenerates to a single attempt with no clock
+/// advance, keeping clean runs bit-identical to the pre-fault code path.
 struct RetryPolicy {
-  int attempts = 1;           ///< total tries per probe (1 = no retry)
+  int attempts = 1;             ///< total tries per probe (1 = no retry)
   double base_backoff_s = 1.0;  ///< wait before the 2nd attempt
-  double backoff_factor = 2.0;  ///< exponential growth per further attempt
-  double jitter_fraction = 0.0;  ///< extra uniform [0, f) share per wait
 
   [[nodiscard]] bool enabled() const noexcept { return attempts > 1; }
 
-  /// Backoff before attempt number `attempt` (2-based). Jitter draws from
-  /// `rng` only when jitter_fraction > 0 and rng != nullptr.
-  [[nodiscard]] double backoff_before(int attempt, sim::Rng* rng) const {
+  /// Backoff before attempt number `attempt` (2-based): the base wait,
+  /// doubled for each further attempt.
+  [[nodiscard]] double backoff_before(int attempt) const {
     double wait = base_backoff_s;
-    for (int i = 2; i < attempt; ++i) wait *= backoff_factor;
-    if (jitter_fraction > 0 && rng != nullptr)
-      wait *= 1.0 + jitter_fraction * rng->uniform01();
+    for (int i = 2; i < attempt; ++i) wait *= 2.0;
     return wait;
   }
 };
@@ -55,9 +49,9 @@ struct RetryPolicy {
 /// policy.attempts times, advancing `clock` by the backoff schedule between
 /// tries and rewinding it to the entry time once the loop ends (scoped
 /// timeline — see the header comment). Returns the final outcome. `clock`
-/// and `rng` may be null.
+/// may be null.
 template <typename AttemptFn>
-bool retry_loop(const RetryPolicy& policy, sim::Clock* clock, sim::Rng* rng,
+bool retry_loop(const RetryPolicy& policy, sim::Clock* clock,
                 AttemptFn&& attempt) {
   const int budget = std::max(1, policy.attempts);
   const sim::SimTime t0 = clock != nullptr ? clock->now() : 0.0;
@@ -73,7 +67,7 @@ bool retry_loop(const RetryPolicy& policy, sim::Clock* clock, sim::Rng* rng,
       break;
     }
     detail::note_retry();
-    if (clock != nullptr) clock->advance(policy.backoff_before(n + 1, rng));
+    if (clock != nullptr) clock->advance(policy.backoff_before(n + 1));
   }
   if (clock != nullptr && clock->now() > t0) clock->rewind(t0);
   return ok;

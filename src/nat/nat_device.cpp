@@ -1,7 +1,6 @@
 #include "nat/nat_device.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -29,7 +28,6 @@ obs::Counter& g_hairpins_dropped = obs::counter("nat.hairpins_dropped");
 obs::Counter& g_port_exhaustion = obs::counter("nat.port_exhaustion_drops");
 obs::Counter& g_fault_restarts = obs::counter("nat.fault_restarts");
 obs::Counter& g_restart_flushed = obs::counter("nat.fault_restart_flushed");
-obs::Counter& g_pressure_drops = obs::counter("nat.fault_pressure_drops");
 obs::Gauge& g_active_mappings = obs::gauge("nat.active_mappings");
 obs::Gauge& g_port_capacity = obs::gauge("nat.port_capacity");
 
@@ -129,11 +127,9 @@ bool NatDevice::owns_external(netcore::Ipv4Address a) const {
 }
 
 void NatDevice::set_fault_profile(const fault::NatFaults& faults,
-                                  double restart_phase_s,
-                                  double pressure_phase_s) {
+                                  double restart_phase_s) {
   faults_ = faults;
   restart_phase_s_ = restart_phase_s;
-  pressure_phase_s_ = pressure_phase_s;
   restart_epoch_ = 0;
 }
 
@@ -175,15 +171,6 @@ void NatDevice::reset_state(sim::SimTime now) {
   paired_pool_.clear();
   subscriber_chunks_.clear();
   for (auto& taken : chunks_taken_) taken.clear();
-}
-
-bool NatDevice::pressure_active(sim::SimTime now) const {
-  if (faults_.pressure_period_s <= 0 || faults_.pressure_duration_s <= 0)
-    return false;
-  const double t = now - pressure_phase_s_;
-  if (t < 0) return false;
-  return std::fmod(t, faults_.pressure_period_s) <
-         faults_.pressure_duration_s;
 }
 
 void NatDevice::note_contact(Mapping& m, const netcore::Endpoint& dst) {
@@ -274,25 +261,14 @@ std::size_t NatDevice::pick_pool_index(netcore::Ipv4Address internal_ip) {
 
 std::optional<std::uint16_t> NatDevice::allocate_port(
     std::size_t pool_index, netcore::Protocol proto,
-    std::uint16_t internal_port, netcore::Ipv4Address internal_ip,
-    sim::SimTime now) {
+    std::uint16_t internal_port, netcore::Ipv4Address internal_ip) {
   const netcore::Ipv4Address external_ip = pool_[pool_index];
   auto used = [&](std::uint32_t p) {
     return by_external_.contains(
         InKey{proto, {external_ip, static_cast<std::uint16_t>(p)}});
   };
   const std::uint32_t lo = config_.port_min;
-  std::uint32_t hi = config_.port_max;
-  // During a pressure window the top reserve share of the range is blocked
-  // (operator maintenance holding ports back); outside windows hi is the
-  // configured maximum and the code below behaves exactly as before.
-  if (pressure_active(now)) {
-    const auto usable = static_cast<std::uint32_t>(
-        (1.0 - faults_.pressure_reserve_fraction) *
-        static_cast<double>(hi - lo + 1));
-    if (usable == 0) return std::nullopt;
-    hi = lo + usable - 1;
-  }
+  const std::uint32_t hi = config_.port_max;
   const std::uint32_t range = hi - lo + 1;
 
   auto seq_scan = [&](std::uint32_t start) -> std::optional<std::uint16_t> {
@@ -316,9 +292,7 @@ std::optional<std::uint16_t> NatDevice::allocate_port(
       return seq_scan(start);
     }
     case PortAllocation::sequential: {
-      std::uint32_t cursor = seq_cursor_[pool_index];
-      if (cursor > hi) cursor = lo;  // cursor parked in the blocked share
-      auto port = seq_scan(cursor);
+      auto port = seq_scan(seq_cursor_[pool_index]);
       if (port) {
         std::uint32_t next = static_cast<std::uint32_t>(*port) + 1;
         seq_cursor_[pool_index] = next > hi ? lo : next;
@@ -406,7 +380,7 @@ NatDevice::Mapping* NatDevice::create_mapping(const OutKey& key,
                                                         *chunk * cs)))
                  .first;
         port = allocate_port(candidate, key.proto, key.internal.port,
-                             internal_ip, now);
+                             internal_ip);
         if (port) {
           pool_idx = candidate;
         } else {
@@ -418,26 +392,21 @@ NatDevice::Mapping* NatDevice::create_mapping(const OutKey& key,
       if (it == subscriber_chunks_.end()) {
         ++stats_.port_exhaustion_drops;
         g_port_exhaustion.inc();
-        if (pressure_active(now)) {
-          ++stats_.pressure_drops;
-          g_pressure_drops.inc();
-        }
         return nullptr;
       }
     } else {
       pool_idx = it->second.first;
-      port = allocate_port(pool_idx, key.proto, key.internal.port, internal_ip,
-                           now);
+      port = allocate_port(pool_idx, key.proto, key.internal.port,
+                           internal_ip);
     }
   } else {
     pool_idx = pick_pool_index(internal_ip);
-    port = allocate_port(pool_idx, key.proto, key.internal.port, internal_ip,
-                         now);
+    port = allocate_port(pool_idx, key.proto, key.internal.port, internal_ip);
     if (!port && config_.pooling == Pooling::arbitrary) {
       for (std::size_t off = 1; off < pool_.size() && !port; ++off) {
         pool_idx = (pool_idx + 1) % pool_.size();
         port = allocate_port(pool_idx, key.proto, key.internal.port,
-                             internal_ip, now);
+                             internal_ip);
       }
     }
   }
@@ -445,10 +414,6 @@ NatDevice::Mapping* NatDevice::create_mapping(const OutKey& key,
   if (!port) {
     ++stats_.port_exhaustion_drops;
     g_port_exhaustion.inc();
-    if (pressure_active(now)) {
-      ++stats_.pressure_drops;
-      g_pressure_drops.inc();
-    }
     return nullptr;
   }
 
@@ -528,7 +493,7 @@ sim::Middlebox::Verdict NatDevice::process_inbound(sim::Packet& pkt,
     g_inbound_filtered.inc();
     return Verdict::drop_filtered;
   }
-  if (config_.refresh_on_inbound) m->last_refresh = now;
+  m->last_refresh = now;
   track_tcp(*m, pkt, /*inbound=*/true);
   pkt.dst = m->key.internal;
   ++stats_.inbound_translated;

@@ -35,7 +35,6 @@ struct NatStats {
   std::uint64_t port_exhaustion_drops = 0;
   std::uint64_t restarts = 0;  ///< reset_state() calls (scheduled or manual)
   std::uint64_t restart_flushed_mappings = 0;
-  std::uint64_t pressure_drops = 0;  ///< exhaustion inside a pressure window
 };
 
 class NatDevice final : public sim::Middlebox {
@@ -120,12 +119,12 @@ class NatDevice final : public sim::Middlebox {
   bool renumber_external(netcore::Ipv4Address old_address,
                          netcore::Ipv4Address new_address);
 
-  /// Arms scheduled restarts / port-pool pressure windows (fault::FaultPlan
-  /// §nat). Phases stagger devices so a fleet does not reboot in lockstep;
-  /// the builder draws them from the plan's substream. Restarts fire lazily
-  /// from the translation path, at the first packet after a period boundary.
+  /// Arms scheduled restarts (fault::FaultPlan §nat). The phase staggers
+  /// devices so a fleet does not reboot in lockstep; the builder draws it
+  /// from the plan's substream. Restarts fire lazily from the translation
+  /// path, at the first packet after a period boundary.
   void set_fault_profile(const fault::NatFaults& faults,
-                         double restart_phase_s, double pressure_phase_s);
+                         double restart_phase_s);
 
   /// Device reboot: keeps configuration (pool, port range, strategy, RNG)
   /// but flushes all dynamic state — mappings, sequential cursors,
@@ -134,10 +133,6 @@ class NatDevice final : public sim::Middlebox {
   /// hook for every live mapping so the TranslationLog closes its records.
   /// Freed chunks are immediately reusable (see nat_fault_test).
   void reset_state(sim::SimTime now);
-
-  /// True while a transient port-pool pressure window blocks the top
-  /// pressure_reserve_fraction share of the port range.
-  [[nodiscard]] bool pressure_active(sim::SimTime now) const;
 
  private:
   struct OutKey {
@@ -201,8 +196,7 @@ class NatDevice final : public sim::Middlebox {
   std::optional<std::uint16_t> allocate_port(std::size_t pool_index,
                                              netcore::Protocol proto,
                                              std::uint16_t internal_port,
-                                             netcore::Ipv4Address internal_ip,
-                                             sim::SimTime now);
+                                             netcore::Ipv4Address internal_ip);
   void note_contact(Mapping& m, const netcore::Endpoint& dst);
   [[nodiscard]] bool passes_filter(const Mapping& m,
                                    const netcore::Endpoint& src) const;
@@ -210,7 +204,6 @@ class NatDevice final : public sim::Middlebox {
   NatConfig config_;
   fault::NatFaults faults_;
   double restart_phase_s_ = 0;
-  double pressure_phase_s_ = 0;
   std::int64_t restart_epoch_ = 0;
   CreatedHook on_created_;
   ExpiredHook on_expired_;

@@ -79,8 +79,6 @@ struct NatConfig {
   /// Idle seconds for transitory TCP states — connections that have not
   /// completed the handshake, or have seen FIN/RST (RFC 5382: >= 4 min).
   sim::SimTime tcp_transitory_timeout_s = 240.0;
-  /// Whether inbound (core->edge) traffic refreshes a mapping's timer.
-  bool refresh_on_inbound = true;
 
   /// Whether inside->own-external packets are looped back (RFC 4787 REQ-9).
   bool hairpinning = false;

@@ -75,7 +75,7 @@ bool NetalyzrClient::echo_flow(sim::Network& net, sim::Clock* clock,
                                SessionResult* result) {
   std::uint16_t port = next_ephemeral_port();
   bind(port);
-  return fault::retry_loop(retry_, clock, &rng_, [&] {
+  return fault::retry_loop(retry_, clock, [&] {
     std::uint64_t tx = next_tx_++;
     last_echo_.reset();
     sim::Packet pkt = sim::Packet::tcp({ctx_.device_address, port}, dst);
@@ -139,7 +139,7 @@ std::optional<bool> NetalyzrClient::reachability_experiment(
   // (a) Initialization packet: creates NAT state on every hop. Lost inits
   // retransmit immediately (null clock): sub-second retries must not eat
   // into the idle interval under measurement.
-  const bool acked = fault::retry_loop(retry_, nullptr, nullptr, [&] {
+  const bool acked = fault::retry_loop(retry_, nullptr, [&] {
     last_ack_.reset();
     sim::Packet init = sim::Packet::udp(local, server.udp_endpoint());
     init.payload = NetalyzrMessage{UdpInit{flow}};
@@ -169,7 +169,7 @@ std::optional<bool> NetalyzrClient::reachability_experiment(
   // sequence number if lost in transit. An expired mapping stays expired on
   // re-probe, so retries repair link loss without masking NAT state.
   bool reached = false;
-  fault::retry_loop(retry_, nullptr, nullptr, [&] {
+  fault::retry_loop(retry_, nullptr, [&] {
     const std::uint64_t seq = next_tx_++;
     server.send_probe(net, flow, seq);
     reached = received_probes_.contains(FlowKey{flow, seq});
@@ -194,7 +194,7 @@ void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
     bind(port);
     // A lost init would misread the path length; retransmit immediately
     // (null clock) so the TTL ladder's timing is undisturbed.
-    const bool acked = fault::retry_loop(retry_, nullptr, nullptr, [&] {
+    const bool acked = fault::retry_loop(retry_, nullptr, [&] {
       last_ack_.reset();
       sim::Packet init = sim::Packet::udp({ctx_.device_address, port},
                                           server.udp_endpoint(), ttl);
@@ -281,7 +281,7 @@ void NetalyzrClient::run_transition(sim::Network& net, sim::Clock& clock,
     const std::uint64_t flow = rng_.uniform(1, ~std::uint64_t{0} - 1);
     const std::uint16_t port = next_ephemeral_port();
     bind(port);
-    const bool acked = fault::retry_loop(retry_, nullptr, nullptr, [&] {
+    const bool acked = fault::retry_loop(retry_, nullptr, [&] {
       last_ack_.reset();
       sim::Packet init =
           sim::Packet::udp({ctx_.device_address, port}, server.udp_endpoint());
@@ -292,7 +292,7 @@ void NetalyzrClient::run_transition(sim::Network& net, sim::Clock& clock,
     if (!acked) break;
     clock.advance(tidle);
     bool reached = false;
-    fault::retry_loop(retry_, nullptr, nullptr, [&] {
+    fault::retry_loop(retry_, nullptr, [&] {
       const std::uint64_t seq = next_tx_++;
       server.send_probe(net, flow, seq);
       reached = received_probes_.contains(FlowKey{flow, seq});

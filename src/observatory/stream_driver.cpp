@@ -28,76 +28,66 @@ void StreamDriver::emit(EventSink& sink, std::vector<StreamEvent> events,
 }
 
 void StreamDriver::run(EventSink& sink) {
-  double virtual_end = 0.0;
+  scenario::Internet& world = *bt_world_;
+  // The BT phase is single-threaded, so a hop-trace ring may observe it;
+  // the crawl's ping sweep shards across workers, so detach before it.
+  obs::TraceRing ring(512);
+  world.net.set_hop_trace(&ring);
+  scenario::run_bittorrent_phase(world);
+  world.net.set_hop_trace(nullptr);
+  sink.capture_trace(ring);
 
-  if (config_.run_bt) {
-    scenario::Internet& world = *bt_world_;
-    // The BT phase is single-threaded, so a hop-trace ring may observe it;
-    // the crawl's ping sweep shards across workers, so detach before it.
-    obs::TraceRing ring(512);
-    world.net.set_hop_trace(&ring);
-    scenario::run_bittorrent_phase(world, config_.bt_phase);
-    world.net.set_hop_trace(nullptr);
-    sink.capture_trace(ring);
+  crawler_ = scenario::run_crawl_phase(world, config_.crawl, &bt_report_);
+  sink.note_campaign_report("crawl_ping", bt_report_);
 
-    crawler_ = scenario::run_crawl_phase(world, config_.crawl, &bt_report_);
-    sink.note_campaign_report("crawl_ping", bt_report_);
-
-    const crawler::CrawlDataset& data = crawler_->dataset();
-    std::vector<StreamEvent> events;
-    events.reserve(data.queried_peers() + data.learned_peers() +
-                   data.responding_peers() + data.leaks().size());
-    auto contact_event = [&events](StreamEvent::Kind kind,
-                                   const dht::Contact& c) {
-      StreamEvent e;
-      e.kind = kind;
-      e.contact = c;
-      events.push_back(std::move(e));
-    };
-    for (const dht::Contact& c : data.queried_contacts())
-      contact_event(StreamEvent::Kind::bt_queried, c);
-    for (const dht::Contact& c : data.learned_contacts())
-      contact_event(StreamEvent::Kind::bt_learned, c);
-    for (const dht::Contact& c : data.responding_contacts())
-      contact_event(StreamEvent::Kind::bt_ping_response, c);
-    for (const crawler::LeakEdge& edge : data.leaks()) {
-      StreamEvent e;
-      e.kind = StreamEvent::Kind::bt_leak;
-      e.contact = edge.leaker;
-      e.internal = edge.internal;
-      events.push_back(std::move(e));
-    }
-    virtual_end = world.clock.now();
-    emit(sink, std::move(events), 0.0, virtual_end);
+  const crawler::CrawlDataset& data = crawler_->dataset();
+  std::vector<StreamEvent> events;
+  events.reserve(data.queried_peers() + data.learned_peers() +
+                 data.responding_peers() + data.leaks().size());
+  auto contact_event = [&events](StreamEvent::Kind kind,
+                                 const dht::Contact& c) {
+    StreamEvent e;
+    e.kind = kind;
+    e.contact = c;
+    events.push_back(std::move(e));
+  };
+  for (const dht::Contact& c : data.queried_contacts())
+    contact_event(StreamEvent::Kind::bt_queried, c);
+  for (const dht::Contact& c : data.learned_contacts())
+    contact_event(StreamEvent::Kind::bt_learned, c);
+  for (const dht::Contact& c : data.responding_contacts())
+    contact_event(StreamEvent::Kind::bt_ping_response, c);
+  for (const crawler::LeakEdge& edge : data.leaks()) {
+    StreamEvent e;
+    e.kind = StreamEvent::Kind::bt_leak;
+    e.contact = edge.leaker;
+    e.internal = edge.internal;
+    events.push_back(std::move(e));
   }
+  const double crawl_end = world.clock.now();
+  emit(sink, std::move(events), 0.0, crawl_end);
 
-  if (config_.run_netalyzr) {
-    // The Netalyzr campaign must be the first fork consumer of its world to
-    // reproduce bench_fig05's substream — build a fresh one when the crawl
-    // already consumed forks from bt_world_.
-    scenario::Internet* world = bt_world_.get();
-    if (config_.run_bt) {
-      nz_world_ = scenario::build_internet(config_.world);
-      world = nz_world_.get();
-    }
-    const std::vector<netalyzr::SessionResult> sessions =
-        scenario::run_netalyzr_campaign(*world, config_.netalyzr,
-                                        &nz_report_);
-    sink.note_campaign_report("netalyzr", nz_report_);
+  // The Netalyzr campaign must be the first fork consumer of its world to
+  // reproduce bench_fig05's substream, and the crawl already consumed forks
+  // from bt_world_, so it runs on a fresh build.
+  nz_world_ = scenario::build_internet(config_.world);
+  const std::vector<netalyzr::SessionResult> sessions =
+      scenario::run_netalyzr_campaign(*nz_world_, config_.netalyzr,
+                                      &nz_report_);
+  sink.note_campaign_report("netalyzr", nz_report_);
 
-    std::vector<StreamEvent> events;
-    events.reserve(sessions.size());
-    for (const netalyzr::SessionResult& s : sessions) {
-      StreamEvent e;
-      e.kind = StreamEvent::Kind::nz_session;
-      e.session = s;
-      events.push_back(std::move(e));
-    }
-    // Netalyzr virtual times continue after the crawl's on the shared
-    // stream axis.
-    emit(sink, std::move(events), virtual_end,
-         virtual_end + world->clock.now());
+  std::vector<StreamEvent> nz_events;
+  nz_events.reserve(sessions.size());
+  for (const netalyzr::SessionResult& s : sessions) {
+    StreamEvent e;
+    e.kind = StreamEvent::Kind::nz_session;
+    e.session = s;
+    nz_events.push_back(std::move(e));
   }
+  // Netalyzr virtual times continue after the crawl's on the shared stream
+  // axis.
+  emit(sink, std::move(nz_events), crawl_end,
+       crawl_end + nz_world_->clock.now());
 
   sink.note_stream_done();
 }

@@ -44,11 +44,8 @@ stream_netalyzr_defaults() {
 
 struct StreamDriverConfig {
   scenario::InternetConfig world;
-  scenario::BitTorrentPhaseConfig bt_phase;
   scenario::CrawlPhaseConfig crawl;
   scenario::NetalyzrCampaignConfig netalyzr = stream_netalyzr_defaults();
-  bool run_bt = true;
-  bool run_netalyzr = true;
   /// Wall-clock pause between ingested events, for soak runs where a
   /// scraper should see the figures converge. 0 = flat out.
   int pace_us = 0;
@@ -70,7 +67,7 @@ class StreamDriver {
     return bt_world_->registry;
   }
 
-  /// Runs the configured campaigns and streams every observation into
+  /// Runs both campaigns and streams every observation into
   /// `sink` — an in-process Observatory or a PushClient framing the same
   /// events onto a socket. Throws super::CampaignAborted when a campaign
   /// kill-switch fires (already-ingested events stay in the sink).
@@ -92,9 +89,8 @@ class StreamDriver {
 
   StreamDriverConfig config_;
   std::unique_ptr<scenario::Internet> bt_world_;
-  /// Built lazily when both campaigns run (the Netalyzr campaign must be
-  /// its world's first fork consumer to match bench_fig05); when only one
-  /// campaign runs, bt_world_ serves it.
+  /// Built by run() after the crawl: the Netalyzr campaign must be its
+  /// world's first fork consumer to match bench_fig05.
   std::unique_ptr<scenario::Internet> nz_world_;
   std::unique_ptr<crawler::DhtCrawler> crawler_;
   super::CampaignReport bt_report_;

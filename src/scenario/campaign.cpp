@@ -24,6 +24,11 @@ namespace {
 constexpr std::uint64_t kNetalyzrPayloadVersion = 2;  // v2: +transition
 constexpr std::uint64_t kPingPayloadVersion = 1;
 
+// The crawl walk drains the frontier in steps of this many peers and stops
+// once this many peers were processed.
+constexpr std::size_t kPeersPerCrawlStep = 500;
+constexpr std::size_t kMaxCrawledPeers = 1'000'000;
+
 using codec::get_contact;
 using codec::get_session;
 using codec::put_contact;
@@ -111,11 +116,8 @@ std::unique_ptr<crawler::DhtCrawler> run_crawl_phase(
   {
     obs::ScopedPhase walk("walk");
     std::size_t crawled = 0;
-    while (!crawler->frontier_empty() && crawled < config.max_peers) {
-      crawled += crawler->crawl_step(internet.net, config.peers_per_step);
-      if (config.step_interval_s > 0)
-        internet.clock.advance(config.step_interval_s);
-    }
+    while (!crawler->frontier_empty() && crawled < kMaxCrawledPeers)
+      crawled += crawler->crawl_step(internet.net, kPeersPerCrawlStep);
   }
   // bt_ping sweep over everything we learned (Table 2 responder counts),
   // sharded by the destination's root routing subtree: every NAT a probe
@@ -173,10 +175,10 @@ std::unique_ptr<crawler::DhtCrawler> run_crawl_phase(
       shards.size(),
       [&](std::size_t s) {
         // Shards probe concurrently on private timelines (retry backoff
-        // costs virtual time) and draw fault/jitter decisions from
-        // shard-keyed substreams — all functions of what the shard is,
-        // never of which worker runs it. A retry starts from a clean
-        // outcome, replaying the same substreams bit-identically.
+        // costs virtual time) and draw fault decisions from shard-keyed
+        // substreams — all functions of what the shard is, never of which
+        // worker runs it. A retry starts from a clean outcome, replaying
+        // the same substreams bit-identically.
         outcomes[s] = {};
         sweep_end[s] = sweep_t0;
         sim::Clock clock;
@@ -184,10 +186,7 @@ std::unique_ptr<crawler::DhtCrawler> run_crawl_phase(
         sim::ThreadClockScope clock_scope(clock);
         fault::StreamScope fault_scope(internet.faults.get(),
                                        fault::kSaltPingSweep, s);
-        sim::Rng jitter =
-            internet.faults->substream(fault::kSaltRetryJitter, s);
-        outcomes[s] = crawler->ping_shard(internet.net, shards[s], s, &clock,
-                                          &jitter);
+        outcomes[s] = crawler->ping_shard(internet.net, shards[s], s, &clock);
         sweep_end[s] = clock.now();
       },
       &codec, config.threads);

@@ -39,11 +39,6 @@ void run_bittorrent_phase(Internet& internet,
 
 struct CrawlPhaseConfig {
   crawler::CrawlConfig crawl;
-  /// Frontier peers processed per step; a maintenance burst for a slice of
-  /// the swarm runs between steps, keeping NAT mappings warm.
-  std::size_t peers_per_step = 500;
-  double step_interval_s = 0.0;
-  std::size_t max_peers = 1'000'000;
   /// Workers for the bt_ping sweep: 0 reads CGN_THREADS (default serial).
   /// Results are identical for every worker count (see cgn::par).
   std::size_t threads = 0;

@@ -6,9 +6,15 @@
 // parsing code. Knob semantics are documented in README.md.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <mutex>
+#include <set>
 #include <string>
 
 #include "fault/fault.hpp"
@@ -18,22 +24,57 @@
 
 namespace cgn::scenario {
 
+namespace detail {
+/// True the first time it is asked about `name`: each unusable variable
+/// warns once per process, however often it is read.
+inline bool first_warning(const char* name) {
+  static std::mutex mu;
+  static std::set<std::string> warned;
+  const std::lock_guard<std::mutex> lock(mu);
+  return warned.emplace(name).second;
+}
+}  // namespace detail
+
+// Numeric CGN_* knobs. Unset or empty reads as `fallback`. Otherwise the
+// whole value must parse: anything else ("0,4", "5%", "-1" for a count)
+// warns once on stderr and reads as `fallback` instead of a half-parsed
+// prefix (the same policy as par::configured_threads()).
+
 inline double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);
-  return v ? std::atof(v) : fallback;
+  if (!v || !*v) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double d = std::strtod(v, &end);
+  if (*end == '\0' && errno == 0 && std::isfinite(d)) return d;
+  if (detail::first_warning(name))
+    std::fprintf(stderr, "cgn: %s='%s' is not a number; using %g\n", name, v,
+                 fallback);
+  return fallback;
 }
 
 inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
-  return v ? static_cast<std::uint64_t>(std::atoll(v)) : fallback;
+  if (!v || !*v) return fallback;
+  bool digits = true;
+  for (const char* p = v; *p; ++p)
+    digits = digits && std::isdigit(static_cast<unsigned char>(*p));
+  errno = 0;
+  const unsigned long long n = digits ? std::strtoull(v, nullptr, 10) : 0;
+  if (digits && errno == 0) return n;
+  if (detail::first_warning(name))
+    std::fprintf(stderr,
+                 "cgn: %s='%s' is not a plain decimal number; using %llu\n",
+                 name, v, static_cast<unsigned long long>(fallback));
+  return fallback;
 }
 
 /// The impairment scenario, from the environment. All-zero defaults give
 /// the inactive plan (clean runs identical to a no-fault build).
 /// CGN_FAULT_LOSS / CGN_FAULT_DUP are per-hop / per-delivery rates;
-/// CGN_FAULT_UNRESP the deaf-BT-peer fraction; CGN_FAULT_RESTART_S and the
-/// CGN_FAULT_PRESSURE_* knobs drive the CGN device faults;
-/// CGN_FAULT_SHARD_CRASH kills campaign shard attempts (see cgn::super).
+/// CGN_FAULT_UNRESP the deaf-BT-peer fraction; CGN_FAULT_RESTART_S the CGN
+/// restart period; CGN_FAULT_SHARD_CRASH kills campaign shard attempts (see
+/// cgn::super).
 inline fault::FaultPlan fault_plan_from_env() {
   fault::FaultPlan plan;
   plan.seed = env_u64("CGN_FAULT_SEED", plan.seed);
@@ -41,16 +82,12 @@ inline fault::FaultPlan fault_plan_from_env() {
   plan.link.duplication_rate = env_double("CGN_FAULT_DUP", 0.0);
   plan.peers.unresponsive_fraction = env_double("CGN_FAULT_UNRESP", 0.0);
   plan.nat.restart_period_s = env_double("CGN_FAULT_RESTART_S", 0.0);
-  plan.nat.pressure_period_s = env_double("CGN_FAULT_PRESSURE_S", 0.0);
-  plan.nat.pressure_duration_s = env_double("CGN_FAULT_PRESSURE_DUR_S", 0.0);
-  plan.nat.pressure_reserve_fraction =
-      env_double("CGN_FAULT_PRESSURE_RESERVE", 0.0);
   plan.shards.crash_rate = env_double("CGN_FAULT_SHARD_CRASH", 0.0);
   return plan;
 }
 
 /// Campaign supervision policy, from the environment. Defaults preserve
-/// historical behaviour (single attempt, quarantine on, no checkpointing).
+/// historical behaviour (single attempt, no checkpointing).
 /// CGN_SUPER_ATTEMPTS sets the per-shard budget; CGN_SUPER_CHECKPOINT_DIR
 /// enables checkpoint/resume (one `<kind>.ckpt` file per campaign in that
 /// directory).
@@ -70,13 +107,12 @@ inline super::SupervisorConfig supervisor_config_from_env(
 }
 
 /// Probe retransmission policy, from the environment. The default
-/// (CGN_RETRY_ATTEMPTS=1) is the original fire-once behaviour.
+/// (CGN_RETRY_ATTEMPTS=1) is the original fire-once behaviour;
+/// CGN_RETRY_BACKOFF_S is the first wait, doubled for each further attempt.
 inline fault::RetryPolicy retry_policy_from_env() {
   fault::RetryPolicy retry;
   retry.attempts = static_cast<int>(env_u64("CGN_RETRY_ATTEMPTS", 1));
   retry.base_backoff_s = env_double("CGN_RETRY_BACKOFF_S", 1.0);
-  retry.backoff_factor = env_double("CGN_RETRY_FACTOR", 2.0);
-  retry.jitter_fraction = env_double("CGN_RETRY_JITTER", 0.0);
   return retry;
 }
 

@@ -435,8 +435,7 @@ class InternetBuilder {
     // byte-identical to a faultless build, and (b) the same ASN gets the
     // same faults whatever else changes in the plan's surroundings.
     const fault::FaultPlan& fplan = I_.config.fault_plan;
-    const bool faults_on = fplan.active();
-    sim::Rng frng = faults_on
+    sim::Rng frng = fplan.active()
                         ? I_.faults->substream(fault::kSaltBuilder,
                                                plan.info.asn)
                         : sim::Rng(0);
@@ -545,19 +544,12 @@ class InternetBuilder {
       for (const auto& a : pool)
         I_.net.register_address(a, isp.cgn_node, I_.net.root());
 
-      // Scheduled restarts / pressure windows apply to carrier-grade
-      // devices (the paper's CGN state flushes); phases are drawn per
-      // device so the fleet does not reboot in lockstep.
-      if (faults_on && (fplan.nat.restart_period_s > 0 ||
-                        fplan.nat.pressure_period_s > 0))
+      // Scheduled restarts apply to carrier-grade devices (the paper's CGN
+      // state flushes); phases are drawn per device so the fleet does not
+      // reboot in lockstep.
+      if (fplan.nat.restart_period_s > 0)
         isp.cgn->set_fault_profile(
-            fplan.nat,
-            fplan.nat.restart_period_s > 0
-                ? frng.uniform01() * fplan.nat.restart_period_s
-                : 0.0,
-            fplan.nat.pressure_period_s > 0
-                ? frng.uniform01() * fplan.nat.pressure_period_s
-                : 0.0);
+            fplan.nat, frng.uniform01() * fplan.nat.restart_period_s);
 
       int d = prof.hop_distance;
       cpe_chain_bottom = I_.net.add_router_chain(
@@ -592,10 +584,7 @@ class InternetBuilder {
     // discarded (app crashed / strict host firewall) while its own outbound
     // still refreshes NAT state — the peers the crawler probes and then
     // discards as dead.
-    const double deaf_rate =
-        faults_on
-            ? fplan.peers.rate_for(static_cast<std::uint32_t>(plan.info.asn))
-            : 0.0;
+    const double deaf_rate = fplan.peers.unresponsive_fraction;
 
     // Subscribers: plan every line first (all RNG draws, in the recorded
     // order), then build the homes in line order.

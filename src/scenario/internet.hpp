@@ -91,7 +91,7 @@ struct InternetConfig {
 
   // --- Fault injection -----------------------------------------------------
   /// Impairment scenario (loss, duplication, deaf peers, CGN restarts,
-  /// port-pool pressure). Inactive by default: the injector is then never
+  /// shard crashes). Inactive by default: the injector is then never
   /// attached to the network and the build draws no fault randomness, so
   /// clean runs are byte-identical to a no-fault build.
   fault::FaultPlan fault_plan;

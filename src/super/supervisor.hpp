@@ -14,8 +14,6 @@
 //  * Quarantine. A shard that exhausts its budget is *quarantined*: its
 //    results are dropped, the campaign completes with degraded coverage,
 //    and the CampaignReport says exactly which shards are missing and why.
-//    (quarantine = false restores all-or-nothing: the supervisor rethrows
-//    an aggregate error instead.)
 //  * Checkpoint/resume. With a checkpoint_path, each finished shard's
 //    results are serialized through the caller's ShardCodec and appended
 //    to a versioned checkpoint file (see checkpoint.hpp). A resumed
@@ -109,9 +107,6 @@ class CampaignAborted : public std::runtime_error {
 struct SupervisorConfig {
   /// Total attempts per shard (1 = no retry, the historical behaviour).
   int max_attempts = 1;
-  /// true: exhausted shards are dropped and reported (default).
-  /// false: the supervisor rethrows an aggregate error after the barrier.
-  bool quarantine = true;
 
   /// Checkpoint file; empty disables checkpoint/resume.
   std::string checkpoint_path;

@@ -9,8 +9,8 @@
 //   Nat64Device   RFC 6146 stateful translator (also the PLAT of 464XLAT).
 //                 Wraps an unmodified nat::NatDevice core keyed on the
 //                 underlay handle, so port-allocation strategies, mapping
-//                 timeouts, restart flushes and pressure windows are the
-//                 same code the NAT444 figures exercise.
+//                 timeouts and restart flushes are the same code the NAT444
+//                 figures exercise.
 //   DsLiteAftr    RFC 6333 AFTR: terminates per-subscriber softwires and
 //                 runs a NAT44 core over (softwire, inner v4) pairs, which
 //                 is what lets two B4s share inner 10.0.0.1.
@@ -23,7 +23,6 @@
 
 #include <cstdint>
 
-#include "fault/fault.hpp"
 #include "flat/flat.hpp"
 #include "nat/nat_device.hpp"
 #include "netcore/ipv4.hpp"
@@ -64,13 +63,6 @@ class Nat64Device final : public sim::Middlebox {
   Verdict process_hairpin(sim::Packet& pkt, sim::SimTime now) override;
   [[nodiscard]] bool owns_external(netcore::Ipv4Address a) const override {
     return core_.owns_external(a);
-  }
-
-  /// Fault hooks pass straight to the core: a scheduled restart flushes the
-  /// NAT64 binding table, a pressure window shrinks its port pool.
-  void set_fault_profile(const fault::NatFaults& faults,
-                         double restart_phase_s, double pressure_phase_s) {
-    core_.set_fault_profile(faults, restart_phase_s, pressure_phase_s);
   }
 
   [[nodiscard]] nat::NatDevice& core() noexcept { return core_; }
@@ -114,11 +106,6 @@ class DsLiteAftr final : public sim::Middlebox {
   Verdict process_hairpin(sim::Packet& pkt, sim::SimTime now) override;
   [[nodiscard]] bool owns_external(netcore::Ipv4Address a) const override {
     return core_.owns_external(a);
-  }
-
-  void set_fault_profile(const fault::NatFaults& faults,
-                         double restart_phase_s, double pressure_phase_s) {
-    core_.set_fault_profile(faults, restart_phase_s, pressure_phase_s);
   }
 
   [[nodiscard]] nat::NatDevice& core() noexcept { return core_; }

@@ -160,7 +160,6 @@ TEST(Crawler, LeakTriggersExtraQueryBatches) {
   crawler::CrawlConfig cfg;
   cfg.initial_queries = 3;
   cfg.leak_batch_queries = 5;
-  cfg.ping_learned = false;
   crawler::DhtCrawler crawler(crawl_host, Endpoint{crawl_addr, 6881}, cfg,
                               sim::Rng(9));
   crawler.install(swarm.mini.net);
@@ -199,7 +198,6 @@ TEST(Crawler, InternalPeersNeverJoinTheFrontier) {
   swarm.mini.net.register_address(crawl_addr, crawl_host,
                                   swarm.mini.net.root());
   crawler::CrawlConfig cfg;
-  cfg.ping_learned = true;
   crawler::DhtCrawler crawler(crawl_host, Endpoint{crawl_addr, 6881}, cfg,
                               sim::Rng(9));
   crawler.install(swarm.mini.net);

@@ -31,7 +31,7 @@ TEST(FaultPlan, AnyImpairmentActivates) {
   plan.nat.restart_period_s = 600.0;
   EXPECT_TRUE(plan.active());
   plan = {};
-  plan.peers.by_as[64500] = 0.5;
+  plan.peers.unresponsive_fraction = 0.5;
   EXPECT_TRUE(plan.active());
 }
 
@@ -41,14 +41,13 @@ TEST(FaultPlan, HashIsStableAndSensitive) {
   EXPECT_EQ(a.hash(), b.hash());
   b.link.loss_rate = 0.05;
   EXPECT_NE(a.hash(), b.hash());
-  // Insertion order of the per-AS overrides must not matter.
-  FaultPlan c, d;
-  c.peers.by_as[1] = 0.1;
-  c.peers.by_as[2] = 0.2;
-  d.peers.by_as[2] = 0.2;
-  d.peers.by_as[1] = 0.1;
-  EXPECT_EQ(c.hash(), d.hash());
-  EXPECT_EQ(c.describe(), d.describe());
+}
+
+TEST(FaultPlan, DefaultHashMatchesRecordedBaselines) {
+  // bench/baselines/*.json record this value as fault_plan_hash, and every
+  // checkpoint key binds to it: describe() must keep rendering the default
+  // plan byte for byte, removed fields included.
+  EXPECT_EQ(FaultPlan{}.hash(), 0x1fd2b35dde680031ull);
 }
 
 TEST(FaultInjector, SubstreamDependsOnlyOnSaltAndShard) {
@@ -117,7 +116,7 @@ TEST(RetryPolicy, DefaultIsSingleAttempt) {
   EXPECT_FALSE(policy.enabled());
   int attempts = 0;
   sim::Clock clock;
-  EXPECT_FALSE(retry_loop(policy, &clock, nullptr, [&] {
+  EXPECT_FALSE(retry_loop(policy, &clock, [&] {
     ++attempts;
     return false;
   }));
@@ -129,22 +128,20 @@ TEST(RetryPolicy, BackoffScheduleIsExponential) {
   RetryPolicy policy;
   policy.attempts = 4;
   policy.base_backoff_s = 2.0;
-  policy.backoff_factor = 3.0;
-  EXPECT_DOUBLE_EQ(policy.backoff_before(2, nullptr), 2.0);
-  EXPECT_DOUBLE_EQ(policy.backoff_before(3, nullptr), 6.0);
-  EXPECT_DOUBLE_EQ(policy.backoff_before(4, nullptr), 18.0);
+  EXPECT_DOUBLE_EQ(policy.backoff_before(2), 2.0);
+  EXPECT_DOUBLE_EQ(policy.backoff_before(3), 4.0);
+  EXPECT_DOUBLE_EQ(policy.backoff_before(4), 8.0);
 }
 
 TEST(RetryPolicy, RetryLoopRunsBackoffOnScopedTimeline) {
   RetryPolicy policy;
   policy.attempts = 3;
   policy.base_backoff_s = 1.0;
-  policy.backoff_factor = 2.0;
   sim::Clock clock;
   clock.set(10.0);
   int attempts = 0;
   std::vector<double> seen;
-  EXPECT_TRUE(retry_loop(policy, &clock, nullptr, [&] {
+  EXPECT_TRUE(retry_loop(policy, &clock, [&] {
     seen.push_back(clock.now());
     return ++attempts == 3;
   }));
@@ -164,24 +161,11 @@ TEST(RetryPolicy, RetryLoopExhaustsAfterBudget) {
   RetryPolicy policy;
   policy.attempts = 3;
   int attempts = 0;
-  EXPECT_FALSE(retry_loop(policy, nullptr, nullptr, [&] {
+  EXPECT_FALSE(retry_loop(policy, nullptr, [&] {
     ++attempts;
     return false;
   }));
   EXPECT_EQ(attempts, 3);
-}
-
-TEST(RetryPolicy, JitterStretchesBackoffDeterministically) {
-  RetryPolicy policy;
-  policy.attempts = 2;
-  policy.base_backoff_s = 10.0;
-  policy.jitter_fraction = 0.5;
-  sim::Rng a(99), b(99);
-  const double wait_a = policy.backoff_before(2, &a);
-  const double wait_b = policy.backoff_before(2, &b);
-  EXPECT_DOUBLE_EQ(wait_a, wait_b);  // same rng state, same jitter
-  EXPECT_GE(wait_a, 10.0);
-  EXPECT_LT(wait_a, 15.0);
 }
 
 // --- sim::Network injection hooks (satellite: trace ring + drop counters) --

@@ -306,28 +306,12 @@ TEST(NatDevice, UdpMappingExpiresAfterIdleTimeout) {
 
   Packet in1 = Packet::udp({Ipv4Address{16, 9, 9, 9}, 80}, ext);
   EXPECT_EQ(nat.process_inbound(in1, 29.0), sim::Middlebox::Verdict::forward);
-  // The inbound packet refreshed the timer (refresh_on_inbound default).
+  // The inbound packet refreshed the timer.
   Packet in2 = Packet::udp({Ipv4Address{16, 9, 9, 9}, 80}, ext);
   EXPECT_EQ(nat.process_inbound(in2, 58.0), sim::Middlebox::Verdict::forward);
   Packet in3 = Packet::udp({Ipv4Address{16, 9, 9, 9}, 80}, ext);
   EXPECT_EQ(nat.process_inbound(in3, 89.1),
             sim::Middlebox::Verdict::drop_no_mapping);
-}
-
-TEST(NatDevice, InboundRefreshCanBeDisabled) {
-  auto cfg = base_config();
-  cfg.udp_timeout_s = 30.0;
-  cfg.refresh_on_inbound = false;
-  NatDevice nat(cfg, pool(1), sim::Rng(1));
-  Packet out = out_packet(40000, 80);
-  (void)nat.process_outbound(out, 0.0);
-  Endpoint ext = out.src;
-  Packet in1 = Packet::udp({Ipv4Address{16, 9, 9, 9}, 80}, ext);
-  EXPECT_EQ(nat.process_inbound(in1, 20.0), sim::Middlebox::Verdict::forward);
-  Packet in2 = Packet::udp({Ipv4Address{16, 9, 9, 9}, 80}, ext);
-  EXPECT_EQ(nat.process_inbound(in2, 45.0),
-            sim::Middlebox::Verdict::drop_no_mapping)
-      << "inbound traffic must not have refreshed the timer";
 }
 
 TEST(NatDevice, TcpOutlivesUdpTimeouts) {

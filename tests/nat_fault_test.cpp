@@ -1,7 +1,6 @@
 // NatDevice fault behaviour: reset_state() (device reboot) must flush every
-// piece of dynamic state while keeping configuration, scheduled restarts
-// must fire lazily at most once per period boundary, and port-pool pressure
-// windows must block exactly the reserved share of the range.
+// piece of dynamic state while keeping configuration, and scheduled
+// restarts must fire lazily at most once per period boundary.
 #include <gtest/gtest.h>
 
 #include "fault/fault.hpp"
@@ -88,7 +87,7 @@ TEST(NatRestart, FiresLazilyOncePerBoundary) {
   NatDevice nat(cfg, {netcore::Ipv4Address(198, 51, 100, 1)}, sim::Rng(7));
   fault::NatFaults faults;
   faults.restart_period_s = 100.0;
-  nat.set_fault_profile(faults, 0.0, 0.0);
+  nat.set_fault_profile(faults, 0.0);
 
   ASSERT_EQ(outbound(nat, 0, 5000, 10.0), sim::Middlebox::Verdict::forward);
   EXPECT_EQ(nat.stats().restarts, 0u);  // first period not yet over
@@ -114,46 +113,12 @@ TEST(NatRestart, PhaseStaggersTheFirstBoundary) {
   NatDevice nat(cfg, {netcore::Ipv4Address(198, 51, 100, 1)}, sim::Rng(7));
   fault::NatFaults faults;
   faults.restart_period_s = 100.0;
-  nat.set_fault_profile(faults, 40.0, 0.0);
+  nat.set_fault_profile(faults, 40.0);
 
   ASSERT_EQ(outbound(nat, 0, 5000, 139.0), sim::Middlebox::Verdict::forward);
   EXPECT_EQ(nat.stats().restarts, 0u);  // first boundary is at phase+period
   ASSERT_EQ(outbound(nat, 1, 5000, 141.0), sim::Middlebox::Verdict::forward);
   EXPECT_EQ(nat.stats().restarts, 1u);
-}
-
-TEST(NatPressure, WindowBlocksTheReservedShare) {
-  NatConfig cfg;
-  cfg.port_allocation = PortAllocation::sequential;
-  cfg.port_min = 1024;
-  cfg.port_max = 1123;  // 100 ports
-  NatDevice nat(cfg, {netcore::Ipv4Address(198, 51, 100, 1)}, sim::Rng(7));
-  fault::NatFaults faults;
-  faults.pressure_period_s = 100.0;
-  faults.pressure_duration_s = 10.0;
-  faults.pressure_reserve_fraction = 0.5;
-  nat.set_fault_profile(faults, 0.0, 0.0);
-
-  EXPECT_TRUE(nat.pressure_active(5.0));
-  EXPECT_FALSE(nat.pressure_active(50.0));
-  EXPECT_TRUE(nat.pressure_active(105.0));
-
-  // Inside the window only 50 of the 100 ports are usable.
-  for (std::uint32_t i = 0; i < 50; ++i)
-    ASSERT_EQ(outbound(nat, i, 5000, 5.0), sim::Middlebox::Verdict::forward);
-  ASSERT_NE(outbound(nat, 50, 5000, 5.0), sim::Middlebox::Verdict::forward);
-  EXPECT_EQ(nat.stats().pressure_drops, 1u);
-
-  // Outside the window the blocked half opens up again.
-  ASSERT_EQ(outbound(nat, 50, 5000, 50.0), sim::Middlebox::Verdict::forward);
-  EXPECT_EQ(nat.stats().pressure_drops, 1u);
-}
-
-TEST(NatPressure, InactiveProfileNeverReportsPressure) {
-  NatConfig cfg;
-  NatDevice nat(cfg, {netcore::Ipv4Address(198, 51, 100, 1)}, sim::Rng(7));
-  EXPECT_FALSE(nat.pressure_active(0.0));
-  EXPECT_FALSE(nat.pressure_active(1e6));
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "analysis/bt_detector.hpp"
 #include "analysis/coverage.hpp"
 #include "analysis/netalyzr_detector.hpp"
 #include "netalyzr/session.hpp"
+#include "scenario/env_config.hpp"
 
 namespace cgn::scenario {
 namespace {
@@ -196,6 +200,41 @@ TEST(FullPipeline, CellularAssignmentsFollowGroundTruth) {
         << "cellular detection is direct and should be exact (AS" << asn
         << ")";
   }
+}
+
+TEST(EnvConfig, HalfParsedNumbersFallBackWithOneWarning) {
+  // "0,4" used to read as 0 (a degenerate world) and "5%" as a loss rate
+  // of 5; a value must parse whole or read as the default.
+  const char* kName = "CGN_TEST_ENV_CONFIG_NUMBER";
+  ::setenv(kName, "0,4", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(env_double(kName, 0.4), 0.4);
+  EXPECT_EQ(env_double(kName, 0.4), 0.4);
+  const std::string warnings = testing::internal::GetCapturedStderr();
+  EXPECT_NE(warnings.find(kName), std::string::npos) << warnings;
+  EXPECT_EQ(warnings.find(kName), warnings.rfind(kName))
+      << "the warning must print once: " << warnings;
+
+  ::setenv(kName, "5%", 1);
+  EXPECT_EQ(env_double(kName, 0.0), 0.0);
+  ::setenv(kName, "nan", 1);
+  EXPECT_EQ(env_double(kName, 0.5), 0.5);
+  ::setenv(kName, "12x", 1);
+  EXPECT_EQ(env_u64(kName, 3), 3u);
+  ::setenv(kName, "-1", 1);
+  EXPECT_EQ(env_u64(kName, 3), 3u);
+  ::setenv(kName, "", 1);
+  EXPECT_EQ(env_double(kName, 0.4), 0.4);
+  EXPECT_EQ(env_u64(kName, 3), 3u);
+
+  ::setenv(kName, "0.25", 1);
+  EXPECT_EQ(env_double(kName, 0.4), 0.25);
+  ::setenv(kName, "1e-3", 1);
+  EXPECT_EQ(env_double(kName, 0.4), 1e-3);
+  ::setenv(kName, "17", 1);
+  EXPECT_EQ(env_u64(kName, 3), 17u);
+  ::unsetenv(kName);
+  EXPECT_EQ(env_double(kName, 0.4), 0.4);
 }
 
 }  // namespace

@@ -209,27 +209,6 @@ TEST(SuperVisor, ExhaustedBudgetQuarantinesWithoutKillingTheCampaign) {
   }
 }
 
-TEST(SuperVisor, QuarantineOffRestoresAllOrNothing) {
-  SupervisorConfig cfg;
-  cfg.quarantine = false;
-  ShardSupervisor supervisor(cfg);
-  try {
-    (void)supervisor.run(
-        4,
-        [&](std::size_t s) {
-          if (s == 1 || s == 3)
-            throw std::runtime_error("boom " + std::to_string(s));
-        },
-        nullptr, 1);
-    FAIL() << "expected an aggregate error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("2 of 4 shards failed"), std::string::npos) << what;
-    EXPECT_NE(what.find("shard 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("shard 3"), std::string::npos) << what;
-  }
-}
-
 TEST(SuperVisor, InjectedCrashesAreThreadCountInvariant) {
   fault::FaultPlan plan;
   plan.shards.crash_rate = 0.5;

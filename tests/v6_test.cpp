@@ -241,8 +241,7 @@ TEST(Nat64, ScheduledRestartFlushesTranslatorState) {
 
   fault::NatFaults faults;
   faults.restart_period_s = 100.0;
-  world.nat64->set_fault_profile(faults, /*restart_phase_s=*/0.0,
-                                 /*pressure_phase_s=*/0.0);
+  world.nat64->core().set_fault_profile(faults, /*restart_phase_s=*/0.0);
 
   const netcore::Endpoint dev{line.device_address, 4000};
   const netcore::Endpoint srv{world.server_address, 5000};
