@@ -24,6 +24,11 @@
 #   recovery kill → resume differential smoke (build/): ctest -R
 #            'SuperRecovery' serial and at 4 workers — resumed campaigns
 #            must be byte-identical to uninterrupted ones
+#   perfbench  benchmark self-test: builds perfbench_driver (which
+#            compiles against InternetConfig, StreamDriverConfig,
+#            NetworkStats and the Observatory producer API) into
+#            .bench_build/ and runs every workload on a tiny world (see
+#            perfbench/selftest.py)
 #   soak     observatory soak smoke: cgn_observatoryd streams the fig04 +
 #            fig05 campaigns live; /metrics//health//trace are
 #            schema-checked and /figures must equal the batch BENCH JSONs,
@@ -67,7 +72,9 @@ stage_obs_off() {
 stage_asan() {
   echo "== sanitizers: ASan+UBSan build + ctest (build-asan/) =="
   cmake -B build-asan -S . -DCGN_SANITIZE=ON >/dev/null
-  cmake --build build-asan -j --target cgn_tests
+  # The daemons too: the Daemons.* ctests run their flag parsing.
+  cmake --build build-asan -j --target cgn_tests --target cgn_observatoryd \
+    --target cgn_feeder
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 }
 
@@ -112,6 +119,11 @@ stage_scale() {
   scripts/scale_smoke.sh build "${CGN_SCALE_STAGE_SCALES:-0.4,1}"
 }
 
+stage_perfbench() {
+  echo "== perfbench: build + self-test (perfbench/selftest.py) =="
+  python3 perfbench/selftest.py
+}
+
 stage_soak() {
   echo "== soak: observatory stream smoke (live endpoint vs batch) =="
   cmake -B build -S . >/dev/null
@@ -130,7 +142,8 @@ fi
 
 for stage in "${stages[@]}"; do
   case "$stage" in
-    format|tier1|asan|tsan|bench|figures|scale|recovery|soak) "stage_$stage" ;;
+    format|tier1|asan|tsan|bench|figures|scale|recovery|perfbench|soak)
+      "stage_$stage" ;;
     obs-off) stage_obs_off ;;
     *) echo "check.sh: unknown stage '$stage'" >&2; exit 2 ;;
   esac

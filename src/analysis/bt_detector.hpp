@@ -28,8 +28,6 @@ struct BtDetectorConfig {
   std::size_t min_cluster_public_ips = 5;
   /// ... and at least this many distinct internal IPs.
   std::size_t min_cluster_internal_ips = 5;
-  /// An AS counts as *covered* once this many of its peers answered queries.
-  std::size_t min_queried_peers = 1;
 };
 
 /// Largest-connected-cluster size for one (AS, range) — one point of Fig. 4.

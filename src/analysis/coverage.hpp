@@ -57,7 +57,7 @@ struct RegionRollup {
 };
 
 /// How much of each supervised campaign's *measurement plan* actually ran.
-/// Quarantined shards degrade these fractions below 1.0 — the paper's
+/// Quarantined shards leave `completed` below `planned` — the paper's
 /// coverage tables are then lower bounds, and analyses should report them
 /// next to the Table 5 numbers instead of presenting a partial campaign as
 /// a complete one.
@@ -67,18 +67,6 @@ struct MeasurementCoverage {
   std::size_t nz_shards_planned = 0;  ///< per-ISP Netalyzr shards
   std::size_t nz_shards_completed = 0;
 
-  [[nodiscard]] double bt_fraction() const noexcept {
-    return bt_shards_planned == 0
-               ? 1.0
-               : static_cast<double>(bt_shards_completed) /
-                     static_cast<double>(bt_shards_planned);
-  }
-  [[nodiscard]] double nz_fraction() const noexcept {
-    return nz_shards_planned == 0
-               ? 1.0
-               : static_cast<double>(nz_shards_completed) /
-                     static_cast<double>(nz_shards_planned);
-  }
   /// True when either campaign lost shards to quarantine.
   [[nodiscard]] bool degraded() const noexcept {
     return bt_shards_completed < bt_shards_planned ||

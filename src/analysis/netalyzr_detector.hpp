@@ -24,16 +24,10 @@
 namespace cgn::analysis {
 
 struct NetalyzrDetectorConfig {
-  /// Minimum sessions for a cellular AS to be covered.
-  std::size_t min_cellular_sessions = 5;
-  /// Minimum sessions for a non-cellular AS to be covered.
-  std::size_t min_noncellular_sessions = 10;
   /// Minimum CGN-candidate sessions (N) before the diversity rule applies.
   std::size_t min_candidate_sessions = 10;
   /// Required unique IPcpe /24s as a fraction of N (Figure 5's dashed line).
   double slash24_diversity_factor = 0.4;
-  /// Number of top CPE-assignment /24 blocks to filter out.
-  std::size_t top_cpe_blocks = 10;
 };
 
 /// Rows of Table 4: the four reserved ranges plus the three public classes.

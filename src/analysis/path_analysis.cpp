@@ -15,6 +15,12 @@ std::string_view to_string(VantageClass c) noexcept {
 
 namespace {
 
+/// A CGN timeout sample requires the NAT at least this many hops out, so
+/// NAT444 sessions report the carrier NAT rather than the CPE.
+constexpr int kCgnMinHop = 3;
+/// Sessions per (AS, class) required before results count (paper: 3).
+constexpr std::size_t kMinSessionsPerAs = 3;
+
 netcore::Asn session_asn(const netalyzr::SessionResult& s,
                          const netcore::RoutingTable& routes) {
   if (s.ip_pub) {
@@ -46,7 +52,7 @@ PathAnalysisResult PathAnalyzer::analyze(
   struct AsAgg {
     VantageClass vclass = VantageClass::noncellular_no_cgn;
     std::vector<int> most_distant;        // per session
-    std::vector<double> cgn_timeouts;     // per session (hop >= cgn_min_hop)
+    std::vector<double> cgn_timeouts;     // per session (hop >= kCgnMinHop)
   };
   std::unordered_map<netcore::Asn, AsAgg> per_as;
   std::unordered_set<netcore::Asn> seen_cgn;
@@ -80,14 +86,14 @@ PathAnalysisResult PathAnalyzer::analyze(
     } else {
       // CGN timeout: only NATs far enough out to be the carrier NAT.
       for (const auto& h : e.hops)
-        if (h.stateful && h.hop >= config_.cgn_min_hop && h.timeout_s)
+        if (h.stateful && h.hop >= kCgnMinHop && h.timeout_s)
           agg.cgn_timeouts.push_back(*h.timeout_s);
     }
     ++out.enum_sessions_used;
   }
 
   for (const auto& [asn, agg] : per_as) {
-    if (agg.most_distant.size() < config_.min_sessions_per_as) continue;
+    if (agg.most_distant.size() < kMinSessionsPerAs) continue;
     ++out.enum_ases;
     if (seen_cgn.contains(asn)) ++out.enum_cgn_ases;
 
@@ -156,7 +162,7 @@ StunAnalysisResult StunAnalyzer::analyze(
       stun::StunType::address_restricted, stun::StunType::full_cone};
 
   for (const auto& [asn, agg] : per_as) {
-    if (agg.sessions < config_.min_sessions_per_as) continue;
+    if (agg.sessions < kMinSessionsPerAs) continue;
     ++out.ases;
     if (!agg.cgn) continue;
     ++out.cgn_ases;

@@ -26,14 +26,6 @@ enum class VantageClass : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(VantageClass c) noexcept;
 
-struct PathAnalysisConfig {
-  /// A CGN timeout sample requires the NAT at least this many hops out, so
-  /// NAT444 sessions report the carrier NAT rather than the CPE.
-  int cgn_min_hop = 3;
-  /// Sessions per (AS, class) required before results count (paper: 3).
-  std::size_t min_sessions_per_as = 3;
-};
-
 /// Table 7: sessions cross-classified by whether the enumeration found an
 /// expired mapping vs whether the addresses already betrayed a NAT.
 struct Table7 {
@@ -72,15 +64,10 @@ struct PathAnalysisResult {
 
 class PathAnalyzer {
  public:
-  explicit PathAnalyzer(PathAnalysisConfig config = {}) : config_(config) {}
-
   [[nodiscard]] PathAnalysisResult analyze(
       const std::vector<netalyzr::SessionResult>& sessions,
       const netcore::RoutingTable& routes,
       const std::unordered_set<netcore::Asn>& cgn_ases) const;
-
- private:
-  PathAnalysisConfig config_;
 };
 
 /// Figure 13 rollups.
@@ -97,15 +84,10 @@ struct StunAnalysisResult {
 
 class StunAnalyzer {
  public:
-  explicit StunAnalyzer(PathAnalysisConfig config = {}) : config_(config) {}
-
   [[nodiscard]] StunAnalysisResult analyze(
       const std::vector<netalyzr::SessionResult>& sessions,
       const netcore::RoutingTable& routes,
       const std::unordered_set<netcore::Asn>& cgn_ases) const;
-
- private:
-  PathAnalysisConfig config_;
 };
 
 }  // namespace cgn::analysis

@@ -6,6 +6,25 @@
 
 namespace cgn::analysis {
 
+namespace {
+
+/// Paper leeway: preservation if at least this fraction of ports survive.
+constexpr double kPreservationFraction = 0.2;
+/// Paper leeway: sequential if every two subsequent connections differ by
+/// less than this.
+constexpr int kSequentialMaxDelta = 50;
+/// Chunk detection: at least this many random-translation sessions ...
+constexpr std::size_t kChunkMinSessions = 20;
+/// ... all spanning less than this port range.
+constexpr std::uint32_t kChunkMaxRange = 16 * 1024;
+/// Arbitrary pooling verdict: more than this fraction of sessions saw
+/// multiple public IPs.
+constexpr double kArbitraryPoolingFraction = 0.6;
+/// Flows needed for a session to be classifiable.
+constexpr std::size_t kMinFlows = 5;
+
+}  // namespace
+
 std::string_view to_string(PortStrategy s) noexcept {
   switch (s) {
     case PortStrategy::preservation: return "preservation";
@@ -16,21 +35,20 @@ std::string_view to_string(PortStrategy s) noexcept {
 }
 
 std::optional<PortStrategy> classify_session_ports(
-    const std::vector<netalyzr::FlowObservation>& flows,
-    const PortAnalysisConfig& config) {
-  if (flows.size() < config.min_flows) return std::nullopt;
+    const std::vector<netalyzr::FlowObservation>& flows) {
+  if (flows.size() < kMinFlows) return std::nullopt;
   std::size_t preserved = 0;
   for (const auto& f : flows)
     if (f.observed.port == f.local_port) ++preserved;
   if (static_cast<double>(preserved) >=
-      config.preservation_fraction * static_cast<double>(flows.size()))
+      kPreservationFraction * static_cast<double>(flows.size()))
     return PortStrategy::preservation;
 
   bool sequential = true;
   for (std::size_t i = 1; i < flows.size(); ++i) {
     int delta = static_cast<int>(flows[i].observed.port) -
                 static_cast<int>(flows[i - 1].observed.port);
-    if (std::abs(delta) >= config.sequential_max_delta) {
+    if (std::abs(delta) >= kSequentialMaxDelta) {
       sequential = false;
       break;
     }
@@ -76,7 +94,7 @@ PortAnalysisResult PortAnalyzer::analyze(
   for (const auto& s : sessions) {
     const netcore::Asn asn = session_asn(s, routes);
     const bool cgn = cgn_ases.contains(asn);
-    auto strategy = classify_session_ports(s.tcp_flows, config_);
+    auto strategy = classify_session_ports(s.tcp_flows);
 
     // Figure 8(a)/(b) inputs.
     if (strategy) {
@@ -131,10 +149,10 @@ PortAnalysisResult PortAnalyzer::analyze(
     // Chunk-based allocation: enough random sessions, all narrow.
     auto it = random_spans.find(asn);
     if (it != random_spans.end() &&
-        it->second.size() >= config_.chunk_min_sessions) {
+        it->second.size() >= kChunkMinSessions) {
       const auto& spans = it->second;
       bool all_narrow = std::all_of(spans.begin(), spans.end(), [&](auto sp) {
-        return sp < config_.chunk_max_range;
+        return sp < kChunkMaxRange;
       });
       if (all_narrow) {
         p.chunk_based = true;
@@ -148,7 +166,7 @@ PortAnalysisResult PortAnalyzer::analyze(
     if (p.pooling_sessions > 0)
       p.arbitrary_pooling =
           static_cast<double>(p.multi_ip_sessions) >
-          config_.arbitrary_pooling_fraction *
+          kArbitraryPoolingFraction *
               static_cast<double>(p.pooling_sessions);
   }
 

@@ -23,27 +23,9 @@ enum class PortStrategy : std::uint8_t { preservation, sequential, random };
 
 [[nodiscard]] std::string_view to_string(PortStrategy s) noexcept;
 
-struct PortAnalysisConfig {
-  /// Paper leeway: preservation if at least this fraction of ports survive.
-  double preservation_fraction = 0.2;
-  /// Paper leeway: sequential if every two subsequent connections differ by
-  /// less than this.
-  int sequential_max_delta = 50;
-  /// Chunk detection: at least this many random-translation sessions ...
-  std::size_t chunk_min_sessions = 20;
-  /// ... all spanning less than this port range.
-  std::uint32_t chunk_max_range = 16 * 1024;
-  /// Arbitrary pooling verdict: more than this fraction of sessions saw
-  /// multiple public IPs.
-  double arbitrary_pooling_fraction = 0.6;
-  /// Flows needed for a session to be classifiable.
-  std::size_t min_flows = 5;
-};
-
 /// Classifies one session's flows; nullopt when too few flows answered.
 [[nodiscard]] std::optional<PortStrategy> classify_session_ports(
-    const std::vector<netalyzr::FlowObservation>& flows,
-    const PortAnalysisConfig& config = {});
+    const std::vector<netalyzr::FlowObservation>& flows);
 
 struct AsPortProfile {
   netcore::Asn asn = 0;
@@ -95,19 +77,10 @@ struct PortAnalysisResult {
 
 class PortAnalyzer {
  public:
-  explicit PortAnalyzer(PortAnalysisConfig config = {}) : config_(config) {}
-
   [[nodiscard]] PortAnalysisResult analyze(
       const std::vector<netalyzr::SessionResult>& sessions,
       const netcore::RoutingTable& routes,
       const std::unordered_set<netcore::Asn>& cgn_ases) const;
-
-  [[nodiscard]] const PortAnalysisConfig& config() const noexcept {
-    return config_;
-  }
-
- private:
-  PortAnalysisConfig config_;
 };
 
 }  // namespace cgn::analysis

@@ -6,6 +6,16 @@ namespace cgn::analysis {
 
 namespace {
 
+/// An AS counts as *covered* by the BitTorrent method once this many of its
+/// peers answered queries.
+constexpr std::size_t kMinQueriedPeers = 1;
+/// Minimum Netalyzr sessions for a cellular AS to be covered.
+constexpr std::size_t kMinCellularSessions = 5;
+/// Minimum Netalyzr sessions for a non-cellular AS to be covered.
+constexpr std::size_t kMinNoncellularSessions = 10;
+/// Number of top CPE-assignment /24 blocks to filter out.
+constexpr std::size_t kTopCpeBlocks = 10;
+
 int range_index(netcore::ReservedRange r) {
   return static_cast<int>(r) - 1;  // r != none
 }
@@ -185,7 +195,7 @@ BtDetectionResult StreamingBtAnalyzer::snapshot() const {
     AsBtVerdict& v = out.per_as[asn];
     v.asn = asn;
     v.queried_peers = count;
-    v.covered = count >= config_.min_queried_peers;
+    v.covered = count >= kMinQueriedPeers;
   }
 
   for (const auto& [key, g] : graphs_) {
@@ -247,8 +257,7 @@ NetalyzrDetectionResult StreamingNetalyzrClassifier::snapshot() const {
       if (a.second != b.second) return a.second > b.second;
       return a.first < b.first;
     });
-    for (std::size_t i = 0; i < blocks.size() && i < config_.top_cpe_blocks;
-         ++i)
+    for (std::size_t i = 0; i < blocks.size() && i < kTopCpeBlocks; ++i)
       out.cpe_blocks.push_back(blocks[i].first);
   }
   auto in_cpe_block = [&](netcore::Ipv4Address a) {
@@ -264,7 +273,7 @@ NetalyzrDetectionResult StreamingNetalyzrClassifier::snapshot() const {
     v.sessions = g.sessions.size();
 
     if (g.cellular) {
-      v.covered = v.sessions >= config_.min_cellular_sessions;
+      v.covered = v.sessions >= kMinCellularSessions;
       std::size_t translated = 0;
       for (const CompactSession& s : g.sessions) {
         const Table4Row row = table4_row(s.ip_dev, s.ip_pub, routes_);
@@ -287,7 +296,7 @@ NetalyzrDetectionResult StreamingNetalyzrClassifier::snapshot() const {
         v.assignment = CellularAssignment::mixed;
       v.cgn_positive = translated > 0;
     } else {
-      v.covered = v.sessions >= config_.min_noncellular_sessions;
+      v.covered = v.sessions >= kMinNoncellularSessions;
       std::unordered_set<netcore::Ipv4Prefix> cpe24;
       std::array<std::unordered_set<netcore::Ipv4Prefix>,
                  netcore::kReservedRangeCount>

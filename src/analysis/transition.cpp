@@ -6,6 +6,18 @@ namespace cgn::analysis {
 
 namespace {
 
+/// Share of an AS's pref64-less private-ip_dev sessions that must report
+/// the *same* ip_dev before the DS-Lite signature applies. Low enough to
+/// survive partial deployments (cgn_subscriber_fraction down to ~0.4), high
+/// enough that no single CPE model's default LAN can fake it in a NAT444 AS.
+constexpr double kDupIpDevThreshold = 0.5;
+/// A B4 fleet needs witnesses: at least this many sessions must report the
+/// identical ip_dev before it counts as a fleet signature (one session is
+/// just one home, whatever its address).
+constexpr std::size_t kMinDupSessions = 2;
+/// Minimum battery sessions before an AS is scored at all.
+constexpr std::size_t kMinSessions = 3;
+
 [[nodiscard]] bool in_192_168(netcore::Ipv4Address a) noexcept {
   return (a.value() & 0xFFFF0000u) == 0xC0A80000u;
 }
@@ -53,7 +65,7 @@ TransitionDetectionResult TransitionDetector::analyze(
 
   for (netcore::Asn asn : as_order) {
     const std::vector<std::size_t>& idx = by_as[asn];
-    if (idx.size() < config_.min_sessions) continue;
+    if (idx.size() < kMinSessions) continue;
     ++result.scored_ases;
 
     // The DS-Lite signature is an AS-level property of the *unexplained*
@@ -81,9 +93,9 @@ TransitionDetectionResult TransitionDetector::analyze(
         dominant_count = count;
       }
     const bool dslite_as =
-        dominant_count >= config_.min_dup_sessions &&
+        dominant_count >= kMinDupSessions &&
         static_cast<double>(dominant_count) >=
-            config_.dup_ip_dev_threshold * static_cast<double>(candidates);
+            kDupIpDevThreshold * static_cast<double>(candidates);
 
     for (std::size_t i : idx) {
       const netalyzr::SessionResult& s = sessions[i];

@@ -34,21 +34,6 @@ inline constexpr int kTransitionVerdicts = 4;
 [[nodiscard]] TransitionVerdict truth_verdict(
     const netalyzr::SessionResult& s) noexcept;
 
-struct TransitionDetectorConfig {
-  /// Share of an AS's pref64-less private-ip_dev sessions that must
-  /// report the *same* ip_dev before the DS-Lite signature applies. Low
-  /// enough to survive partial deployments (cgn_subscriber_fraction down
-  /// to ~0.4), high enough that no single CPE model's default LAN can
-  /// fake it in a NAT444 AS.
-  double dup_ip_dev_threshold = 0.5;
-  /// A B4 fleet needs witnesses: at least this many sessions must report
-  /// the identical ip_dev before it counts as a fleet signature (one
-  /// session is just one home, whatever its address).
-  std::size_t min_dup_sessions = 2;
-  /// Minimum battery sessions before an AS is scored at all.
-  std::size_t min_sessions = 3;
-};
-
 struct MechanismScore {
   std::size_t truth_sessions = 0;       ///< sessions whose line runs this
   std::size_t classified_sessions = 0;  ///< sessions classified as this
@@ -67,7 +52,7 @@ struct MechanismScore {
 struct TransitionDetectionResult {
   std::array<MechanismScore, kTransitionVerdicts> mechanisms{};
   std::size_t observed_sessions = 0;  ///< sessions carrying a battery record
-  std::size_t scored_ases = 0;        ///< ASes meeting min_sessions
+  std::size_t scored_ases = 0;        ///< ASes with enough sessions to score
 
   [[nodiscard]] const MechanismScore& of(TransitionVerdict v) const noexcept {
     return mechanisms[static_cast<std::size_t>(v)];
@@ -76,18 +61,8 @@ struct TransitionDetectionResult {
 
 class TransitionDetector {
  public:
-  explicit TransitionDetector(TransitionDetectorConfig config = {})
-      : config_(config) {}
-
   [[nodiscard]] TransitionDetectionResult analyze(
       const std::vector<netalyzr::SessionResult>& sessions) const;
-
-  [[nodiscard]] const TransitionDetectorConfig& config() const noexcept {
-    return config_;
-  }
-
- private:
-  TransitionDetectorConfig config_;
 };
 
 }  // namespace cgn::analysis

@@ -5,6 +5,10 @@
 namespace cgn::crawler {
 
 namespace {
+/// Upper bound on leak batches per peer (the paper continues "as long as we
+/// continue to harvest"; this caps pathological peers).
+constexpr int kMaxLeakBatches = 8;
+
 obs::Counter& g_find_nodes_sent = obs::counter("crawler.find_nodes_sent");
 obs::Counter& g_find_nodes_answered =
     obs::counter("crawler.find_nodes_answered");
@@ -33,11 +37,8 @@ void DhtCrawler::handle(sim::Network& net, const sim::Packet& pkt) {
     return;
   }
   if (const auto* pong = std::get_if<dht::PongMsg>(msg)) {
-    if (tls_ping_ctx_) {
-      if (pong->tx == tls_ping_ctx_->awaiting) tls_ping_ctx_->got_pong = true;
-    } else if (pong->tx == awaiting_tx_) {
-      pong_tx_ = pong->tx;
-    }
+    if (tls_ping_ctx_ && pong->tx == tls_ping_ctx_->awaiting)
+      tls_ping_ctx_->got_pong = true;
     return;
   }
   // The crawler participates in the DHT: answer pings so peers that learn
@@ -117,7 +118,7 @@ void DhtCrawler::process_peer(sim::Network& net, const dht::Contact& peer) {
   }
   // Leak-triggered batches: keep asking while fresh internal peers arrive.
   int batches = 0;
-  while (saw_internal && batches < config_.max_leak_batches) {
+  while (saw_internal && batches < kMaxLeakBatches) {
     saw_internal = false;
     for (int i = 0; i < config_.leak_batch_queries; ++i) {
       auto contacts = query(net, peer);
@@ -146,36 +147,6 @@ std::size_t DhtCrawler::crawl_step(sim::Network& net,
   }
   g_frontier_size.set(static_cast<std::int64_t>(frontier_.size()));
   return processed;
-}
-
-std::size_t DhtCrawler::ping_step(sim::Network& net, std::size_t budget) {
-  if (!ping_queue_built_) {
-    ping_queue_ = data_.learned_contacts();
-    ping_cursor_ = 0;
-    ping_queue_built_ = true;
-  }
-  std::size_t issued = 0;
-  while (issued < budget && ping_cursor_ < ping_queue_.size()) {
-    const dht::Contact& peer = ping_queue_[ping_cursor_++];
-    const bool pong = fault::retry_loop(config_.retry, retry_clock_, [&] {
-      std::uint64_t tx = next_tx_++;
-      awaiting_tx_ = tx;
-      pong_tx_.reset();
-      sim::Packet pkt = sim::Packet::udp(local_, peer.endpoint);
-      pkt.payload = dht::Message{dht::PingMsg{tx, id_}};
-      ++stats_.pings_sent;
-      g_pings_sent.inc();
-      net.send(std::move(pkt), host_);
-      awaiting_tx_ = 0;
-      return pong_tx_.has_value();
-    });
-    if (pong) {
-      g_pongs_received.inc();
-      data_.note_ping_response(peer);
-    }
-    ++issued;
-  }
-  return issued;
 }
 
 DhtCrawler::PingShardOutcome DhtCrawler::ping_shard(

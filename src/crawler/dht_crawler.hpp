@@ -27,9 +27,6 @@ struct CrawlConfig {
   int initial_queries = 5;
   /// Extra queries per batch once a peer leaks internal contacts.
   int leak_batch_queries = 10;
-  /// Upper bound on leak batches per peer (the paper continues "as long as
-  /// we continue to harvest"; this caps pathological peers).
-  int max_leak_batches = 8;
   /// Retransmission policy for find_nodes queries and bt_pings. The default
   /// (attempts = 1) sends once and never retries — the pre-fault behaviour.
   fault::RetryPolicy retry;
@@ -51,9 +48,9 @@ class DhtCrawler {
   /// Installs the crawler's receiver on its host node.
   void install(sim::Network& net);
 
-  /// Clock the retry policy's backoff advances during serial phases (the
-  /// crawl walk and ping_step). Null disables backoff time; parallel sweep
-  /// shards pass their private clock to ping_shard instead.
+  /// Clock the retry policy's backoff advances during the serial crawl walk.
+  /// Null disables backoff time; sweep shards pass their private clock to
+  /// ping_shard instead.
   void set_retry_clock(sim::Clock* clock) noexcept { retry_clock_ = clock; }
 
   /// Seeds the frontier from the bootstrap server.
@@ -68,25 +65,20 @@ class DhtCrawler {
     return frontier_.empty();
   }
 
-  /// bt_ping sweep over every learned contact (Table 2's responder counts).
-  /// Call after the crawl; may be interleaved via `budget`, returns probes
-  /// issued.
-  std::size_t ping_step(sim::Network& net, std::size_t budget);
-
-  /// Locally recorded results of one parallel sweep shard, merged into the
-  /// crawler with absorb_ping_outcomes().
+  /// Locally recorded results of one bt_ping sweep shard (Table 2's
+  /// responder counts), merged into the crawler with absorb_ping_outcomes().
   struct PingShardOutcome {
     std::vector<dht::Contact> responders;
     std::uint64_t pings_sent = 0;
     std::uint64_t pongs_received = 0;
   };
 
-  /// One shard of the parallel bt_ping sweep: probes `contacts` using
-  /// thread-local in-flight state and tx ids from shard `shard_id`'s
-  /// namespace, so concurrent shards never route each other's pongs. Does
-  /// not mutate stats_ or the dataset — the campaign driver absorbs the
-  /// outcomes in shard order after the barrier. Contact lists must target
-  /// disjoint routing subtrees (see Network::top_route).
+  /// One shard of the bt_ping sweep over learned contacts: probes
+  /// `contacts` using thread-local in-flight state and tx ids from shard
+  /// `shard_id`'s namespace, so concurrent shards never route each other's
+  /// pongs. Does not mutate stats_ or the dataset — the campaign driver
+  /// absorbs the outcomes in shard order after the barrier. Contact lists
+  /// must target disjoint routing subtrees (see Network::top_route).
   /// `clock` drives the retry policy's backoff for this shard (may be
   /// null; pass the shard's private clock to stay thread-count invariant).
   [[nodiscard]] PingShardOutcome ping_shard(
@@ -125,20 +117,15 @@ class DhtCrawler {
 
   std::deque<dht::Contact> frontier_;
   std::unordered_set<PeerKey, PeerKeyHash> enqueued_;
-  std::vector<dht::Contact> ping_queue_;
-  std::size_t ping_cursor_ = 0;
-  bool ping_queue_built_ = false;
 
   // Per in-flight request state (the sim is synchronous).
   std::uint64_t next_tx_ = 1;
   std::uint64_t awaiting_tx_ = 0;
   std::optional<std::vector<dht::Contact>> reply_contacts_;
-  std::optional<std::uint64_t> pong_tx_;
 
-  /// In-flight ping state for a parallel sweep shard. handle() runs on the
-  /// worker that sent the ping (delivery is synchronous), so a thread-local
-  /// pointer routes each pong to its sender without touching the serial
-  /// awaiting_tx_/pong_tx_ fields.
+  /// In-flight ping state for a sweep shard. handle() runs on the worker
+  /// that sent the ping (delivery is synchronous), so a thread-local pointer
+  /// routes each pong to its sender.
   struct PingCtx {
     std::uint64_t awaiting = 0;
     bool got_pong = false;

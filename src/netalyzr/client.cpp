@@ -13,6 +13,20 @@ namespace {
 constexpr std::uint16_t kEphemeralLo = 32768;
 constexpr std::uint16_t kEphemeralHi = 60999;
 
+// TTL enumeration (run_enumeration).
+/// Longest idle period tested; the paper caps at 200 s to bound session
+/// runtime, so longer NAT timeouts go unnoticed.
+constexpr double kMaxIdleS = 200.0;
+/// Keepalive cadence (also the timeout measurement granularity).
+constexpr double kKeepaliveIntervalS = 10.0;
+
+// Big-NAT transition battery (run_transition).
+/// Idle-sweep step — also the timeout measurement granularity. Coarser than
+/// the TTL enumeration sweep to bound per-session cost.
+constexpr double kTimeoutGranularityS = 15.0;
+/// Longest idle period probed.
+constexpr double kTimeoutMaxS = 120.0;
+
 // Session volume and test mix across the whole campaign.
 obs::Counter& g_sessions = obs::counter("netalyzr.sessions");
 obs::Counter& g_stun_tests = obs::counter("netalyzr.stun_tests");
@@ -129,7 +143,7 @@ void NetalyzrClient::run_stun(sim::Network& net,
 
 std::optional<bool> NetalyzrClient::reachability_experiment(
     sim::Network& net, sim::Clock& clock, NetalyzrServer& server,
-    int path_hops, int hop, double tidle, double keepalive_interval) {
+    int path_hops, int hop, double tidle) {
   g_enum_experiments.inc();
   const std::uint64_t flow = rng_.uniform(1, ~std::uint64_t{0} - 1);
   const std::uint16_t port = next_ephemeral_port();
@@ -155,9 +169,9 @@ std::optional<bool> NetalyzrClient::reachability_experiment(
   const int ttl_c = hop;
   const int ttl_s = path_hops + 1 - hop;
   double elapsed = 0.0;
-  while (elapsed + keepalive_interval < tidle) {
-    clock.advance(keepalive_interval);
-    elapsed += keepalive_interval;
+  while (elapsed + kKeepaliveIntervalS < tidle) {
+    clock.advance(kKeepaliveIntervalS);
+    elapsed += kKeepaliveIntervalS;
     sim::Packet ka = sim::Packet::udp(local, server.udp_endpoint(), ttl_c);
     ka.payload = NetalyzrMessage{UdpKeepalive{flow}};
     net.send(std::move(ka), ctx_.host);
@@ -218,8 +232,7 @@ void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
   std::vector<int> stateful_hops;
   for (int hop = 1; hop <= path_hops; ++hop) {
     auto reachable = reachability_experiment(net, clock, server, path_hops,
-                                             hop, config.max_idle_s,
-                                             config.keepalive_interval_s);
+                                             hop, kMaxIdleS);
     ++out.experiments;
     NatHopObservation obs;
     obs.hop = hop;
@@ -230,11 +243,10 @@ void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
 
   // Pass 2: timeout sweep per stateful hop, at keepalive granularity.
   for (int hop : stateful_hops) {
-    for (double tidle = config.keepalive_interval_s;
-         tidle <= config.max_idle_s; tidle += config.keepalive_interval_s) {
+    for (double tidle = kKeepaliveIntervalS; tidle <= kMaxIdleS;
+         tidle += kKeepaliveIntervalS) {
       auto reachable = reachability_experiment(net, clock, server, path_hops,
-                                               hop, tidle,
-                                               config.keepalive_interval_s);
+                                               hop, tidle);
       ++out.experiments;
       if (reachable.has_value() && !*reachable) {
         out.hops[static_cast<std::size_t>(hop - 1)].timeout_s = tidle;
@@ -248,7 +260,6 @@ void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
 
 void NetalyzrClient::run_transition(sim::Network& net, sim::Clock& clock,
                                     NetalyzrServer& server,
-                                    const TransitionBatteryConfig& config,
                                     SessionResult& result) {
   g_transition_tests.inc();
   TransitionObservation obs;
@@ -275,9 +286,8 @@ void NetalyzrClient::run_transition(sim::Network& net, sim::Clock& clock,
   // for tidle, then have the server probe the mapped endpoint. The first
   // idle period the probe misses bounds the path's minimum mapping timeout
   // — the per-carrier number the Big-NAT study tabulates.
-  for (double tidle = config.timeout_granularity_s;
-       tidle <= config.timeout_max_s + 1e-9;
-       tidle += config.timeout_granularity_s) {
+  for (double tidle = kTimeoutGranularityS; tidle <= kTimeoutMaxS + 1e-9;
+       tidle += kTimeoutGranularityS) {
     const std::uint64_t flow = rng_.uniform(1, ~std::uint64_t{0} - 1);
     const std::uint16_t port = next_ephemeral_port();
     bind(port);

@@ -47,21 +47,7 @@ struct ClientContext {
   v6::HostV6Stack* v6stack = nullptr;
 };
 
-/// Knobs of the Big-NAT transition battery (run_transition).
-struct TransitionBatteryConfig {
-  /// Idle-sweep step — also the timeout measurement granularity. Coarser
-  /// than the TTL enumeration sweep to bound per-session cost.
-  double timeout_granularity_s = 15.0;
-  /// Longest idle period probed.
-  double timeout_max_s = 120.0;
-};
-
 struct TtlEnumConfig {
-  /// Longest idle period tested; the paper caps at 200 s to bound session
-  /// runtime, so longer NAT timeouts go unnoticed.
-  double max_idle_s = 200.0;
-  /// Keepalive cadence (also the timeout measurement granularity).
-  double keepalive_interval_s = 10.0;
   /// Hop-search upper bound.
   int max_hops = 24;
 };
@@ -100,9 +86,7 @@ class NetalyzrClient {
   /// full-path idle sweep measuring the translator's mapping timeout.
   /// Stores a TransitionObservation into `result`.
   void run_transition(sim::Network& net, sim::Clock& clock,
-                      NetalyzrServer& server,
-                      const TransitionBatteryConfig& config,
-                      SessionResult& result);
+                      NetalyzrServer& server, SessionResult& result);
 
  private:
   struct FlowKey {
@@ -133,8 +117,7 @@ class NetalyzrClient {
                                               sim::Clock& clock,
                                               NetalyzrServer& server,
                                               int path_hops, int hop,
-                                              double tidle,
-                                              double keepalive_interval);
+                                              double tidle);
 
   ClientContext ctx_;
   sim::PortDemux* demux_;

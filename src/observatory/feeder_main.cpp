@@ -25,11 +25,14 @@
 //   --fault-write-delay-us N    pause between chunked sends (slow writer)
 //   --fault-disconnect-after N  hard-close the socket after N sent bytes
 //
+// Numeric flags must be whole decimal numbers within their field's range;
+// anything else is a usage error (exit 2), never a wrapped value.
+//
 // Exit codes: 0 stream pushed and done-acked, 2 usage error, 3 campaign
 // aborted (kill-switch), 4 push connection failed.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "observatory/ingest.hpp"
@@ -62,10 +65,15 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The flag's value, parsed whole and at most `max`; nullopt when it is
+    // missing or malformed.
+    auto number = [&](std::uint64_t max) {
+      return scenario::parse_u64(next(), max);
+    };
     if (arg == "--connect") {
-      const char* v = next();
+      const auto v = number(65535);
       if (!v) return usage(argv[0]);
-      client_cfg.port = static_cast<std::uint16_t>(std::atoi(v));
+      client_cfg.port = static_cast<std::uint16_t>(*v);
     } else if (arg == "--host") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -85,23 +93,21 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--pace-us") {
-      const char* v = next();
+      const auto v = number(std::numeric_limits<int>::max());
       if (!v) return usage(argv[0]);
-      pace_us = std::atoi(v);
+      pace_us = static_cast<int>(*v);
     } else if (arg == "--fault-max-write") {
-      const char* v = next();
+      const auto v = number(std::numeric_limits<std::size_t>::max());
       if (!v) return usage(argv[0]);
-      client_cfg.faults.max_write_bytes =
-          static_cast<std::size_t>(std::atoll(v));
+      client_cfg.faults.max_write_bytes = static_cast<std::size_t>(*v);
     } else if (arg == "--fault-write-delay-us") {
-      const char* v = next();
+      const auto v = number(std::numeric_limits<int>::max());
       if (!v) return usage(argv[0]);
-      client_cfg.faults.write_delay_us = std::atoi(v);
+      client_cfg.faults.write_delay_us = static_cast<int>(*v);
     } else if (arg == "--fault-disconnect-after") {
-      const char* v = next();
+      const auto v = number(std::numeric_limits<std::uint64_t>::max());
       if (!v) return usage(argv[0]);
-      client_cfg.faults.disconnect_after_bytes =
-          static_cast<std::uint64_t>(std::atoll(v));
+      client_cfg.faults.disconnect_after_bytes = *v;
     } else {
       return usage(argv[0]);
     }

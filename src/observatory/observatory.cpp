@@ -201,40 +201,6 @@ bool Observatory::stream_done(const std::string& campaign) const {
   return ch != nullptr && ch->done;
 }
 
-analysis::BtDetectionResult Observatory::bt_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return main_.bt.snapshot();
-}
-
-analysis::NetalyzrDetectionResult Observatory::nz_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return main_.nz.snapshot();
-}
-
-analysis::CoverageResult Observatory::coverage_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  analysis::CoverageResult cov = analysis::combine_coverage(
-      main_.bt.snapshot(), main_.nz.snapshot(), registry_);
-  const auto bt_it = main_.reports.find("crawl_ping");
-  const auto nz_it = main_.reports.find("netalyzr");
-  analysis::note_supervision(
-      cov, bt_it == main_.reports.end() ? nullptr : &bt_it->second,
-      nz_it == main_.reports.end() ? nullptr : &nz_it->second);
-  return cov;
-}
-
-analysis::TransitionDetectionResult Observatory::transition_snapshot() const {
-  std::vector<netalyzr::SessionResult> sessions;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sessions = main_.transition_sessions;
-  }
-  // The detector's aggregates are order-independent (counts + sorted
-  // quantiles), so a stream prefix scores exactly like the same sessions
-  // batch-analyzed by bench_fig14_transition.
-  return analysis::TransitionDetector().analyze(sessions);
-}
-
 std::map<std::string, analysis::Figures> Observatory::figure_sets_locked(
     const Channel& ch) const {
   std::map<std::string, analysis::Figures> sets;

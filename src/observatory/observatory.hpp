@@ -148,15 +148,6 @@ class Observatory : public EventSink {
   [[nodiscard]] std::uint64_t events_ingested(const std::string& campaign) const;
   [[nodiscard]] bool stream_done(const std::string& campaign) const;
 
-  /// Current detector states (full batch-equivalent result structs).
-  [[nodiscard]] analysis::BtDetectionResult bt_snapshot() const;
-  [[nodiscard]] analysis::NetalyzrDetectionResult nz_snapshot() const;
-  [[nodiscard]] analysis::CoverageResult coverage_snapshot() const;
-  /// Transition-mechanism scoring over every battery-carrying session
-  /// ingested so far (empty result in v4-only campaigns).
-  [[nodiscard]] analysis::TransitionDetectionResult transition_snapshot()
-      const;
-
   /// The bench figure sets computed from the current stream state, keyed
   /// by bench name ("fig04_clusters", "fig05_netalyzr_candidates",
   /// "tab05_coverage", plus "fig14_transition" once battery sessions

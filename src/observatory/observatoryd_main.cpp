@@ -19,10 +19,14 @@
 //                           (cgn_feeder / PushClient; 0 = ephemeral;
 //                           default CGN_OBSERVATORY_INGEST_PORT, unset =
 //                           no ingest listener)
-//   --ingest-queue N        bounded ingest queue capacity (default 4096)
+//   --ingest-queue N        bounded ingest queue capacity (default 4096,
+//                           at most 1048576)
 //   --no-stream             skip the in-process StreamDriver: the daemon
 //                           builds the world (the detectors need its
 //                           routes) and serves push campaigns only
+//
+// Numeric flags must be whole decimal numbers within their field's range;
+// anything else is a usage error (exit 2), never a wrapped value.
 //
 // Exit codes: 0 stream complete, 2 usage/bind error, 3 campaign aborted
 // (kill-switch; rerun with the same CGN_SUPER_CHECKPOINT_DIR to resume).
@@ -31,6 +35,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -41,6 +46,10 @@
 #include "super/supervisor.hpp"
 
 namespace {
+
+/// Largest --ingest-queue: the queue's whole point is a memory bound.
+constexpr std::uint64_t kMaxIngestQueue = 1u << 20;
+constexpr std::uint64_t kMaxPort = 65535;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -57,46 +66,48 @@ int main(int argc, char** argv) {
   using namespace cgn;
 
   auto port = static_cast<std::uint16_t>(
-      scenario::env_u64("CGN_OBSERVATORY_PORT", 9464));
+      scenario::env_u64("CGN_OBSERVATORY_PORT", 9464, kMaxPort));
   std::size_t abort_after_shards = 0;
   bool exit_after_stream = false;
   bool no_stream = false;
   int pace_us = 0;
   bool ingest_enabled = false;
   auto ingest_port = static_cast<std::uint16_t>(
-      scenario::env_u64("CGN_OBSERVATORY_INGEST_PORT", 0));
+      scenario::env_u64("CGN_OBSERVATORY_INGEST_PORT", 0, kMaxPort));
   if (std::getenv("CGN_OBSERVATORY_INGEST_PORT") != nullptr)
     ingest_enabled = true;
   observatory::IngestConfig ingest_cfg;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    // The flag's value, parsed whole and at most `max`; nullopt when it is
+    // missing or malformed.
+    auto number = [&](std::uint64_t max) {
+      return scenario::parse_u64(i + 1 < argc ? argv[++i] : nullptr, max);
     };
     if (arg == "--port") {
-      const char* v = next();
+      const auto v = number(kMaxPort);
       if (!v) return usage(argv[0]);
-      port = static_cast<std::uint16_t>(std::atoi(v));
+      port = static_cast<std::uint16_t>(*v);
     } else if (arg == "--pace-us") {
-      const char* v = next();
+      const auto v = number(std::numeric_limits<int>::max());
       if (!v) return usage(argv[0]);
-      pace_us = std::atoi(v);
+      pace_us = static_cast<int>(*v);
     } else if (arg == "--abort-after-shards") {
-      const char* v = next();
+      const auto v = number(std::numeric_limits<std::size_t>::max());
       if (!v) return usage(argv[0]);
-      abort_after_shards = static_cast<std::size_t>(std::atoll(v));
+      abort_after_shards = static_cast<std::size_t>(*v);
     } else if (arg == "--exit-after-stream") {
       exit_after_stream = true;
     } else if (arg == "--ingest-port") {
-      const char* v = next();
+      const auto v = number(kMaxPort);
       if (!v) return usage(argv[0]);
-      ingest_port = static_cast<std::uint16_t>(std::atoi(v));
+      ingest_port = static_cast<std::uint16_t>(*v);
       ingest_enabled = true;
     } else if (arg == "--ingest-queue") {
-      const char* v = next();
+      const auto v = number(kMaxIngestQueue);
       if (!v) return usage(argv[0]);
-      ingest_cfg.queue_capacity = static_cast<std::size_t>(std::atoll(v));
+      ingest_cfg.queue_capacity = static_cast<std::size_t>(*v);
     } else if (arg == "--no-stream") {
       no_stream = true;
     } else {

@@ -29,6 +29,18 @@ constexpr std::uint64_t kPingPayloadVersion = 1;
 constexpr std::size_t kPeersPerCrawlStep = 500;
 constexpr std::size_t kMaxCrawledPeers = 1'000'000;
 
+// BitTorrent phase.
+constexpr double kRoundIntervalS = 5.0;
+/// Global swarms are sized so each holds roughly this many peers.
+constexpr std::size_t kPeersPerSwarm = 60;
+constexpr int kSwarmsPerPeer = 2;
+/// Probability that a peer also joins its ISP's regional-content swarm —
+/// the reason peers behind the same CGN end up contacting each other.
+constexpr double kLocalSwarmJoin = 0.85;
+
+/// Idle gap between a vantage point's Netalyzr sessions.
+constexpr double kInterSessionGapS = 300.0;
+
 using codec::get_contact;
 using codec::get_session;
 using codec::put_contact;
@@ -62,7 +74,7 @@ void run_bittorrent_phase(Internet& internet,
   // Swarm membership: a couple of global swarms per peer plus, with some
   // probability, the peer's AS-local swarm (regional content).
   const std::size_t global_swarms =
-      std::max<std::size_t>(1, peers.size() / config.peers_per_swarm);
+      std::max<std::size_t>(1, peers.size() / kPeersPerSwarm);
   std::vector<std::vector<std::uint64_t>> memberships(peers.size());
   {
     // Peer -> ASN map for local swarm ids.
@@ -71,9 +83,9 @@ void run_bittorrent_phase(Internet& internet,
       for (const Subscriber& s : isp.subscribers)
         if (s.bt_client) asn_of[s.bt_client] = isp.asn;
     for (std::size_t i = 0; i < peers.size(); ++i) {
-      for (int k = 0; k < config.swarms_per_peer; ++k)
+      for (int k = 0; k < kSwarmsPerPeer; ++k)
         memberships[i].push_back(rng.uniform(1, global_swarms));
-      if (rng.chance(config.local_swarm_join))
+      if (rng.chance(kLocalSwarmJoin))
         memberships[i].push_back(1'000'000'000ull + asn_of[peers[i]]);
     }
   }
@@ -83,7 +95,7 @@ void run_bittorrent_phase(Internet& internet,
     obs::ScopedPhase bootstrap("bootstrap");
     for (dht::DhtNode* peer : peers)
       peer->bootstrap(internet.net, internet.servers.bootstrap_endpoint);
-    internet.clock.advance(config.round_interval_s);
+    internet.clock.advance(kRoundIntervalS);
   }
 
   // Interleave tracker announces and DHT maintenance.
@@ -96,7 +108,7 @@ void run_bittorrent_phase(Internet& internet,
                              internet.servers.tracker->endpoint(), swarm);
     }
     for (dht::DhtNode* peer : peers) peer->run_maintenance(internet.net);
-    internet.clock.advance(config.round_interval_s);
+    internet.clock.advance(kRoundIntervalS);
   }
 }
 
@@ -305,13 +317,12 @@ std::vector<netalyzr::SessionResult> run_netalyzr_campaign(
           if (rng.chance(config.enum_fraction))
             client.run_enumeration(internet.net, clock,
                                    *internet.servers.netalyzr,
-                                   config.enum_config, session);
+                                   netalyzr::TtlEnumConfig{}, session);
           if (config.transition_battery)
             client.run_transition(internet.net, clock,
-                                  *internet.servers.netalyzr,
-                                  config.transition_config, session);
+                                  *internet.servers.netalyzr, session);
           results.push_back(std::move(session));
-          clock.advance(config.inter_session_gap_s);
+          clock.advance(kInterSessionGapS);
         }
         // Trim the ISP's NAT state to bound memory.
         if (isp.cgn) isp.cgn->collect_garbage(clock.now());

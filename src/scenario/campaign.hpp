@@ -24,13 +24,6 @@ namespace cgn::scenario {
 
 struct BitTorrentPhaseConfig {
   int maintenance_rounds = 12;
-  double round_interval_s = 5.0;
-  /// Global swarms are sized so each holds roughly this many peers.
-  std::size_t peers_per_swarm = 60;
-  int swarms_per_peer = 2;
-  /// Probability that a peer also joins its ISP's regional-content swarm —
-  /// the reason peers behind the same CGN end up contacting each other.
-  double local_swarm_join = 0.85;
   int announce_rounds = 5;
 };
 
@@ -61,13 +54,10 @@ struct NetalyzrCampaignConfig {
   /// (the paper deployed it earlier than STUN; both saw subsets).
   double enum_fraction = 0.30;
   double stun_fraction = 0.50;
-  netalyzr::TtlEnumConfig enum_config;
   /// Runs the Big-NAT transition battery in every session. Enable only in
   /// v6-transition worlds: the battery draws client RNG, so default-world
   /// campaigns leave it off to stay byte-identical with pre-v6 builds.
   bool transition_battery = false;
-  netalyzr::TransitionBatteryConfig transition_config;
-  double inter_session_gap_s = 300.0;  ///< idle gap between sessions
   /// Probe retransmission policy handed to every NetalyzrClient. Default:
   /// fire once, as the original client did.
   fault::RetryPolicy retry;

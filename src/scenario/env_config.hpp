@@ -13,7 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -35,10 +37,26 @@ inline bool first_warning(const char* name) {
 }
 }  // namespace detail
 
+/// Parses a whole plain-decimal number no larger than `max`: nullopt for a
+/// null or empty string, a sign, trailing garbage ("80x"), overflow or a
+/// value above `max`. Numeric command-line flags use it too, so no input is
+/// ever half-parsed or wrapped into range by a narrowing cast.
+inline std::optional<std::uint64_t> parse_u64(
+    const char* v, std::uint64_t max = ~std::uint64_t{0}) {
+  if (!v || !*v) return std::nullopt;
+  for (const char* p = v; *p; ++p)
+    if (!std::isdigit(static_cast<unsigned char>(*p))) return std::nullopt;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, nullptr, 10);
+  if (errno != 0 || n > max) return std::nullopt;
+  return n;
+}
+
 // Numeric CGN_* knobs. Unset or empty reads as `fallback`. Otherwise the
-// whole value must parse: anything else ("0,4", "5%", "-1" for a count)
-// warns once on stderr and reads as `fallback` instead of a half-parsed
-// prefix (the same policy as par::configured_threads()).
+// whole value must parse (and, for env_u64, be at most `max`): anything
+// else ("0,4", "5%", "-1" for a count, "70000" for a port) warns once on
+// stderr and reads as `fallback` instead of a half-parsed prefix or a
+// wrapped value (the same policy as par::configured_threads()).
 
 inline double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);
@@ -53,19 +71,17 @@ inline double env_double(const char* name, double fallback) {
   return fallback;
 }
 
-inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+inline std::uint64_t env_u64(const char* name, std::uint64_t fallback,
+                             std::uint64_t max = ~std::uint64_t{0}) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
-  bool digits = true;
-  for (const char* p = v; *p; ++p)
-    digits = digits && std::isdigit(static_cast<unsigned char>(*p));
-  errno = 0;
-  const unsigned long long n = digits ? std::strtoull(v, nullptr, 10) : 0;
-  if (digits && errno == 0) return n;
+  if (const auto n = parse_u64(v, max)) return *n;
   if (detail::first_warning(name))
     std::fprintf(stderr,
-                 "cgn: %s='%s' is not a plain decimal number; using %llu\n",
-                 name, v, static_cast<unsigned long long>(fallback));
+                 "cgn: %s='%s' is not a plain decimal number up to %llu; "
+                 "using %llu\n",
+                 name, v, static_cast<unsigned long long>(max),
+                 static_cast<unsigned long long>(fallback));
   return fallback;
 }
 
@@ -94,7 +110,8 @@ inline fault::FaultPlan fault_plan_from_env() {
 inline super::SupervisorConfig supervisor_config_from_env(
     const std::string& kind) {
   super::SupervisorConfig cfg;
-  cfg.max_attempts = static_cast<int>(env_u64("CGN_SUPER_ATTEMPTS", 1));
+  cfg.max_attempts = static_cast<int>(
+      env_u64("CGN_SUPER_ATTEMPTS", 1, std::numeric_limits<int>::max()));
   const char* dir = std::getenv("CGN_SUPER_CHECKPOINT_DIR");
   if (dir && *dir) {
     // CheckpointWriter::open cannot create directories; make the drill
@@ -111,33 +128,19 @@ inline super::SupervisorConfig supervisor_config_from_env(
 /// CGN_RETRY_BACKOFF_S is the first wait, doubled for each further attempt.
 inline fault::RetryPolicy retry_policy_from_env() {
   fault::RetryPolicy retry;
-  retry.attempts = static_cast<int>(env_u64("CGN_RETRY_ATTEMPTS", 1));
+  retry.attempts = static_cast<int>(
+      env_u64("CGN_RETRY_ATTEMPTS", 1, std::numeric_limits<int>::max()));
   retry.base_backoff_s = env_double("CGN_RETRY_BACKOFF_S", 1.0);
   return retry;
 }
 
 /// The IPv6-transition scenario, from the environment. CGN_V6_TRANSITION=1
 /// enables the v6 world (default off: v4-only, figures byte-identical to a
-/// pre-v6 build); the CGN_V6_* fractions tune the per-AS mechanism mix,
-/// the per-line CLAT share and the Well-Known-Prefix probability. All v6
-/// code paths read these knobs through this function — never getenv.
+/// pre-v6 build). All v6 code paths read it through this function — never
+/// getenv.
 inline V6ScenarioConfig v6_config_from_env() {
   V6ScenarioConfig v6;
   v6.enabled = env_u64("CGN_V6_TRANSITION", 0) != 0;
-  v6.cellular_nat64_fraction =
-      env_double("CGN_V6_CELL_NAT64", v6.cellular_nat64_fraction);
-  v6.cellular_dslite_fraction =
-      env_double("CGN_V6_CELL_DSLITE", v6.cellular_dslite_fraction);
-  v6.fixed_nat64_fraction =
-      env_double("CGN_V6_FIXED_NAT64", v6.fixed_nat64_fraction);
-  v6.fixed_dslite_fraction =
-      env_double("CGN_V6_FIXED_DSLITE", v6.fixed_dslite_fraction);
-  v6.cellular_clat_fraction =
-      env_double("CGN_V6_CELL_CLAT", v6.cellular_clat_fraction);
-  v6.fixed_clat_fraction =
-      env_double("CGN_V6_FIXED_CLAT", v6.fixed_clat_fraction);
-  v6.well_known_pref64_fraction =
-      env_double("CGN_V6_WKP64", v6.well_known_pref64_fraction);
   return v6;
 }
 

@@ -1,6 +1,7 @@
 #include "scenario/internet.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "obs/profiler.hpp"
@@ -8,6 +9,45 @@
 namespace cgn::scenario {
 
 namespace {
+
+// --- Calibrated world model (the 1:8 scale of the paper's world) ----------
+
+/// Share of the PBL eyeball list also on APNIC's.
+constexpr double kEyeballListOverlap = 0.80;
+/// Share of eyeball ASes per region: AFRINIC, APNIC, ARIN, LACNIC, RIPE.
+constexpr std::array<double, netcore::kRirCount> kRegionShare{
+    0.10, 0.25, 0.20, 0.15, 0.30};
+
+/// Ground-truth CGN deployment probability for non-cellular eyeball ASes per
+/// region. (Measured penetration lands lower: not every deployment is
+/// detectable.)
+constexpr std::array<double, netcore::kRirCount> kCgnRateByRegion{
+    0.15, 0.48, 0.22, 0.22, 0.44};
+constexpr double kCellularCgnRate = 0.96;
+constexpr double kCellularCgnRateAfrinic = 0.72;
+/// CGN deployment among instrumented non-eyeball ASes.
+constexpr double kOtherCgnRate = 0.05;
+
+// Instrumentation (who hosts vantage points).
+constexpr double kBtEyeballCoverage = 0.58;
+constexpr double kBtOtherFraction = 0.022;  ///< of non-eyeball routed ASes
+constexpr double kNzOtherFraction = 0.006;
+constexpr double kNzCellularCoverage = 0.85;
+constexpr int kBtPeersLo = 6, kBtPeersHi = 40;
+constexpr int kBtPeersCellularHi = 3;  ///< BitTorrent is rare on mobile devices
+
+// Behavioural calibration.
+/// Homes with two BT devices.
+constexpr double kMultiDeviceHomeFraction = 0.22;
+/// BT clients mapping their port.
+constexpr double kUpnpPortmapFraction = 0.70;
+/// Peers that propagate unvalidated contacts (paper calibration: ~1.3%).
+constexpr double kSloppyPeerFraction = 0.013;
+constexpr std::size_t kDhtTableCapacity = 128;
+
+// Topology shape.
+constexpr int kServerSideHops = 3;
+constexpr int kAggHopsLo = 1, kAggHopsHi = 3;
 
 /// Nominally-public /8-style blocks some ISPs deploy internally
 /// (Figure 7(b)); none of them fall inside the announced 16.0.0.0/4 world,
@@ -245,7 +285,7 @@ class InternetBuilder {
 
   void attach_bt(Subscriber& sub, const BtPlan& bp) {
     dht::DhtNodeConfig cfg;
-    cfg.table_capacity = I_.config.dht_table_capacity;
+    cfg.table_capacity = kDhtTableCapacity;
     cfg.pings_per_round = 24;  // active clients validate aggressively
     cfg.validate_before_propagate = !bp.sloppy;
     netcore::Endpoint local{sub.device_address, 6881};
@@ -293,15 +333,14 @@ class InternetBuilder {
   void build_universe() {
     const InternetConfig& cfg = I_.config;
     const std::size_t overlap = static_cast<std::size_t>(
-        cfg.eyeball_list_overlap *
+        kEyeballListOverlap *
         static_cast<double>(std::min(cfg.pbl_eyeballs, cfg.apnic_eyeballs)));
     const std::size_t eyeball_union =
         cfg.pbl_eyeballs + cfg.apnic_eyeballs - overlap;
     if (eyeball_union + 1 >= cfg.routed_ases)
       throw std::invalid_argument("more eyeballs than routed ASes");
 
-    std::vector<double> region_w(cfg.region_share.begin(),
-                                 cfg.region_share.end());
+    std::vector<double> region_w(kRegionShare.begin(), kRegionShare.end());
 
     plans_.reserve(cfg.routed_ases);
     for (std::size_t i = 0; i < cfg.routed_ases; ++i) {
@@ -332,27 +371,26 @@ class InternetBuilder {
       double rate;
       if (plan.info.cellular) {
         rate = plan.info.region == netcore::Rir::afrinic
-                   ? cfg.cellular_cgn_rate_afrinic
-                   : cfg.cellular_cgn_rate;
+                   ? kCellularCgnRateAfrinic
+                   : kCellularCgnRate;
       } else if (plan.info.eyeball()) {
-        rate = cfg.cgn_rate_by_region[static_cast<std::size_t>(
-            plan.info.region)];
+        rate = kCgnRateByRegion[static_cast<std::size_t>(plan.info.region)];
       } else {
-        rate = cfg.other_cgn_rate;
+        rate = kOtherCgnRate;
       }
       plan.cgn = rng_.chance(rate);
       I_.truth_cgn_[plan.info.asn] = plan.cgn;
 
       // Instrumentation.
       if (plan.info.cellular) {
-        plan.nz = rng_.chance(cfg.nz_cellular_coverage);
+        plan.nz = rng_.chance(kNzCellularCoverage);
         plan.bt = rng_.chance(0.25);  // BitTorrent is rare on mobile
       } else if (plan.info.eyeball()) {
-        plan.bt = rng_.chance(cfg.bt_eyeball_coverage);
+        plan.bt = rng_.chance(kBtEyeballCoverage);
         plan.nz = rng_.chance(cfg.nz_eyeball_coverage);
       } else {
-        plan.bt = rng_.chance(cfg.bt_other_fraction);
-        plan.nz = rng_.chance(cfg.nz_other_fraction);
+        plan.bt = rng_.chance(kBtOtherFraction);
+        plan.nz = rng_.chance(kNzOtherFraction);
       }
 
       I_.registry.add(plan.info);
@@ -370,8 +408,8 @@ class InternetBuilder {
     netcore::Ipv4Prefix prefix = carver_.next(24);
     I_.routes.announce(prefix, infra.asn);
 
-    sim::NodeId rack = I_.net.add_router_chain(I_.net.root(),
-                                               cfg.server_side_hops, "infra");
+    sim::NodeId rack =
+        I_.net.add_router_chain(I_.net.root(), kServerSideHops, "infra");
     Servers& s = I_.servers;
 
     s.netalyzr_host = I_.net.add_node(rack, "netalyzr-server");
@@ -446,8 +484,8 @@ class InternetBuilder {
 
     // Access aggregation under the core.
     int agg = static_cast<int>(rng_.uniform(
-        static_cast<std::uint64_t>(cfg.agg_hops_lo),
-        static_cast<std::uint64_t>(cfg.agg_hops_hi)));
+        static_cast<std::uint64_t>(kAggHopsLo),
+        static_cast<std::uint64_t>(kAggHopsHi)));
     sim::NodeId agg_bottom =
         I_.net.add_router_chain(I_.net.root(), agg, plan.info.name);
 
@@ -455,14 +493,14 @@ class InternetBuilder {
     std::size_t bt_count = 0;
     if (plan.bt) {
       if (plan.info.cellular) {
-        bt_count = rng_.uniform(1, static_cast<std::uint64_t>(
-                                       cfg.bt_peers_cellular_hi));
+        bt_count =
+            rng_.uniform(1, static_cast<std::uint64_t>(kBtPeersCellularHi));
       } else if (plan.cgn) {
         bt_count = rng_.uniform(static_cast<std::uint64_t>(cfg.bt_peers_cgn_lo),
                                 static_cast<std::uint64_t>(cfg.bt_peers_cgn_hi));
       } else {
-        bt_count = rng_.uniform(static_cast<std::uint64_t>(cfg.bt_peers_lo),
-                                static_cast<std::uint64_t>(cfg.bt_peers_hi));
+        bt_count = rng_.uniform(static_cast<std::uint64_t>(kBtPeersLo),
+                                static_cast<std::uint64_t>(kBtPeersHi));
       }
     }
     if (plan.nz) {
@@ -490,7 +528,7 @@ class InternetBuilder {
       if (cfg.v6.enabled) {
         v6rng_ = sim::Rng::fork(cfg.seed ^ kV6BuilderSalt, plan.info.asn);
         apply_transition_profile(*isp.cgn_profile, v6rng_,
-                                 plan.info.cellular, plan.info.asn, cfg.v6);
+                                 plan.info.cellular, plan.info.asn);
         isp.transition = isp.cgn_profile->transition;
       }
       I_.truth_transition_[plan.info.asn] = isp.transition;
@@ -633,16 +671,16 @@ class InternetBuilder {
       // constructor call evaluated its arguments right-to-left (GCC):
       // the rng_.fork() engine draw lands before the node-id draw.
       auto plan_bt = [&](BtPlan& bp) {
-        bp.sloppy = rng_.chance(cfg.sloppy_peer_fraction);
+        bp.sloppy = rng_.chance(kSloppyPeerFraction);
         bp.dht_seed = rng_.engine()();
         bp.dht_id = dht::NodeId160::random(rng_);
         if (has_cpe && lp.cpe_model->upnp)
-          bp.upnp_map = rng_.chance(cfg.upnp_portmap_fraction);
+          bp.upnp_map = rng_.chance(kUpnpPortmapFraction);
         bp.deaf = deaf_rate > 0 && frng.chance(deaf_rate);
       };
       if (lp.has_bt) plan_bt(lp.bt);
       lp.multi_home = lp.has_bt && !plan.info.cellular && has_cpe &&
-                      rng_.chance(cfg.multi_device_home_fraction);
+                      rng_.chance(kMultiDeviceHomeFraction);
       if (lp.multi_home) plan_bt(lp.second);
       n_slots += lp.multi_home ? 2 : 1;
     }

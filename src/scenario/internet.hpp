@@ -10,7 +10,6 @@
 // plays for the paper's coverage denominators.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -39,49 +38,19 @@ struct InternetConfig {
   std::uint64_t seed = 42;
 
   // --- AS universe (defaults are a 1:8 scale of the paper's world) -------
+  // The rest of the calibration (region mix, CGN deployment rates, coverage,
+  // peer counts, topology shape) is fixed in internet.cpp.
   std::size_t routed_ases = 6500;
   std::size_t pbl_eyeballs = 360;
   std::size_t apnic_eyeballs = 390;
-  double eyeball_list_overlap = 0.80;  ///< share of PBL list also on APNIC's
   std::size_t cellular_ases = 34;
 
-  /// Share of eyeball ASes per region: AFRINIC, APNIC, ARIN, LACNIC, RIPE.
-  std::array<double, netcore::kRirCount> region_share{0.10, 0.25, 0.20, 0.15,
-                                                      0.30};
-
-  // --- Ground-truth CGN deployment ----------------------------------------
-  /// Deployment probability for non-cellular eyeball ASes per region.
-  /// (Measured penetration lands lower: not every deployment is detectable.)
-  std::array<double, netcore::kRirCount> cgn_rate_by_region{0.15, 0.48, 0.22,
-                                                            0.22, 0.44};
-  double cellular_cgn_rate = 0.96;
-  double cellular_cgn_rate_afrinic = 0.72;
-  /// CGN deployment among instrumented non-eyeball ASes.
-  double other_cgn_rate = 0.05;
-
   // --- Instrumentation (who hosts vantage points) -------------------------
-  double bt_eyeball_coverage = 0.58;
-  double bt_other_fraction = 0.022;   ///< of non-eyeball routed ASes
   double nz_eyeball_coverage = 0.30;
-  double nz_other_fraction = 0.006;
-  double nz_cellular_coverage = 0.85;
 
   int bt_peers_cgn_lo = 90, bt_peers_cgn_hi = 170;
-  int bt_peers_lo = 6, bt_peers_hi = 40;
-  int bt_peers_cellular_hi = 3;  ///< BitTorrent is rare on mobile devices
   int nz_sessions_lo = 12, nz_sessions_hi = 48;
   int nz_cellular_sessions_lo = 5, nz_cellular_sessions_hi = 16;
-
-  // --- Behavioural knobs ---------------------------------------------------
-  double multi_device_home_fraction = 0.22;  ///< homes with two BT devices
-  double upnp_portmap_fraction = 0.70;       ///< BT clients mapping their port
-  /// Peers that propagate unvalidated contacts (paper calibration: ~1.3%).
-  double sloppy_peer_fraction = 0.013;
-  std::size_t dht_table_capacity = 128;
-
-  // --- Topology shape ------------------------------------------------------
-  int server_side_hops = 3;
-  int agg_hops_lo = 1, agg_hops_hi = 3;
 
   // --- IPv6 transition -----------------------------------------------------
   /// NAT64/DNS64, DS-Lite and 464XLAT deployment (DESIGN.md §14). Disabled
@@ -191,11 +160,6 @@ class Internet {
   [[nodiscard]] bool truth_has_cgn(netcore::Asn asn) const {
     auto it = truth_cgn_.find(asn);
     return it != truth_cgn_.end() && it->second;
-  }
-  [[nodiscard]] std::size_t truth_cgn_count() const {
-    std::size_t n = 0;
-    for (const auto& [asn, cgn] : truth_cgn_) n += cgn ? 1 : 0;
-    return n;
   }
 
   /// Ground truth: the AS's transition mechanism. nat44 for every AS of a

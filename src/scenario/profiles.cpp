@@ -8,6 +8,23 @@ using nat::PortAllocation;
 using netcore::Ipv4Prefix;
 using netcore::ReservedRange;
 
+// --- IPv6-transition mix (DESIGN.md §14) ----------------------------------
+
+/// Transition-mechanism mix among CGN ASes. Cellular carriers lean
+/// NAT64/464XLAT (the mobile pattern); fixed-line ISPs that migrate mostly
+/// pick DS-Lite. The remainder stays NAT444.
+constexpr double kCellularNat64Fraction = 0.55;
+constexpr double kCellularDsliteFraction = 0.08;
+constexpr double kFixedNat64Fraction = 0.10;
+constexpr double kFixedDsliteFraction = 0.28;
+/// Among a NAT64 carrier's lines, the share provisioned with a CLAT (making
+/// the line 464XLAT); the rest run a bare v6-only stack.
+constexpr double kCellularClatFraction = 0.85;
+constexpr double kFixedClatFraction = 0.45;
+/// Probability a NAT64 AS announces the Well-Known Prefix 64:ff9b::/96;
+/// otherwise a network-specific prefix with a varied RFC 6052 length.
+constexpr double kWellKnownPref64Fraction = 0.50;
+
 std::vector<CpeModel> make_catalog() {
   // Market calibrated to the paper: ~92% of CPE sessions preserve ports
   // (Fig 8b); <2% symmetric, the rest spread over the cone types with a
@@ -178,15 +195,13 @@ CgnProfile sample_cgn_profile(sim::Rng& rng, bool cellular) {
 }
 
 void apply_transition_profile(CgnProfile& p, sim::Rng& v6rng, bool cellular,
-                              std::uint32_t asn,
-                              const V6ScenarioConfig& cfg) {
+                              std::uint32_t asn) {
   // Mechanism.
   const double r = v6rng.uniform01();
   const double nat64_cut =
-      cellular ? cfg.cellular_nat64_fraction : cfg.fixed_nat64_fraction;
+      cellular ? kCellularNat64Fraction : kFixedNat64Fraction;
   const double dslite_cut =
-      nat64_cut +
-      (cellular ? cfg.cellular_dslite_fraction : cfg.fixed_dslite_fraction);
+      nat64_cut + (cellular ? kCellularDsliteFraction : kFixedDsliteFraction);
   if (r < nat64_cut) {
     p.transition = nat::TranslatorMode::nat64;
   } else if (r < dslite_cut) {
@@ -197,7 +212,7 @@ void apply_transition_profile(CgnProfile& p, sim::Rng& v6rng, bool cellular,
   }
 
   if (p.transition == nat::TranslatorMode::nat64) {
-    if (v6rng.chance(cfg.well_known_pref64_fraction)) {
+    if (v6rng.chance(kWellKnownPref64Fraction)) {
       p.pref64 = netcore::well_known_pref64();
     } else {
       // Network-specific prefix 2001:<asn>::/len; NSP deployments skew
@@ -208,8 +223,7 @@ void apply_transition_profile(CgnProfile& p, sim::Rng& v6rng, bool cellular,
           (0x2001ull << 48) | (static_cast<std::uint64_t>(asn) << 32);
       p.pref64 = netcore::Ipv6Prefix(netcore::Ipv6Address(hi, 0), len);
     }
-    p.clat_fraction =
-        cellular ? cfg.cellular_clat_fraction : cfg.fixed_clat_fraction;
+    p.clat_fraction = cellular ? kCellularClatFraction : kFixedClatFraction;
   }
 
   // Mobile transition carriers: shorter mapping lifetimes and a heavier

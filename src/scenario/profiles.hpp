@@ -15,25 +15,11 @@
 
 namespace cgn::scenario {
 
-/// IPv6-transition scenario knobs (DESIGN.md §14). Disabled by default: a
-/// v4-only world draws no v6 randomness and builds byte-identical to a
-/// pre-v6 binary.
+/// IPv6-transition scenario (DESIGN.md §14). Disabled by default: a v4-only
+/// world draws no v6 randomness and builds byte-identical to a pre-v6
+/// binary. The mechanism mix is fixed in profiles.cpp.
 struct V6ScenarioConfig {
   bool enabled = false;
-  /// Transition-mechanism mix among CGN ASes. Cellular carriers lean
-  /// NAT64/464XLAT (the mobile pattern); fixed-line ISPs that migrate
-  /// mostly pick DS-Lite. The remainder stays NAT444.
-  double cellular_nat64_fraction = 0.55;
-  double cellular_dslite_fraction = 0.08;
-  double fixed_nat64_fraction = 0.10;
-  double fixed_dslite_fraction = 0.28;
-  /// Among a NAT64 carrier's lines, the share provisioned with a CLAT
-  /// (making the line 464XLAT); the rest run a bare v6-only stack.
-  double cellular_clat_fraction = 0.85;
-  double fixed_clat_fraction = 0.45;
-  /// Probability a NAT64 AS announces the Well-Known Prefix 64:ff9b::/96;
-  /// otherwise a network-specific prefix with a varied RFC 6052 length.
-  double well_known_pref64_fraction = 0.50;
 };
 
 /// One CPE hardware model (Figure 8(b) keys sessions by UPnP model string).
@@ -108,6 +94,6 @@ struct CgnProfile {
 /// paper's Table 6/7 mobile columns: tighter timeouts, more random and
 /// chunked allocation than the fixed fleet).
 void apply_transition_profile(CgnProfile& p, sim::Rng& v6rng, bool cellular,
-                              std::uint32_t asn, const V6ScenarioConfig& cfg);
+                              std::uint32_t asn);
 
 }  // namespace cgn::scenario

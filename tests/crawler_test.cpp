@@ -117,8 +117,11 @@ struct CrawlWorld {
     crawler->start(mini.net, bootstrap->local_endpoint());
     while (crawler->crawl_step(mini.net, 100) > 0) {
     }
-    while (crawler->ping_step(mini.net, 1000) > 0) {
-    }
+    const std::vector<dht::Contact> learned =
+        crawler->dataset().learned_contacts();
+    const DhtCrawler::PingShardOutcome sweep =
+        crawler->ping_shard(mini.net, learned, 0);
+    crawler->absorb_ping_outcomes({&sweep, 1});
   }
 };
 

@@ -204,8 +204,10 @@ TEST(Crawler, InternalPeersNeverJoinTheFrontier) {
   crawler.start(swarm.mini.net, peer.local_endpoint());
   while (crawler.crawl_step(swarm.mini.net, 10) > 0) {
   }
-  while (crawler.ping_step(swarm.mini.net, 100) > 0) {
-  }
+  const std::vector<Contact> learned = crawler.dataset().learned_contacts();
+  const crawler::DhtCrawler::PingShardOutcome sweep =
+      crawler.ping_shard(swarm.mini.net, learned, 0);
+  crawler.absorb_ping_outcomes({&sweep, 1});
   // The internal peer was learned (and bt_pinged, unreachable) but never
   // queried with find_nodes.
   EXPECT_GT(crawler.dataset().learned_peers(), 0u);

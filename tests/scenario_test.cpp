@@ -233,7 +233,25 @@ TEST(EnvConfig, HalfParsedNumbersFallBackWithOneWarning) {
   EXPECT_EQ(env_double(kName, 0.4), 1e-3);
   ::setenv(kName, "17", 1);
   EXPECT_EQ(env_u64(kName, 3), 17u);
+
+  // Out of range: a port of 70000 used to wrap to 4464 through the
+  // uint16_t cast; above the bound (or above 2^64) reads as the default.
+  ::setenv(kName, "70000", 1);
+  EXPECT_EQ(env_u64(kName, 9464, 65535), 9464u);
+  ::setenv(kName, "65535", 1);
+  EXPECT_EQ(env_u64(kName, 9464, 65535), 65535u);
+  ::setenv(kName, "18446744073709551616", 1);
+  EXPECT_EQ(env_u64(kName, 3), 3u);
   ::unsetenv(kName);
+
+  // The same whole-value parser backs the daemons' numeric flags.
+  EXPECT_EQ(parse_u64("80", 65535), 80u);
+  EXPECT_EQ(parse_u64("65535", 65535), 65535u);
+  EXPECT_FALSE(parse_u64("70000", 65535).has_value());
+  EXPECT_FALSE(parse_u64("80x", 65535).has_value());
+  EXPECT_FALSE(parse_u64("-5").has_value());
+  EXPECT_FALSE(parse_u64("").has_value());
+  EXPECT_FALSE(parse_u64(nullptr).has_value());
   EXPECT_EQ(env_double(kName, 0.4), 0.4);
 }
 
