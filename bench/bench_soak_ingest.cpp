@@ -60,7 +60,10 @@ void feed(observatory::PushClient& client, const CapturingSink& capture,
     if (pace_us > 0)
       std::this_thread::sleep_for(std::chrono::microseconds(pace_us));
   }
-  if (!full) return;
+  if (!full) {
+    client.flush();  // no control frame follows to send the last batch
+    return;
+  }
   for (const auto& [kind, report] : capture.reports)
     client.note_campaign_report(kind, report);
   client.note_stream_done();
@@ -198,23 +201,29 @@ int main() {
       client.connect();
       // Events only: done would (correctly) block while the drain sleeps.
       feed(client, capture, 0, false);
+      // feed() returns once the bytes are in the kernel buffer; wait for the
+      // server's connection thread to consume them before taking the
+      // snapshot. The client stays open meanwhile: closing a socket with
+      // unread acks resets it, which drops the frames still in flight.
+      const auto settle = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(30);
+      while (server->cursor("overload") < capture.events.size() &&
+             std::chrono::steady_clock::now() < settle)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     } catch (const observatory::IngestError& e) {
       std::fprintf(stderr, "soak: overload push failed: %s\n", e.what());
       overload_ok = false;
     }
   }
-  // feed() returns once the bytes are in the kernel buffer; wait for the
-  // server's connection thread to consume them before taking the snapshot.
-  {
-    const auto settle = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(30);
-    while (overload_ok &&
-           server->cursor("overload") < capture.events.size() &&
-           std::chrono::steady_clock::now() < settle)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   observatory::IngestStats after = server->stats();
   const std::uint64_t accepted = server->cursor("overload");
+  if (overload_ok && accepted != capture.events.size()) {
+    std::fprintf(stderr,
+                 "soak: overload leg lost frames: accepted %llu of %zu\n",
+                 static_cast<unsigned long long>(accepted),
+                 capture.events.size());
+    overload_ok = false;
+  }
   const std::uint64_t enqueued = after.events_enqueued - before.events_enqueued;
   const std::uint64_t shed = after.shed_total - before.shed_total;
   if (accepted != enqueued + shed) {

@@ -99,11 +99,14 @@ class World {
   /// Combined §5 coverage (triggers both campaigns). Includes
   /// `measurement` fractions from the supervised campaigns, so a degraded
   /// (quarantined-shard) run is visible next to the Table 5 numbers.
+  /// Netalyzr runs first, then BitTorrent: fork_rng() hands out substreams
+  /// in call order, so this order is part of the figures.
   const analysis::CoverageResult& coverage() {
     if (!coverage_) {
+      const analysis::NetalyzrDetectionResult& nz = nz_result();
+      const analysis::BtDetectionResult& bt = bt_result();
       coverage_ = std::make_unique<analysis::CoverageResult>(
-          analysis::combine_coverage(bt_result(), nz_result(),
-                                     internet_->registry));
+          analysis::combine_coverage(bt, nz, internet_->registry));
       analysis::note_supervision(*coverage_, &bt_report_, &nz_report_);
     }
     return *coverage_;

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -29,21 +30,53 @@ enum class ReadStatus : std::uint8_t {
   timed_out,  ///< SO_RCVTIMEO fired (slow loris)
 };
 
-/// Reads exactly `n` bytes, riding out EINTR and partial reads.
-ReadStatus read_full(int fd, char* out, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t k = ::recv(fd, out + got, n - got, 0);
-    if (k > 0) {
-      got += static_cast<std::size_t>(k);
-      continue;
+/// A connection's receive buffer: one recv() takes as many frames as the
+/// kernel holds, and frames are parsed in place.
+class RecvBuffer {
+ public:
+  /// Buffers at least `n` unread bytes, riding out EINTR and partial reads.
+  /// `closed` means EOF or an error with nothing unread.
+  ReadStatus fill(int fd, std::size_t n) {
+    if (end_ - begin_ >= n) return ReadStatus::ok;
+    // Move the unread tail to the front; grow only to what the caller
+    // asked for (it has bounded `n`) or one read-ahead chunk.
+    std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    if (buf_.size() < std::max(n, kReadAhead))
+      buf_.resize(std::max(n, kReadAhead));
+    while (end_ < n) {
+      const ssize_t k = ::recv(fd, buf_.data() + end_, buf_.size() - end_, 0);
+      if (k > 0) {
+        end_ += static_cast<std::size_t>(k);
+        continue;
+      }
+      if (k < 0 && errno == EINTR) continue;
+      if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        return ReadStatus::timed_out;
+      return end_ == 0 ? ReadStatus::closed : ReadStatus::truncated;
     }
-    if (k == 0) return got == 0 ? ReadStatus::closed : ReadStatus::truncated;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadStatus::timed_out;
-    return got == 0 ? ReadStatus::closed : ReadStatus::truncated;
+    return ReadStatus::ok;
   }
-  return ReadStatus::ok;
+
+  /// The first `n` unread bytes; valid until the next fill().
+  [[nodiscard]] std::string_view peek(std::size_t n) const {
+    return std::string_view(buf_).substr(begin_, n);
+  }
+  void consume(std::size_t n) { begin_ += n; }
+
+ private:
+  static constexpr std::size_t kReadAhead = 64 * 1024;
+  std::string buf_;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+};
+
+/// Frames go out as soon as they are written: the client batches its own
+/// events, and a reply the peer waits on must not sit behind Nagle.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 /// Best-effort full send; a dead peer surfaces on its next read instead.
@@ -59,6 +92,22 @@ bool send_all(int fd, std::string_view data) {
     sent += static_cast<std::size_t>(k);
   }
   return true;
+}
+
+/// Appends one frame (header, type byte, body) to `out` in place.
+void append_frame(std::string& out, IngestFrameType type,
+                  std::string_view body) {
+  const std::size_t at = out.size();
+  out.resize(at + kIngestHeaderBytes);
+  out.push_back(static_cast<char>(type));
+  out.append(body);
+  const std::string_view payload =
+      std::string_view(out).substr(at + kIngestHeaderBytes);
+  super::wire::Writer h;
+  h.u32(kIngestMagic);
+  h.u32(static_cast<std::uint32_t>(payload.size()));
+  h.u64(super::wire::fnv1a(payload));
+  out.replace(at, kIngestHeaderBytes, h.bytes());
 }
 
 bool send_server_frame(int fd, IngestFrameType type,
@@ -77,16 +126,8 @@ bool send_error_frame(int fd, std::string_view message) {
 // --- wire codec -------------------------------------------------------------
 
 std::string ingest_frame(IngestFrameType type, std::string_view body) {
-  std::string payload;
-  payload.reserve(1 + body.size());
-  payload.push_back(static_cast<char>(type));
-  payload.append(body);
-  super::wire::Writer h;
-  h.u32(kIngestMagic);
-  h.u32(static_cast<std::uint32_t>(payload.size()));
-  h.u64(super::wire::fnv1a(payload));
-  std::string frame = h.take();
-  frame += payload;
+  std::string frame;
+  append_frame(frame, type, body);
   return frame;
 }
 
@@ -229,7 +270,12 @@ void IngestServer::stop() {
   if (listen_fd_ < 0 && !accept_thread_.joinable() &&
       !drain_thread_.joinable())
     return;
-  stopping_.store(true, std::memory_order_relaxed);
+  {
+    // Under the lock the waiters test `stopping_` with, so none can miss
+    // the notify below between its test and its wait.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stopping_.store(true, std::memory_order_relaxed);
+  }
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -331,6 +377,7 @@ void IngestServer::accept_loop() {
     tv.tv_sec = config_.recv_timeout_ms / 1000;
     tv.tv_usec = (config_.recv_timeout_ms % 1000) * 1000;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    set_nodelay(fd);
 
     std::lock_guard<std::mutex> lock(conns_mu_);
     reap_finished_locked();
@@ -351,11 +398,10 @@ void IngestServer::handle_connection(int fd) {
   bool hello_seen = false;
   bool open = true;
   std::uint64_t since_ack = 0;
-  std::string header(kIngestHeaderBytes, '\0');
-  std::string payload;
+  RecvBuffer rx;
 
   while (open && !stopping_.load(std::memory_order_relaxed)) {
-    ReadStatus st = read_full(fd, header.data(), header.size());
+    ReadStatus st = rx.fill(fd, kIngestHeaderBytes);
     if (st == ReadStatus::closed) break;
     if (st == ReadStatus::timed_out) {
       timeouts_.fetch_add(1, std::memory_order_relaxed);
@@ -365,7 +411,7 @@ void IngestServer::handle_connection(int fd) {
       truncated_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
-    super::wire::Reader hr(header);
+    super::wire::Reader hr(rx.peek(kIngestHeaderBytes));
     const std::uint32_t magic = hr.u32();
     const std::uint32_t frame_len = hr.u32();
     const std::uint64_t checksum = hr.u64();
@@ -381,8 +427,7 @@ void IngestServer::handle_connection(int fd) {
       send_error_frame(fd, "declared payload length out of range");
       break;
     }
-    payload.resize(frame_len);
-    st = read_full(fd, payload.data(), frame_len);
+    st = rx.fill(fd, kIngestHeaderBytes + frame_len);
     if (st == ReadStatus::timed_out) {
       timeouts_.fetch_add(1, std::memory_order_relaxed);
       break;
@@ -391,6 +436,9 @@ void IngestServer::handle_connection(int fd) {
       truncated_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
+    const std::string_view payload =
+        rx.peek(kIngestHeaderBytes + frame_len).substr(kIngestHeaderBytes);
+    rx.consume(kIngestHeaderBytes + frame_len);
     if (super::wire::fnv1a(payload) != checksum) {
       // Framing is intact (exactly frame_len bytes consumed), so the
       // connection survives a corrupt payload.
@@ -530,11 +578,14 @@ void IngestServer::handle_connection(int fd) {
           send_error_frame(fd, "malformed report");
           break;
         }
-        // Reports bypass the capacity check (bounded overshoot: a handful
-        // per connection) — parking a report behind its own campaign's
-        // parked events would deadlock a single-connection feeder.
         {
-          std::lock_guard<std::mutex> lock(queue_mu_);
+          // A report is never dropped: it waits for room, without a park
+          // frame, whatever the connection's policy.
+          std::unique_lock<std::mutex> lk(queue_mu_);
+          if (!wait_for_room_locked(lk)) {
+            open = false;
+            break;
+          }
           queue_.push_back(std::move(item));
           note_queue_depth_locked();
         }
@@ -555,6 +606,10 @@ void IngestServer::handle_connection(int fd) {
         item.done_gate = gate;
         {
           std::unique_lock<std::mutex> lk(queue_mu_);
+          if (!wait_for_room_locked(lk)) {  // as for reports
+            open = false;
+            break;
+          }
           queue_.push_back(std::move(item));
           note_queue_depth_locked();
           queue_cv_.notify_all();
@@ -581,10 +636,13 @@ void IngestServer::handle_connection(int fd) {
     }
   }
 
-  ::close(fd);
+  // Forget the fd before closing it, under the lock stop() shuts fds down
+  // with: once closed, accept() may hand the same number to a new
+  // connection, whose entry this erase must not take.
   std::lock_guard<std::mutex> lock(conns_mu_);
   conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
                   conn_fds_.end());
+  ::close(fd);
   finished_ids_.push_back(std::this_thread::get_id());
 }
 
@@ -608,17 +666,21 @@ bool IngestServer::enqueue(Item item, IngestOverloadPolicy policy, int fd) {
     w.u64(depth);
     send_server_frame(fd, IngestFrameType::park, w.bytes());
     lk.lock();
-    space_cv_.wait(lk, [&] {
-      return stopping_.load(std::memory_order_relaxed) ||
-             queue_.size() < config_.queue_capacity;
-    });
-    if (stopping_.load(std::memory_order_relaxed)) return false;
+    if (!wait_for_room_locked(lk)) return false;
   }
   queue_.push_back(std::move(item));
   events_enqueued_.fetch_add(1, std::memory_order_relaxed);
   note_queue_depth_locked();
   queue_cv_.notify_one();
   return true;
+}
+
+bool IngestServer::wait_for_room_locked(std::unique_lock<std::mutex>& lk) {
+  space_cv_.wait(lk, [&] {
+    return stopping_.load(std::memory_order_relaxed) ||
+           queue_.size() < config_.queue_capacity;
+  });
+  return !stopping_.load(std::memory_order_relaxed);
 }
 
 void IngestServer::note_queue_depth_locked() {
@@ -676,6 +738,7 @@ void PushClient::connect() {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0)
     throw IngestError(std::string("socket: ") + std::strerror(errno));
+  set_nodelay(fd_);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(config_.port);
@@ -711,6 +774,13 @@ void PushClient::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  txbuf_.clear();
+}
+
+void PushClient::flush() {
+  if (txbuf_.empty()) return;
+  raw_send(txbuf_.data(), txbuf_.size());
+  txbuf_.clear();
 }
 
 void PushClient::add_stream_total(std::uint64_t n) {
@@ -733,7 +803,11 @@ void PushClient::ingest(const StreamEvent& event) {
   put_stream_event(w, event);
   send_frame(IngestFrameType::event, w.bytes());
   ++events_sent_;
-  pump_incoming(nullptr);
+  if (txbuf_.size() >= kPushBatchBytes ||
+      std::chrono::steady_clock::now() - txbuf_since_ >= kPushBatchMaxAge) {
+    flush();
+    pump_incoming(nullptr);
+  }
 }
 
 void PushClient::note_stream_done() {
@@ -752,8 +826,12 @@ void PushClient::note_campaign_report(const std::string& kind,
 
 void PushClient::send_frame(IngestFrameType type, std::string_view body) {
   if (fd_ < 0) throw IngestError("not connected");
-  const std::string frame = ingest_frame(type, body);
-  raw_send(frame.data(), frame.size());
+  if (txbuf_.empty()) txbuf_since_ = std::chrono::steady_clock::now();
+  append_frame(txbuf_, type, body);
+  // A control frame goes out at once, with every event buffered before it:
+  // a cut then surfaces in the call that sent it, and the server sees the
+  // frame the caller is about to wait on.
+  if (type != IngestFrameType::event) flush();
 }
 
 void PushClient::raw_send(const char* data, std::size_t n) {

@@ -40,6 +40,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -208,6 +209,8 @@ class IngestServer {
   /// True once enqueued (or shed, which still counts as handled); false
   /// only when the server is stopping.
   bool enqueue(Item item, IngestOverloadPolicy policy, int fd);
+  /// Blocks until the queue has room; false when the server is stopping.
+  bool wait_for_room_locked(std::unique_lock<std::mutex>& lk);
   void note_queue_depth_locked();
 
   Observatory& obs_;
@@ -258,6 +261,12 @@ class IngestServer {
 
 // --- client -----------------------------------------------------------------
 
+/// PushClient batching: event frames are buffered and sent once this many
+/// bytes have built up...
+inline constexpr std::size_t kPushBatchBytes = 16 * 1024;
+/// ...or once the oldest buffered frame is this old (checked on ingest()).
+inline constexpr std::chrono::milliseconds kPushBatchMaxAge{5};
+
 /// A push connection failed: refused, reset, mid-frame fault injection, a
 /// server error frame, or a protocol violation.
 class IngestError : public std::runtime_error {
@@ -284,6 +293,10 @@ struct PushClientConfig {
 /// EventSink that frames every observation onto the socket. The same
 /// StreamDriver that feeds an in-process Observatory feeds this instead —
 /// that symmetry is the byte-identity argument for push-fed figures.
+///
+/// Event frames are batched (kPushBatchBytes / kPushBatchMaxAge); every
+/// control frame (hello, announce, report, done) is sent at once, after the
+/// batch buffered before it, so a cut surfaces in the call that sent it.
 class PushClient : public EventSink {
  public:
   explicit PushClient(PushClientConfig config);
@@ -295,7 +308,15 @@ class PushClient : public EventSink {
   /// Connects, sends hello, blocks for the server's resume cursor.
   /// Throws IngestError on refusal or protocol violation.
   void connect();
+  /// Closes the socket; buffered frames that were never sent are dropped.
+  /// So may frames still in flight when replies are unread (the kernel
+  /// resets the connection): a producer that needs them delivered waits
+  /// for done_ack (note_stream_done) or the server's cursor first.
   void close();
+  /// Sends every buffered frame now, for a producer that stops without a
+  /// control frame. Never reads replies: connect() and note_stream_done()
+  /// wait for theirs.
+  void flush();
   [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
 
   /// The server's next expected sequence at connect() time. ingest() calls
@@ -341,6 +362,8 @@ class PushClient : public EventSink {
   std::uint64_t bytes_sent_ = 0;
   bool done_acked_ = false;
   std::string rxbuf_;
+  std::string txbuf_;  ///< framed, not yet sent
+  std::chrono::steady_clock::time_point txbuf_since_;  ///< oldest frame
 };
 
 }  // namespace cgn::observatory

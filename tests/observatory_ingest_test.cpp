@@ -1,7 +1,9 @@
 // Push-ingestion tests: wire codec round-trips, the malformed-frame
 // corpus (every rejected frame lands in exactly one counter and the daemon
 // stays healthy), bounded-queue backpressure and shedding, reconnect-and-
-// resume figure equality, and the hardened HttpServer parsing limits.
+// resume figure equality, the batched wire contract (frames split across
+// and packed into recv() calls, what sends a batch), and the hardened
+// HttpServer parsing limits.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -10,6 +12,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -266,6 +270,27 @@ class ObservatoryIngestServerTest : public ::testing::Test {
     server_ = obs_->ingest_server();
   }
 
+  /// The same events through the in-process default channel of a second
+  /// observatory over the same routes: what every push must converge on.
+  std::map<std::string, analysis::Figures> truth_sets(
+      const std::vector<StreamEvent>& events) {
+    observatory::Observatory truth_obs(routes_, registry_);
+    truth_obs.add_stream_total(events.size());
+    for (const StreamEvent& e : events) truth_obs.ingest(e);
+    truth_obs.note_stream_done();
+    return truth_obs.figure_sets();
+  }
+
+  [[nodiscard]] observatory::PushClientConfig client_config(
+      const std::string& campaign) const {
+    observatory::PushClientConfig cfg;
+    cfg.port = obs_->ingest_port();
+    cfg.campaign = campaign;
+    cfg.world_seed = 1;
+    cfg.plan_hash = 2;
+    return cfg;
+  }
+
   RoutingTable routes_;
   netcore::AsRegistry registry_;
   std::unique_ptr<observatory::Observatory> obs_;
@@ -383,6 +408,7 @@ TEST_F(ObservatoryIngestServerTest, ParkBackpressureBoundsTheQueue) {
   std::thread pusher([&] {
     client.add_stream_total(events.size());
     for (const StreamEvent& e : events) client.ingest(e);
+    client.flush();
   });
 
   // The queue must cap at its capacity (4) while the connection parks.
@@ -413,6 +439,7 @@ TEST_F(ObservatoryIngestServerTest, ShedPolicyDropsDeterministicallyAndCounts) {
   client.connect();
   client.add_stream_total(events.size());
   for (const StreamEvent& e : events) client.ingest(e);
+  client.flush();
 
   // Wait for the connection thread to consume everything it was sent.
   ASSERT_TRUE(eventually(
@@ -434,19 +461,60 @@ TEST_F(ObservatoryIngestServerTest, ShedPolicyDropsDeterministicallyAndCounts) {
   EXPECT_EQ(server_->cursor("shed"), events.size());
 }
 
+TEST_F(ObservatoryIngestServerTest, ReportAndDoneWaitForRoom) {
+  const std::vector<StreamEvent> events = synthetic_stream();
+  for (const auto policy : {observatory::IngestOverloadPolicy::park,
+                            observatory::IngestOverloadPolicy::shed}) {
+    const std::string campaign =
+        policy == observatory::IngestOverloadPolicy::park ? "room_park"
+                                                          : "room_shed";
+    server_->set_drain_paused(true);
+    observatory::PushClientConfig cfg = client_config(campaign);
+    cfg.policy = policy;
+    observatory::PushClient client(cfg);
+    client.connect();
+    std::thread pusher([&] {
+      // Exactly the queue's capacity (4) of events: none parks or sheds,
+      // the queue is full when the report arrives.
+      for (std::size_t i = 0; i < 4; ++i) client.ingest(events[i]);
+      client.note_campaign_report("crawl_ping", super::CampaignReport{});
+      client.note_stream_done();
+    });
+    ASSERT_TRUE(eventually([&] { return server_->cursor(campaign) == 4; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_LE(server_->stats().max_queue_depth, 4u)
+        << campaign << ": a report must wait for room, not overshoot";
+
+    server_->set_drain_paused(false);
+    pusher.join();
+    EXPECT_TRUE(obs_->stream_done(campaign));
+  }
+  const observatory::IngestStats st = server_->stats();
+  EXPECT_LE(st.max_queue_depth, 4u);
+  EXPECT_EQ(st.parks, 0u) << "only events park with a park frame";
+  EXPECT_EQ(st.shed_total, 0u) << "a report or done is never shed";
+}
+
+TEST_F(ObservatoryIngestServerTest, StopWakesReportWaitingForRoom) {
+  server_->set_drain_paused(true);
+  const std::vector<StreamEvent> events = synthetic_stream();
+  observatory::PushClient client(client_config("stopped"));
+  client.connect();
+  for (std::size_t i = 0; i < 4; ++i) client.ingest(events[i]);
+  client.note_campaign_report("crawl_ping", super::CampaignReport{});
+  ASSERT_TRUE(eventually([&] { return server_->cursor("stopped") == 4; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // The report's connection thread now waits on the full queue; stop()
+  // must wake it rather than wait out the 30 s receive timeout.
+  const auto t0 = std::chrono::steady_clock::now();
+  server_->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+}
+
 TEST_F(ObservatoryIngestServerTest, ReconnectResumeReproducesFigures) {
   const std::vector<StreamEvent> events = synthetic_stream();
 
-  // Ground truth: the same events through the in-process default channel
-  // of a second observatory over the same routes.
-  std::map<std::string, analysis::Figures> truth;
-  {
-    observatory::Observatory truth_obs(routes_, registry_);
-    truth_obs.add_stream_total(events.size());
-    for (const StreamEvent& e : events) truth_obs.ingest(e);
-    truth_obs.note_stream_done();
-    truth = truth_obs.figure_sets();
-  }
+  const std::map<std::string, analysis::Figures> truth = truth_sets(events);
 
   observatory::PushClientConfig cfg;
   cfg.port = obs_->ingest_port();
@@ -513,6 +581,87 @@ TEST_F(ObservatoryIngestServerTest, MultiCampaignStreamsStayIndependent) {
   obs_->drop_campaign("beta");
   EXPECT_EQ(obs_->handle("/figures/beta").status, 404);
   EXPECT_EQ(obs_->handle("/figures/alpha").status, 200);
+}
+
+// --- batched wire contract -------------------------------------------------
+
+TEST_F(ObservatoryIngestServerTest, FramesSplitAcrossRecvsReproduceFigures) {
+  const std::vector<StreamEvent> events = synthetic_stream();
+  const std::map<std::string, analysis::Figures> truth = truth_sets(events);
+  // 1-byte writes split every header and payload across recv() calls; 7-byte
+  // writes also end chunks mid-header with the next frame's bytes behind.
+  for (const std::size_t max_write : {std::size_t{1}, std::size_t{7}}) {
+    const std::string campaign = "split" + std::to_string(max_write);
+    observatory::PushClientConfig cfg = client_config(campaign);
+    cfg.faults.max_write_bytes = max_write;
+    observatory::PushClient client(cfg);
+    client.connect();
+    client.add_stream_total(events.size());
+    for (const StreamEvent& e : events) client.ingest(e);
+    client.note_stream_done();
+    EXPECT_EQ(obs_->figure_sets(campaign), truth) << campaign;
+  }
+  EXPECT_EQ(server_->stats().rejected_total(), 0u);
+}
+
+TEST_F(ObservatoryIngestServerTest, ControlFrameFlushesBufferedEvents) {
+  const std::vector<StreamEvent> events = synthetic_stream();
+  observatory::PushClient client(client_config("report"));
+  client.connect();
+  for (const StreamEvent& e : events) client.ingest(e);
+  client.note_campaign_report("crawl_ping", super::CampaignReport{});
+  EXPECT_TRUE(eventually(
+      [&] { return server_->cursor("report") == events.size(); }))
+      << "a report must send the events buffered before it, without done";
+}
+
+TEST_F(ObservatoryIngestServerTest, AgeBoundFlushesWithoutExplicitFlush) {
+  const std::vector<StreamEvent> events = synthetic_stream();
+  observatory::PushClient client(client_config("age"));
+  client.connect();
+  client.ingest(events[0]);
+  std::this_thread::sleep_for(4 * observatory::kPushBatchMaxAge);
+  client.ingest(events[1]);
+  EXPECT_TRUE(eventually([&] { return server_->cursor("age") == 2; }))
+      << "an ingest() after the age bound must send the whole batch";
+}
+
+TEST_F(ObservatoryIngestServerTest, DoneOnEmptyStreamGetsItsReply) {
+  // connect() and note_stream_done() each wait for a reply; sending a frame
+  // must never consume the reply the following wait is for.
+  observatory::PushClientConfig cfg = client_config("empty");
+  cfg.reply_timeout_ms = 2000;
+  observatory::PushClient client(cfg);
+  client.connect();
+  EXPECT_NO_THROW(client.note_stream_done());
+  EXPECT_TRUE(obs_->stream_done("empty"));
+}
+
+TEST_F(ObservatoryIngestServerTest, StopReturnsPromptlyWithIdleClient) {
+  // Connection churn recycles fd numbers. A finished connection must never
+  // drop a live one's bookkeeping, or stop() cannot shut the live one down
+  // and waits out its 30 s receive timeout. Room for every churned
+  // connection, so none is refused for the connection cap.
+  obs_->stop_ingest();
+  observatory::IngestConfig cfg;
+  cfg.max_connections = 128;
+  std::string error;
+  ASSERT_TRUE(obs_->serve_ingest(0, cfg, &error)) << error;
+  server_ = obs_->ingest_server();
+
+  std::unique_ptr<RawIngestClient> idle;
+  for (int i = 0; i < 100; ++i) {
+    RawIngestClient churn(obs_->ingest_port());
+    if (i == 50) {
+      idle = std::make_unique<RawIngestClient>(obs_->ingest_port());
+      idle->send_bytes(hello_frame("idle"));
+    }
+  }
+  ASSERT_TRUE(
+      eventually([&] { return server_->stats().frames_accepted >= 1; }));
+  const auto t0 = std::chrono::steady_clock::now();
+  server_->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
 }
 
 // --- hardened HTTP parsing --------------------------------------------------
