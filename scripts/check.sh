@@ -7,7 +7,7 @@
 #   obs-off  the same with metrics compiled out (build-obs-off/,
 #            -DCGN_OBS=OFF); obs value-assert tests skip themselves
 #   asan     full ctest under ASan+UBSan (build-asan/, -DCGN_SANITIZE=ON)
-#   tsan     parallel-campaign and ingest/HTTP server ctest under TSan
+#   tsan     parallel-campaign, crawler and ingest/HTTP server ctest under TSan
 #            (build-tsan/, -DCGN_SANITIZE=thread, CGN_THREADS=4)
 #   bench    bench smoke: bench_perf_micro at 1 and 4 workers, fingerprints
 #            byte-identical, phase timings vs bench/baselines/, plus the
@@ -83,7 +83,7 @@ stage_tsan() {
   cmake -B build-tsan -S . -DCGN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target cgn_tests
   CGN_THREADS=4 ctest --test-dir build-tsan --output-on-failure \
-    -R 'RunShards|ConfiguredThreads|RngFork|ThreadClockScope|MetricSlots|CampaignParallel|Fault|RouteCache|Super|DhtNode|DhtTable|ObservatoryIngest|ObservatoryHttp' \
+    -R 'RunShards|ConfiguredThreads|RngFork|ThreadClockScope|MetricSlots|CampaignParallel|Fault|RouteCache|Super|DhtNode|DhtTable|Crawler|ObservatoryIngest|ObservatoryHttp' \
     -j "$(nproc)"
 }
 

@@ -78,10 +78,7 @@ std::optional<std::vector<dht::Contact>> DhtCrawler::query(
     reply = std::move(reply_contacts_);
     return true;
   });
-  if (reply) {
-    ++stats_.find_nodes_answered;
-    g_find_nodes_answered.inc();
-  }
+  if (reply) g_find_nodes_answered.inc();
   return reply;
 }
 

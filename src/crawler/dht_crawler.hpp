@@ -35,7 +35,6 @@ struct CrawlConfig {
 /// Counters describing crawler activity (not the harvested data).
 struct CrawlerStats {
   std::uint64_t find_nodes_sent = 0;
-  std::uint64_t find_nodes_answered = 0;
   std::uint64_t pings_sent = 0;
   std::uint64_t peers_with_leaks = 0;
 };

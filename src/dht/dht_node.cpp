@@ -39,17 +39,31 @@ void DhtNode::send_message(sim::Network& net, const netcore::Endpoint& dst,
   net.send(std::move(pkt), host_);
 }
 
-void DhtNode::send_ping(sim::Network& net, const Contact& contact) {
-  std::uint64_t tx = next_tx_++;
-  pending_[tx] = Pending{contact, net.clock().now()};
-  send_message(net, contact.endpoint, PingMsg{tx, id_});
+void DhtNode::request(sim::Network& net, const Contact& to, std::uint64_t tx,
+                      Message msg) {
+  // The frame copies `to`: the reply handler may grow contacts_ or
+  // overwrite the slot a caller's reference points into.
+  const sim::SimTime sent_at = net.clock().now();
+  Awaiting frame{tx, to, awaiting_};
+  awaiting_ = &frame;
+  send_message(net, frame.contact.endpoint, std::move(msg));
+  awaiting_ = frame.outer;
+  if (!frame.answered) unanswered_.emplace_back(frame.contact, sent_at);
 }
 
-void DhtNode::ping_if_unvalidated(sim::Network& net, std::size_t i) {
-  if (i == kNotFound || (flags_[i] & (kValidated | kPingInflight))) return;
+DhtNode::Awaiting* DhtNode::answer(std::uint64_t tx) {
+  for (Awaiting* a = awaiting_; a; a = a->outer)
+    if (a->tx == tx) return std::exchange(a->answered, true) ? nullptr : a;
+  return nullptr;
+}
+
+bool DhtNode::ping_if_unvalidated(sim::Network& net, std::size_t i) {
+  if (i == kNotFound || (flags_[i] & (kValidated | kPingInflight)))
+    return false;
   flags_[i] |= kPingInflight;
-  const Contact contact = contacts_[i];
-  send_ping(net, contact);
+  const std::uint64_t tx = next_tx_++;
+  request(net, contacts_[i], tx, PingMsg{tx, id_});
+  return true;
 }
 
 std::size_t DhtNode::find_index(const Contact& contact,
@@ -159,16 +173,13 @@ void DhtNode::handle(sim::Network& net, const sim::Packet& pkt) {
     return;
   }
   if (const auto* pong = std::get_if<PongMsg>(msg)) {
-    ++stats_.pongs_received;
-    auto it = pending_.find(pong->tx);
-    if (it == pending_.end()) return;
-    Contact expected = it->second.contact;
-    pending_.erase(pong->tx);
-    mark_validated(expected, now);
+    const Awaiting* req = answer(pong->tx);
+    if (!req) return;
+    mark_validated(req->contact, now);
     // A response arriving from a different endpoint than we targeted (e.g.
     // the internal-path reply of a peer behind the same NAT) teaches us an
     // additional endpoint for that peer.
-    if (pkt.src != expected.endpoint)
+    if (pkt.src != req->contact.endpoint)
       add_candidate(Contact{pong->sender, pkt.src}, now);
     return;
   }
@@ -191,60 +202,42 @@ void DhtNode::handle(sim::Network& net, const sim::Packet& pkt) {
     return;
   }
   if (const auto* nodes = std::get_if<NodesMsg>(msg)) {
-    ++stats_.nodes_replies_received;
-    auto it = pending_.find(nodes->tx);
-    if (it != pending_.end()) {
-      Contact expected = it->second.contact;
-      pending_.erase(nodes->tx);
-      mark_validated(expected, now);
-    }
+    if (const Awaiting* req = answer(nodes->tx))
+      mark_validated(req->contact, now);
     for (const Contact& c : nodes->contacts) add_candidate(c, now);
     return;
   }
 }
 
 void DhtNode::bootstrap(sim::Network& net, const netcore::Endpoint& server) {
-  std::uint64_t tx = next_tx_++;
-  // The bootstrap server has no node id we know a priori; use a zero-id
-  // contact for pending-tracking purposes.
-  pending_[tx] = Pending{Contact{NodeId160{}, server}, net.clock().now()};
-  send_message(net, server, FindNodesMsg{tx, id_, id_});
+  // The bootstrap server's id is unknown; a zero-id contact stands in.
+  const std::uint64_t tx = next_tx_++;
+  request(net, Contact{NodeId160{}, server}, tx, FindNodesMsg{tx, id_, id_});
 }
 
 void DhtNode::run_maintenance(sim::Network& net) {
   const sim::SimTime now = net.clock().now();
-  // Abandon stale pings so candidates can be retried or evicted. Collect
-  // first, erase after: FlatMap's backward-shift erase moves entries under
-  // an in-flight iteration. Nothing here sends, so order is unobservable.
-  thread_local std::vector<std::uint64_t> expired_tx;
-  expired_tx.clear();
-  for (const auto& [tx, p] : pending_) {
-    if (now - p.sent_at > config_.ping_timeout_s) {
-      if (std::size_t i = find_index(p.contact); i != kNotFound)
-        flags_[i] &= static_cast<std::uint8_t>(~kPingInflight);
-      expired_tx.push_back(tx);
-    }
-  }
-  for (std::uint64_t tx : expired_tx) pending_.erase(tx);
+  // Abandon stale requests so candidates can be retried or evicted. The
+  // flag cleared is that of whichever slot holds the contact now.
+  std::erase_if(unanswered_, [&](const std::pair<Contact, sim::SimTime>& u) {
+    if (now - u.second <= config_.ping_timeout_s) return false;
+    if (std::size_t i = find_index(u.first); i != kNotFound)
+      flags_[i] &= static_cast<std::uint8_t>(~kPingInflight);
+    return true;
+  });
 
   // Validate unvalidated candidates. Index-based on purpose: the pong comes
-  // back synchronously inside send_ping and its handler may add_candidate
+  // back synchronously inside the ping and its handler may add_candidate
   // (a same-NAT peer answering from its internal endpoint), growing the
   // table and invalidating any reference held across the call.
   int budget = config_.pings_per_round;
-  for (std::size_t i = 0; i < contacts_.size(); ++i) {
-    if (budget <= 0) break;
-    if (flags_[i] & (kValidated | kPingInflight)) continue;
-    flags_[i] |= kPingInflight;
-    const Contact contact = contacts_[i];
-    send_ping(net, contact);
-    --budget;
-  }
+  for (std::size_t i = 0; i < contacts_.size() && budget > 0; ++i)
+    budget -= ping_if_unvalidated(net, i);
 
   // Random-target lookups keep the table populated and the NAT mapping warm.
   // Peers are drawn from the table as it stands now. A synchronous nodes
   // reply can evict a validated slot between draws, so the draw list holds
-  // copies (in per-thread scratch, like expired_tx), not slot indices.
+  // copies (in per-thread scratch), not slot indices.
   thread_local std::vector<Contact> validated;
   validated.clear();
   for (std::size_t i = 0; i < contacts_.size(); ++i)
@@ -254,9 +247,8 @@ void DhtNode::run_maintenance(sim::Network& net) {
     NodeId160 target = NodeId160::random(rng_);
     for (int f = 0; f < config_.lookup_fanout; ++f) {
       const Contact& peer = validated[rng_.index(validated.size())];
-      std::uint64_t tx = next_tx_++;
-      pending_[tx] = Pending{peer, now};
-      send_message(net, peer.endpoint, FindNodesMsg{tx, id_, target});
+      const std::uint64_t tx = next_tx_++;
+      request(net, peer, tx, FindNodesMsg{tx, id_, target});
     }
   }
 }

@@ -12,10 +12,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "dht/messages.hpp"
-#include "flat/flat.hpp"
 #include "sim/network.hpp"
 #include "sim/rng.hpp"
 
@@ -29,7 +29,7 @@ struct DhtNodeConfig {
   int lookups_per_round = 1;
   /// Peers a lookup is sent to.
   int lookup_fanout = 3;
-  /// Seconds after which an unanswered ping is abandoned.
+  /// Seconds after which an unanswered ping or lookup is abandoned.
   sim::SimTime ping_timeout_s = 30.0;
   /// BEP-5-conformant nodes only propagate validated contacts. The paper
   /// measured ~1.3% of real peers violating this.
@@ -40,8 +40,6 @@ struct DhtNodeConfig {
 struct DhtNodeStats {
   std::uint64_t pings_received = 0;
   std::uint64_t find_nodes_received = 0;
-  std::uint64_t pongs_received = 0;
-  std::uint64_t nodes_replies_received = 0;
   std::uint64_t contacts_validated = 0;
 };
 
@@ -89,9 +87,14 @@ class DhtNode {
   [[nodiscard]] bool knows_validated(const Contact& c) const;
 
  private:
-  struct Pending {
+  /// A request waiting for its reply. Every reply arrives inside the
+  /// Network::send that carried the request, so the frame lives on the
+  /// sender's stack; a reply handler that sends nests a frame above it.
+  struct Awaiting {
+    std::uint64_t tx;
     Contact contact;
-    sim::SimTime sent_at = 0;
+    Awaiting* outer;
+    bool answered = false;
   };
 
   // Routing-table entry state, packed into one byte per contact.
@@ -102,10 +105,15 @@ class DhtNode {
 
   void send_message(sim::Network& net, const netcore::Endpoint& dst,
                     Message msg);
-  void send_ping(sim::Network& net, const Contact& contact);
+  /// Sends request `tx` to `to`. If no reply came back during the send,
+  /// remembers (contact, sent_at) until ping_timeout_s expires it.
+  void request(sim::Network& net, const Contact& to, std::uint64_t tx,
+               Message msg);
+  /// The unanswered frame awaiting `tx`, now marked answered; null if none.
+  Awaiting* answer(std::uint64_t tx);
   /// Pings slot `i` (kNotFound: nothing) unless it is validated or a ping
-  /// to it is already in flight.
-  void ping_if_unvalidated(sim::Network& net, std::size_t i);
+  /// to it is already in flight; returns whether it pinged.
+  bool ping_if_unvalidated(sim::Network& net, std::size_t i);
   /// Refreshes `contact`, or stores it (evicting if the table is full).
   /// Returns the slot it now occupies; kNotFound when it was not stored.
   std::size_t add_candidate(const Contact& contact, sim::SimTime now);
@@ -139,7 +147,10 @@ class DhtNode {
   std::vector<std::uint32_t> fp_;
   std::vector<std::uint8_t> flags_;
   std::vector<sim::SimTime> last_seen_;
-  flat::FlatMap<std::uint64_t, Pending> pending_;
+  // Request state: the innermost frame of the send in progress, and the
+  // requests that got no reply. An answered request leaves nothing behind.
+  Awaiting* awaiting_ = nullptr;
+  std::vector<std::pair<Contact, sim::SimTime>> unanswered_;
   std::uint64_t next_tx_ = 1;
 };
 

@@ -394,6 +394,8 @@ void IngestServer::accept_loop() {
 
 void IngestServer::handle_connection(int fd) {
   std::string campaign;
+  // The campaign's cursor entry; campaigns_ never erases, so it stays put.
+  CampaignState* state = nullptr;
   IngestOverloadPolicy policy = IngestOverloadPolicy::park;
   bool hello_seen = false;
   bool open = true;
@@ -489,6 +491,7 @@ void IngestServer::handle_connection(int fd) {
               cs.plan_hash = plan_hash;
             }
             next = cs.next_seq;
+            state = &cs;
           }
         }
         if (!identity_ok) {
@@ -525,28 +528,18 @@ void IngestServer::handle_connection(int fd) {
           send_error_frame(fd, "malformed event");
           break;
         }
-        bool accepted = false;
-        bool gap = false;
         std::uint64_t next = 0;
         {
           std::lock_guard<std::mutex> lock(cursors_mu_);
-          CampaignState& cs = campaigns_[campaign];
-          if (seq < cs.next_seq) {
-            // Idempotent replay below the cursor (reconnected feeder).
-          } else if (seq > cs.next_seq) {
-            gap = true;
-          } else {
-            cs.next_seq = seq + 1;
-            accepted = true;
-          }
-          next = cs.next_seq;
+          next = state->next_seq;
         }
-        if (gap) {
+        if (seq > next) {
           seq_gap_.fetch_add(1, std::memory_order_relaxed);
           send_error_frame(fd, "sequence gap");
           break;
         }
-        if (!accepted) {
+        if (seq < next) {
+          // Idempotent replay below the cursor (reconnected feeder).
           events_replayed_.fetch_add(1, std::memory_order_relaxed);
           break;
         }
@@ -554,15 +547,14 @@ void IngestServer::handle_connection(int fd) {
         item.kind = Item::Kind::event;
         item.campaign = campaign;
         item.event = ev;
-        if (!enqueue(std::move(item), policy, fd)) {
+        if (!enqueue(std::move(item), *state, seq, policy, fd)) {
           open = false;
           break;
         }
-        frames_accepted_.fetch_add(1, std::memory_order_relaxed);
         if (++since_ack >= kIngestAckEvery) {
           since_ack = 0;
           super::wire::Writer w;
-          w.u64(next);
+          w.u64(seq + 1);
           send_server_frame(fd, IngestFrameType::ack, w.bytes());
         }
         break;
@@ -646,19 +638,11 @@ void IngestServer::handle_connection(int fd) {
   finished_ids_.push_back(std::this_thread::get_id());
 }
 
-bool IngestServer::enqueue(Item item, IngestOverloadPolicy policy, int fd) {
+bool IngestServer::enqueue(Item item, CampaignState& cs, std::uint64_t seq,
+                           IngestOverloadPolicy policy, int fd) {
   std::unique_lock<std::mutex> lk(queue_mu_);
-  if (queue_.size() >= config_.queue_capacity) {
-    if (policy == IngestOverloadPolicy::shed) {
-      // The event was accepted (its seq advanced the cursor) and is now
-      // deliberately dropped — counted per kind so overload degradation is
-      // fully accounted, and never retransmitted.
-      const auto kind = static_cast<std::size_t>(item.event.kind);
-      shed_total_.fetch_add(1, std::memory_order_relaxed);
-      if (kind < shed_by_kind_.size())
-        shed_by_kind_[kind].fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
+  if (queue_.size() >= config_.queue_capacity &&
+      policy == IngestOverloadPolicy::park) {
     parks_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t depth = queue_.size();
     lk.unlock();
@@ -667,6 +651,29 @@ bool IngestServer::enqueue(Item item, IngestOverloadPolicy policy, int fd) {
     send_server_frame(fd, IngestFrameType::park, w.bytes());
     lk.lock();
     if (!wait_for_room_locked(lk)) return false;
+  }
+  {
+    // The cursor moves only here, under queue_mu_ (lock order: queue_mu_,
+    // then cursors_mu_), so a resuming client never starts past an event
+    // still parked in the thread of a dead connection. Another connection
+    // may have queued this seq while this thread was parked.
+    std::lock_guard<std::mutex> lock(cursors_mu_);
+    if (seq < cs.next_seq) {
+      events_replayed_.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+    cs.next_seq = seq + 1;
+  }
+  frames_accepted_.fetch_add(1, std::memory_order_relaxed);
+  if (queue_.size() >= config_.queue_capacity) {
+    // Shed: the event was accepted (its seq advanced the cursor) and is
+    // now deliberately dropped — counted per kind so overload degradation
+    // is fully accounted, and never retransmitted.
+    const auto kind = static_cast<std::size_t>(item.event.kind);
+    shed_total_.fetch_add(1, std::memory_order_relaxed);
+    if (kind < shed_by_kind_.size())
+      shed_by_kind_[kind].fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
   queue_.push_back(std::move(item));
   events_enqueued_.fetch_add(1, std::memory_order_relaxed);

@@ -30,8 +30,9 @@
 //    the next expected sequence. A crashed-and-restarted feeder replays
 //    its deterministic campaign from the start; the client skips
 //    everything below the server's cursor, so the channel's figures are
-//    byte-identical to an uninterrupted push. Shed events advance the
-//    cursor too (they were *accepted* and deliberately dropped), so a
+//    byte-identical to an uninterrupted push. The cursor counts events
+//    that entered the queue, not ones still parked. Shed events advance
+//    the cursor too (they were *accepted* and deliberately dropped), so a
 //    shedding server never invites an endless retransmit loop.
 //  * Multi-campaign multiplexing. Each hello names a campaign; concurrent
 //    connections feed independent Observatory channels with per-campaign
@@ -206,9 +207,12 @@ class IngestServer {
   /// so a long-lived server's thread roster stays bounded by live
   /// connections, not lifetime connections.
   void reap_finished_locked();
-  /// True once enqueued (or shed, which still counts as handled); false
+  /// Queues event `seq` (parking or shedding when the queue is full) and
+  /// moves its campaign's cursor `cs` past it; a seq the cursor passed
+  /// while this thread parked counts as replayed. True once handled; false
   /// only when the server is stopping.
-  bool enqueue(Item item, IngestOverloadPolicy policy, int fd);
+  bool enqueue(Item item, CampaignState& cs, std::uint64_t seq,
+               IngestOverloadPolicy policy, int fd);
   /// Blocks until the queue has room; false when the server is stopping.
   bool wait_for_room_locked(std::unique_lock<std::mutex>& lk);
   void note_queue_depth_locked();

@@ -557,6 +557,33 @@ TEST_F(ObservatoryIngestServerTest, ReconnectResumeReproducesFigures) {
   EXPECT_EQ(obs_->handle("/figures/nope").status, 404);
 }
 
+TEST_F(ObservatoryIngestServerTest, ResumeCursorCountsOnlyQueuedEvents) {
+  const std::vector<StreamEvent> events = synthetic_stream();
+  const std::map<std::string, analysis::Figures> truth = truth_sets(events);
+  server_->set_drain_paused(true);
+  {
+    // The feeder dies while its fifth event is parked on the full queue.
+    RawIngestClient c(obs_->ingest_port());
+    c.send_bytes(hello_frame("parked"));
+    for (std::uint64_t seq = 0; seq < 5; ++seq)
+      c.send_bytes(event_frame(seq, events[seq]));
+    ASSERT_TRUE(eventually([&] { return server_->stats().parks == 1; }));
+    c.close();
+  }
+  observatory::PushClient client(client_config("parked"));
+  client.connect();
+  EXPECT_EQ(client.resume_cursor(), server_->stats().queue_depth)
+      << "the cursor must not count the event parked in the dead "
+         "connection's thread";
+
+  server_->set_drain_paused(false);
+  client.add_stream_total(events.size());
+  for (const StreamEvent& e : events) client.ingest(e);
+  client.note_stream_done();
+  EXPECT_EQ(obs_->figure_sets("parked"), truth)
+      << "the parked event must be applied exactly once, before done";
+}
+
 TEST_F(ObservatoryIngestServerTest, MultiCampaignStreamsStayIndependent) {
   const std::vector<StreamEvent> events = synthetic_stream();
   auto push = [&](const std::string& campaign, std::size_t take) {
