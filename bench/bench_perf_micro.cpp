@@ -251,7 +251,8 @@ void BM_UnionFindClustering(benchmark::State& state) {
   for (std::size_t i = 0; i < n * 2; ++i)
     edges.emplace_back(rng.index(n), rng.index(n));
   for (auto _ : state) {
-    analysis::UnionFind uf(n);
+    analysis::DynamicUnionFind uf;
+    for (std::size_t i = 0; i < n; ++i) uf.add_vertex();
     for (auto [a, b] : edges) uf.unite(a, b);
     benchmark::DoNotOptimize(uf.find(0));
   }

@@ -7,8 +7,9 @@
 #   obs-off  the same with metrics compiled out (build-obs-off/,
 #            -DCGN_OBS=OFF); obs value-assert tests skip themselves
 #   asan     full ctest under ASan+UBSan (build-asan/, -DCGN_SANITIZE=ON)
-#   tsan     parallel-campaign, crawler and ingest/HTTP server ctest under TSan
-#            (build-tsan/, -DCGN_SANITIZE=thread, CGN_THREADS=4)
+#   tsan     parallel-campaign, crawler, v6 battery and ingest/HTTP server
+#            ctest under TSan (build-tsan/, -DCGN_SANITIZE=thread,
+#            CGN_THREADS=4)
 #   bench    bench smoke: bench_perf_micro at 1 and 4 workers, fingerprints
 #            byte-identical, phase timings vs bench/baselines/, plus the
 #            fig01 and fig14 (transition) 1-vs-4-worker figure byte-compares
@@ -83,7 +84,7 @@ stage_tsan() {
   cmake -B build-tsan -S . -DCGN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target cgn_tests
   CGN_THREADS=4 ctest --test-dir build-tsan --output-on-failure \
-    -R 'RunShards|ConfiguredThreads|RngFork|ThreadClockScope|MetricSlots|CampaignParallel|Fault|RouteCache|Super|DhtNode|DhtTable|Crawler|ObservatoryIngest|ObservatoryHttp' \
+    -R 'RunShards|ConfiguredThreads|RngFork|ThreadClockScope|MetricSlots|CampaignParallel|Fault|RouteCache|Super|DhtNode|DhtTable|Crawler|V6Campaign|ObservatoryIngest|ObservatoryHttp' \
     -j "$(nproc)"
 }
 

@@ -1,52 +1,12 @@
-// Disjoint-set union for the per-AS leakage-graph clustering of §4.1:
-// a fixed-size UnionFind for batch analysis over a known vertex count, and
-// a growable DynamicUnionFind for the streaming path, where vertices appear
-// one leak edge at a time.
+// Disjoint-set union for the per-AS leakage-graph clustering of §4.1. It
+// grows: the streaming path adds vertices one leak edge at a time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 namespace cgn::analysis {
-
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n), rank_(n, 0) {
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-  }
-
-  [[nodiscard]] std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];  // path halving
-      x = parent_[x];
-    }
-    return x;
-  }
-
-  /// Unites the sets containing a and b; returns true when they were
-  /// previously disjoint.
-  bool unite(std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return false;
-    if (rank_[a] < rank_[b]) std::swap(a, b);
-    parent_[b] = a;
-    if (rank_[a] == rank_[b]) ++rank_[a];
-    return true;
-  }
-
-  [[nodiscard]] bool connected(std::size_t a, std::size_t b) {
-    return find(a) == find(b);
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return parent_.size(); }
-
- private:
-  std::vector<std::size_t> parent_;
-  std::vector<std::uint8_t> rank_;
-};
 
 /// Growable disjoint-set for online clustering: the streaming analyzer
 /// interns vertices as leak edges arrive and merges immediately, so the

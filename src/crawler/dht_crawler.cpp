@@ -33,12 +33,15 @@ void DhtCrawler::handle(sim::Network& net, const sim::Packet& pkt) {
   const auto* msg = std::any_cast<dht::Message>(&pkt.payload);
   if (!msg) return;
   if (const auto* nodes = std::get_if<dht::NodesMsg>(msg)) {
-    if (nodes->tx == awaiting_tx_) reply_contacts_ = nodes->contacts;
+    if (tls_awaiting_ && nodes->tx == tls_awaiting_->tx) {
+      tls_awaiting_->answered = true;
+      tls_awaiting_->contacts = nodes->contacts;
+    }
     return;
   }
   if (const auto* pong = std::get_if<dht::PongMsg>(msg)) {
-    if (tls_ping_ctx_ && pong->tx == tls_ping_ctx_->awaiting)
-      tls_ping_ctx_->got_pong = true;
+    if (tls_awaiting_ && pong->tx == tls_awaiting_->tx)
+      tls_awaiting_->answered = true;
     return;
   }
   // The crawler participates in the DHT: answer pings so peers that learn
@@ -58,28 +61,33 @@ void DhtCrawler::handle(sim::Network& net, const sim::Packet& pkt) {
   }
 }
 
+void DhtCrawler::request(sim::Network& net, const netcore::Endpoint& to,
+                         dht::Message msg, Awaiting& frame) {
+  Awaiting* const outer = tls_awaiting_;
+  tls_awaiting_ = &frame;
+  sim::Packet pkt = sim::Packet::udp(local_, to);
+  pkt.payload = std::move(msg);
+  net.send(std::move(pkt), host_);
+  tls_awaiting_ = outer;
+}
+
 std::optional<std::vector<dht::Contact>> DhtCrawler::query(
     sim::Network& net, const dht::Contact& peer) {
   // Each attempt is a fresh query: new tx, new random target. A lost reply
   // costs one backoff interval on the retry clock's scoped timeline.
-  std::optional<std::vector<dht::Contact>> reply;
+  Awaiting frame;
   fault::retry_loop(config_.retry, retry_clock_, [&] {
-    std::uint64_t tx = next_tx_++;
-    awaiting_tx_ = tx;
-    reply_contacts_.reset();
+    frame = Awaiting{next_tx_++, false, {}};
     dht::NodeId160 target = dht::NodeId160::random(rng_);
-    sim::Packet pkt = sim::Packet::udp(local_, peer.endpoint);
-    pkt.payload = dht::Message{dht::FindNodesMsg{tx, id_, target}};
     ++stats_.find_nodes_sent;
     g_find_nodes_sent.inc();
-    net.send(std::move(pkt), host_);
-    awaiting_tx_ = 0;
-    if (!reply_contacts_) return false;
-    reply = std::move(reply_contacts_);
-    return true;
+    request(net, peer.endpoint,
+            dht::Message{dht::FindNodesMsg{frame.tx, id_, target}}, frame);
+    return frame.answered;
   });
-  if (reply) g_find_nodes_answered.inc();
-  return reply;
+  if (!frame.answered) return std::nullopt;
+  g_find_nodes_answered.inc();
+  return std::move(frame.contacts);
 }
 
 void DhtCrawler::record_contacts(const dht::Contact& from,
@@ -148,33 +156,25 @@ std::size_t DhtCrawler::crawl_step(sim::Network& net,
 
 DhtCrawler::PingShardOutcome DhtCrawler::ping_shard(
     sim::Network& net, std::span<const dht::Contact> contacts,
-    std::size_t shard_id, sim::Clock* clock) {
+    sim::Clock* clock) {
   PingShardOutcome out;
-  PingCtx ctx;
-  tls_ping_ctx_ = &ctx;
-  // Tx ids live in the shard's own namespace, far above the serial
-  // counter's range, so no two in-flight pings ever share an id.
-  std::uint64_t k = 0;
+  // A pong can only reach a frame on its sender's thread, so tx ids need
+  // be unique only within this shard.
+  std::uint64_t tx = 0;
   for (const dht::Contact& peer : contacts) {
     const bool pong = fault::retry_loop(config_.retry, clock, [&] {
-      const std::uint64_t tx = ((shard_id + 1) << 32) | ++k;
-      ctx.awaiting = tx;
-      ctx.got_pong = false;
-      sim::Packet pkt = sim::Packet::udp(local_, peer.endpoint);
-      pkt.payload = dht::Message{dht::PingMsg{tx, id_}};
+      Awaiting frame{++tx, false, {}};
       ++out.pings_sent;
       g_pings_sent.inc();
-      net.send(std::move(pkt), host_);
-      ctx.awaiting = 0;
-      return ctx.got_pong;
+      request(net, peer.endpoint, dht::Message{dht::PingMsg{frame.tx, id_}},
+              frame);
+      return frame.answered;
     });
     if (pong) {
-      ++out.pongs_received;
       g_pongs_received.inc();
       out.responders.push_back(peer);
     }
   }
-  tls_ping_ctx_ = nullptr;
   return out;
 }
 

@@ -69,20 +69,18 @@ class DhtCrawler {
   struct PingShardOutcome {
     std::vector<dht::Contact> responders;
     std::uint64_t pings_sent = 0;
-    std::uint64_t pongs_received = 0;
   };
 
   /// One shard of the bt_ping sweep over learned contacts: probes
-  /// `contacts` using thread-local in-flight state and tx ids from shard
-  /// `shard_id`'s namespace, so concurrent shards never route each other's
-  /// pongs. Does not mutate stats_ or the dataset — the campaign driver
-  /// absorbs the outcomes in shard order after the barrier. Contact lists
-  /// must target disjoint routing subtrees (see Network::top_route).
+  /// `contacts`, each pong finding its request's frame on the sending
+  /// worker's stack. Does not mutate stats_ or the dataset — the campaign
+  /// driver absorbs the outcomes in shard order after the barrier. Contact
+  /// lists must target disjoint routing subtrees (see Network::top_route).
   /// `clock` drives the retry policy's backoff for this shard (may be
   /// null; pass the shard's private clock to stay thread-count invariant).
   [[nodiscard]] PingShardOutcome ping_shard(
       sim::Network& net, std::span<const dht::Contact> contacts,
-      std::size_t shard_id, sim::Clock* clock = nullptr);
+      sim::Clock* clock = nullptr);
 
   /// Folds shard outcomes into stats() and dataset() in the given order.
   void absorb_ping_outcomes(std::span<const PingShardOutcome> outcomes);
@@ -94,8 +92,22 @@ class DhtCrawler {
   }
 
  private:
+  /// One outstanding request. It lives on the sender's stack for the
+  /// duration of the Network::send that carries the request: every reply
+  /// arrives inside that send, on the sending thread.
+  struct Awaiting {
+    std::uint64_t tx = 0;
+    bool answered = false;
+    std::vector<dht::Contact> contacts;  ///< find_nodes replies only
+  };
+
   void handle(sim::Network& net, const sim::Packet& pkt);
-  /// Sends one find_nodes; returns the contacts received (empty if no reply).
+  /// Sends `msg` to `to` with `frame` as the thread's awaited reply (the
+  /// previous frame is restored afterwards).
+  void request(sim::Network& net, const netcore::Endpoint& to,
+               dht::Message msg, Awaiting& frame);
+  /// Sends one find_nodes; returns the contacts received (nullopt if no
+  /// reply).
   std::optional<std::vector<dht::Contact>> query(sim::Network& net,
                                                  const dht::Contact& peer);
   /// Queries one peer fully (initial queries + leak batches).
@@ -117,19 +129,10 @@ class DhtCrawler {
   std::deque<dht::Contact> frontier_;
   std::unordered_set<PeerKey, PeerKeyHash> enqueued_;
 
-  // Per in-flight request state (the sim is synchronous).
-  std::uint64_t next_tx_ = 1;
-  std::uint64_t awaiting_tx_ = 0;
-  std::optional<std::vector<dht::Contact>> reply_contacts_;
-
-  /// In-flight ping state for a sweep shard. handle() runs on the worker
-  /// that sent the ping (delivery is synchronous), so a thread-local pointer
-  /// routes each pong to its sender.
-  struct PingCtx {
-    std::uint64_t awaiting = 0;
-    bool got_pong = false;
-  };
-  inline static thread_local PingCtx* tls_ping_ctx_ = nullptr;
+  std::uint64_t next_tx_ = 1;  ///< find_nodes tx ids (serial crawl walk)
+  /// The frame handle() answers into. Thread-local because sweep shards
+  /// share the crawler across workers, each awaiting its own pong.
+  inline static thread_local Awaiting* tls_awaiting_ = nullptr;
 };
 
 }  // namespace cgn::crawler

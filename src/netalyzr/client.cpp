@@ -73,7 +73,7 @@ void NetalyzrClient::handle(sim::Network&, const sim::Packet& pkt) {
     return;
   }
   if (const auto* probe = std::get_if<UdpProbe>(msg)) {
-    received_probes_.insert(FlowKey{probe->flow, probe->seq});
+    last_probe_ = *probe;
     return;
   }
 }
@@ -141,26 +141,48 @@ void NetalyzrClient::run_stun(sim::Network& net,
   result.stun = client.classify(net, server);
 }
 
-std::optional<bool> NetalyzrClient::reachability_experiment(
-    sim::Network& net, sim::Clock& clock, NetalyzrServer& server,
-    int path_hops, int hop, double tidle) {
-  g_enum_experiments.inc();
+std::optional<NetalyzrClient::UdpFlow> NetalyzrClient::open_udp_flow(
+    sim::Network& net, NetalyzrServer& server, int ttl) {
   const std::uint64_t flow = rng_.uniform(1, ~std::uint64_t{0} - 1);
   const std::uint16_t port = next_ephemeral_port();
   bind(port);
   const netcore::Endpoint local{ctx_.device_address, port};
-
-  // (a) Initialization packet: creates NAT state on every hop. Lost inits
-  // retransmit immediately (null clock): sub-second retries must not eat
-  // into the idle interval under measurement.
+  // Lost inits retransmit immediately (null clock): sub-second retries must
+  // not eat into an idle interval under measurement or disturb the TTL
+  // ladder's timing. With no clock advance nothing can re-map the flow
+  // between retries, so the acked init's observed source is the mapping.
   const bool acked = fault::retry_loop(retry_, nullptr, [&] {
     last_ack_.reset();
-    sim::Packet init = sim::Packet::udp(local, server.udp_endpoint());
+    sim::Packet init = sim::Packet::udp(local, server.udp_endpoint(), ttl);
     init.payload = NetalyzrMessage{UdpInit{flow}};
     net.send(std::move(init), ctx_.host);
     return last_ack_ && last_ack_->flow == flow;
   });
   if (!acked) return std::nullopt;
+  return UdpFlow{flow, local, last_ack_->observed};
+}
+
+bool NetalyzrClient::probe_reaches(sim::Network& net, NetalyzrServer& server,
+                                   const UdpFlow& udp) {
+  // Full-TTL probe from the server, re-issued with a fresh sequence number
+  // if lost in transit. An expired mapping stays expired on re-probe, so
+  // retries repair link loss without masking NAT state.
+  return fault::retry_loop(retry_, nullptr, [&] {
+    const std::uint64_t seq = next_tx_++;
+    last_probe_.reset();
+    server.send_probe(net, udp.mapped, udp.flow, seq);
+    return last_probe_ && last_probe_->flow == udp.flow &&
+           last_probe_->seq == seq;
+  });
+}
+
+std::optional<bool> NetalyzrClient::reachability_experiment(
+    sim::Network& net, sim::Clock& clock, NetalyzrServer& server,
+    int path_hops, int hop, double tidle) {
+  g_enum_experiments.inc();
+  // (a) Initialization packet: creates NAT state on every hop.
+  const std::optional<UdpFlow> udp = open_udp_flow(net, server);
+  if (!udp) return std::nullopt;
 
   // (b) TTL-limited keepalives from both ends during the idle period.
   // ttl_c = hop dies exactly at the hop under test, refreshing hops 1..h-1;
@@ -172,24 +194,15 @@ std::optional<bool> NetalyzrClient::reachability_experiment(
   while (elapsed + kKeepaliveIntervalS < tidle) {
     clock.advance(kKeepaliveIntervalS);
     elapsed += kKeepaliveIntervalS;
-    sim::Packet ka = sim::Packet::udp(local, server.udp_endpoint(), ttl_c);
-    ka.payload = NetalyzrMessage{UdpKeepalive{flow}};
+    sim::Packet ka = sim::Packet::udp(udp->local, server.udp_endpoint(), ttl_c);
+    ka.payload = NetalyzrMessage{UdpKeepalive{udp->flow}};
     net.send(std::move(ka), ctx_.host);
-    server.send_keepalive(net, flow, ttl_s);
+    server.send_keepalive(net, udp->mapped, udp->flow, ttl_s);
   }
   clock.advance(tidle - elapsed);
 
-  // (c) Full-TTL reachability probe from the server, re-issued with a fresh
-  // sequence number if lost in transit. An expired mapping stays expired on
-  // re-probe, so retries repair link loss without masking NAT state.
-  bool reached = false;
-  fault::retry_loop(retry_, nullptr, [&] {
-    const std::uint64_t seq = next_tx_++;
-    server.send_probe(net, flow, seq);
-    reached = received_probes_.contains(FlowKey{flow, seq});
-    return reached;
-  });
-  return reached;
+  // (c) Did the server's probe reach the client?
+  return probe_reaches(net, server, *udp);
 }
 
 void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
@@ -203,19 +216,7 @@ void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
   // crossed every intermediate hop.
   int path_hops = -1;
   for (int ttl = 1; ttl <= config.max_hops + 1; ++ttl) {
-    const std::uint64_t flow = rng_.uniform(1, ~std::uint64_t{0} - 1);
-    const std::uint16_t port = next_ephemeral_port();
-    bind(port);
-    // A lost init would misread the path length; retransmit immediately
-    // (null clock) so the TTL ladder's timing is undisturbed.
-    const bool acked = fault::retry_loop(retry_, nullptr, [&] {
-      last_ack_.reset();
-      sim::Packet init = sim::Packet::udp({ctx_.device_address, port},
-                                          server.udp_endpoint(), ttl);
-      init.payload = NetalyzrMessage{UdpInit{flow}};
-      net.send(std::move(init), ctx_.host);
-      return last_ack_ && last_ack_->flow == flow;
-    });
+    const bool acked = open_udp_flow(net, server, ttl).has_value();
     ++out.experiments;
     if (acked) {
       path_hops = ttl - 1;
@@ -288,27 +289,10 @@ void NetalyzrClient::run_transition(sim::Network& net, sim::Clock& clock,
   // — the per-carrier number the Big-NAT study tabulates.
   for (double tidle = kTimeoutGranularityS; tidle <= kTimeoutMaxS + 1e-9;
        tidle += kTimeoutGranularityS) {
-    const std::uint64_t flow = rng_.uniform(1, ~std::uint64_t{0} - 1);
-    const std::uint16_t port = next_ephemeral_port();
-    bind(port);
-    const bool acked = fault::retry_loop(retry_, nullptr, [&] {
-      last_ack_.reset();
-      sim::Packet init =
-          sim::Packet::udp({ctx_.device_address, port}, server.udp_endpoint());
-      init.payload = NetalyzrMessage{UdpInit{flow}};
-      net.send(std::move(init), ctx_.host);
-      return last_ack_ && last_ack_->flow == flow;
-    });
-    if (!acked) break;
+    const std::optional<UdpFlow> udp = open_udp_flow(net, server);
+    if (!udp) break;
     clock.advance(tidle);
-    bool reached = false;
-    fault::retry_loop(retry_, nullptr, [&] {
-      const std::uint64_t seq = next_tx_++;
-      server.send_probe(net, flow, seq);
-      reached = received_probes_.contains(FlowKey{flow, seq});
-      return reached;
-    });
-    if (!reached) {
+    if (!probe_reaches(net, server, *udp)) {
       obs.translator_timeout_s = tidle;
       break;
     }

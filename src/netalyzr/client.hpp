@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
+#include <optional>
 #include <vector>
 
 #include "fault/retry.hpp"
@@ -89,15 +89,13 @@ class NetalyzrClient {
                       NetalyzrServer& server, SessionResult& result);
 
  private:
-  struct FlowKey {
-    std::uint64_t flow;
-    std::uint64_t seq;
-    bool operator==(const FlowKey&) const = default;
-  };
-  struct FlowKeyHash {
-    std::size_t operator()(const FlowKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(k.flow * 1099511628211ull + k.seq);
-    }
+  /// An acknowledged UDP flow: the server's ack carries `mapped`, the
+  /// source endpoint it observed, and every later server-side keepalive and
+  /// probe goes there.
+  struct UdpFlow {
+    std::uint64_t flow = 0;
+    netcore::Endpoint local;
+    netcore::Endpoint mapped;
   };
 
   void handle(sim::Network& net, const sim::Packet& pkt);
@@ -110,6 +108,15 @@ class NetalyzrClient {
   /// One TCP echo flow to `dst`; true when the echo came back.
   bool echo_flow(sim::Network& net, sim::Clock* clock, netcore::Endpoint dst,
                  std::vector<FlowObservation>* flows, SessionResult* result);
+  /// Draws a flow id, binds a fresh ephemeral port and sends UdpInit with
+  /// `ttl` until acked; nullopt when every attempt went unanswered.
+  std::optional<UdpFlow> open_udp_flow(sim::Network& net,
+                                       NetalyzrServer& server,
+                                       int ttl = sim::kDefaultTtl);
+  /// Has the server probe `udp`'s mapped endpoint; true when a probe
+  /// arrived.
+  bool probe_reaches(sim::Network& net, NetalyzrServer& server,
+                     const UdpFlow& udp);
   /// One §6.3 reachability experiment for hop `h` with idle period `tidle`.
   /// Returns true when the final server probe reached the client, nullopt
   /// when the experiment could not be set up (init never acked).
@@ -130,7 +137,7 @@ class NetalyzrClient {
 
   std::optional<EchoResponse> last_echo_;
   std::optional<UdpInitAck> last_ack_;
-  std::unordered_set<FlowKey, FlowKeyHash> received_probes_;
+  std::optional<UdpProbe> last_probe_;
 };
 
 }  // namespace cgn::netalyzr

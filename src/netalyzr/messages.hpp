@@ -19,9 +19,9 @@ struct EchoResponse {
   netcore::Endpoint observed;
 };
 
-/// First packet of a UDP reachability-experiment flow (§6.3). The server
-/// acknowledges and records the observed source so it can later send
-/// keepalives/probes toward the client's mapped endpoint.
+/// First packet of a UDP reachability-experiment flow (§6.3). The server's
+/// ack carries the observed source; the client passes that mapped endpoint
+/// back when it has the server send keepalives/probes toward it.
 struct UdpInit {
   std::uint64_t flow = 0;
 };

@@ -28,7 +28,6 @@ void NetalyzrServer::handle(sim::Network& net, const sim::Packet& pkt) {
     return;
   }
   if (const auto* init = std::get_if<UdpInit>(msg)) {
-    flows()[init->flow] = pkt.src;
     sim::Packet reply = sim::Packet::udp(pkt.dst, pkt.src);
     reply.payload = NetalyzrMessage{UdpInitAck{init->flow, pkt.src}};
     net.send(std::move(reply), host_);
@@ -38,36 +37,19 @@ void NetalyzrServer::handle(sim::Network& net, const sim::Packet& pkt) {
   // on the hops they cross (most never arrive here at all).
 }
 
-std::optional<netcore::Endpoint> NetalyzrServer::flow_endpoint(
-    std::uint64_t flow) const {
-  const auto& stripe = flows();
-  auto it = stripe.find(flow);
-  if (it == stripe.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<netcore::Endpoint> NetalyzrServer::observed_endpoint(
-    std::uint64_t flow) const {
-  return flow_endpoint(flow);
-}
-
-void NetalyzrServer::send_keepalive(sim::Network& net, std::uint64_t flow,
-                                    int ttl) {
-  auto dst = flow_endpoint(flow);
-  if (!dst) return;
-  sim::Packet pkt = sim::Packet::udp(udp_endpoint(), *dst, ttl);
+void NetalyzrServer::send_keepalive(sim::Network& net,
+                                    netcore::Endpoint mapped,
+                                    std::uint64_t flow, int ttl) {
+  sim::Packet pkt = sim::Packet::udp(udp_endpoint(), mapped, ttl);
   pkt.payload = NetalyzrMessage{UdpKeepalive{flow}};
   net.send(std::move(pkt), host_);
 }
 
-bool NetalyzrServer::send_probe(sim::Network& net, std::uint64_t flow,
-                                std::uint64_t seq) {
-  auto dst = flow_endpoint(flow);
-  if (!dst) return false;
-  sim::Packet pkt = sim::Packet::udp(udp_endpoint(), *dst);
+void NetalyzrServer::send_probe(sim::Network& net, netcore::Endpoint mapped,
+                                std::uint64_t flow, std::uint64_t seq) {
+  sim::Packet pkt = sim::Packet::udp(udp_endpoint(), mapped);
   pkt.payload = NetalyzrMessage{UdpProbe{flow, seq}};
   net.send(std::move(pkt), host_);
-  return true;
 }
 
 }  // namespace cgn::netalyzr

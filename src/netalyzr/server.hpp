@@ -5,17 +5,18 @@
 // mapped endpoint — Netalyzr controls both ends of every experiment.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
-#include "flat/flat.hpp"
 #include "netalyzr/messages.hpp"
 #include "netcore/ipv4.hpp"
-#include "obs/metrics.hpp"
 #include "sim/network.hpp"
 
 namespace cgn::netalyzr {
 
+/// Keeps no per-flow state: a UdpInit is answered with the source endpoint
+/// the server observed, and the client hands that endpoint back to
+/// send_keepalive / send_probe. Sessions from different campaign shards can
+/// therefore share one server without locks or per-thread tables.
 class NetalyzrServer {
  public:
   static constexpr std::uint16_t kEchoPort = 55777;
@@ -48,49 +49,22 @@ class NetalyzrServer {
   }
   [[nodiscard]] sim::NodeId host() const noexcept { return host_; }
 
-  /// The observed (mapped) source endpoint of a UDP flow, if its init
-  /// arrived.
-  [[nodiscard]] std::optional<netcore::Endpoint> observed_endpoint(
-      std::uint64_t flow) const;
+  /// Sends a TTL-limited keepalive for `flow` toward `mapped`, the observed
+  /// endpoint from the flow's UdpInitAck.
+  void send_keepalive(sim::Network& net, netcore::Endpoint mapped,
+                      std::uint64_t flow, int ttl);
 
-  /// Sends a TTL-limited keepalive toward the flow's observed endpoint.
-  void send_keepalive(sim::Network& net, std::uint64_t flow, int ttl);
-
-  /// Sends a full-TTL probe toward the flow's observed endpoint; the client
-  /// checks receipt. Returns false when the flow is unknown.
-  bool send_probe(sim::Network& net, std::uint64_t flow, std::uint64_t seq);
-
-  /// Drops all per-flow state (between sessions).
-  void reset() {
-    for (auto& stripe : flows_) stripe.clear();
-  }
+  /// Sends a full-TTL probe for `flow` toward `mapped`; the client checks
+  /// receipt.
+  void send_probe(sim::Network& net, netcore::Endpoint mapped,
+                  std::uint64_t flow, std::uint64_t seq);
 
  private:
   void handle(sim::Network& net, const sim::Packet& pkt);
-  [[nodiscard]] std::optional<netcore::Endpoint> flow_endpoint(
-      std::uint64_t flow) const;
-  [[nodiscard]] flat::FlatMap<std::uint64_t, netcore::Endpoint>& flows() {
-    return flows_[obs::thread_slot()];
-  }
-  [[nodiscard]] const flat::FlatMap<std::uint64_t, netcore::Endpoint>& flows()
-      const {
-    return flows_[obs::thread_slot()];
-  }
 
   sim::NodeId host_;
   netcore::Ipv4Address address_;
   netcore::Ipv4Address literal_address_;  ///< 0.0.0.0 when not installed
-  /// Sessions from different campaign shards hit the one public server
-  /// concurrently, but flow ids are namespaced per shard and a shard's
-  /// sends are synchronous on one worker thread — a flow's UdpInit and
-  /// every later lookup happen on the same thread. Striping the table per
-  /// metric slot therefore needs no lock and removes the last shared
-  /// mutex on the campaign hot path. (A flow registered by shard A is
-  /// invisible to shard B, which is exactly the isolation the campaign
-  /// already guaranteed by namespacing.)
-  std::array<flat::FlatMap<std::uint64_t, netcore::Endpoint>,
-             obs::kMaxThreadSlots>
-      flows_;
 };
 
 }  // namespace cgn::netalyzr

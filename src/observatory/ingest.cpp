@@ -336,7 +336,12 @@ IngestStats IngestServer::stats() const {
 std::uint64_t IngestServer::cursor(const std::string& campaign) const {
   std::lock_guard<std::mutex> lock(cursors_mu_);
   const auto it = campaigns_.find(campaign);
-  return it == campaigns_.end() ? 0 : it->second.next_seq;
+  return it == campaigns_.end() ? 0 : it->second->next_seq;
+}
+
+void IngestServer::forget_campaign(const std::string& campaign) {
+  std::lock_guard<std::mutex> lock(cursors_mu_);
+  campaigns_.erase(campaign);
 }
 
 void IngestServer::set_drain_paused(bool paused) {
@@ -394,8 +399,8 @@ void IngestServer::accept_loop() {
 
 void IngestServer::handle_connection(int fd) {
   std::string campaign;
-  // The campaign's cursor entry; campaigns_ never erases, so it stays put.
-  CampaignState* state = nullptr;
+  // The campaign's cursor entry, held even if forget_campaign() erases it.
+  std::shared_ptr<CampaignState> state;
   IngestOverloadPolicy policy = IngestOverloadPolicy::park;
   bool hello_seen = false;
   bool open = true;
@@ -480,7 +485,9 @@ void IngestServer::handle_connection(int fd) {
         bool identity_ok = true;
         {
           std::lock_guard<std::mutex> lock(cursors_mu_);
-          CampaignState& cs = campaigns_[name];
+          std::shared_ptr<CampaignState>& slot = campaigns_[name];
+          if (!slot) slot = std::make_shared<CampaignState>();
+          CampaignState& cs = *slot;
           if (cs.bound &&
               (cs.world_seed != world_seed || cs.plan_hash != plan_hash)) {
             identity_ok = false;
@@ -491,7 +498,7 @@ void IngestServer::handle_connection(int fd) {
               cs.plan_hash = plan_hash;
             }
             next = cs.next_seq;
-            state = &cs;
+            state = slot;
           }
         }
         if (!identity_ok) {
@@ -615,7 +622,10 @@ void IngestServer::handle_connection(int fd) {
         }
         frames_accepted_.fetch_add(1, std::memory_order_relaxed);
         super::wire::Writer w;
-        w.u64(cursor(campaign));
+        {
+          std::lock_guard<std::mutex> lock(cursors_mu_);
+          w.u64(state->next_seq);
+        }
         send_server_frame(fd, IngestFrameType::ack, w.bytes());
         send_server_frame(fd, IngestFrameType::done_ack);
         break;

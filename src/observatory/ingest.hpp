@@ -177,6 +177,10 @@ class IngestServer {
   [[nodiscard]] IngestStats stats() const;
   /// Next expected sequence number of `campaign` (0 if never seen).
   [[nodiscard]] std::uint64_t cursor(const std::string& campaign) const;
+  /// Forgets `campaign`'s cursor and world/plan identity, so the next hello
+  /// under that name starts a new campaign at seq 0. A connection still
+  /// open on the old campaign keeps its state until it closes.
+  void forget_campaign(const std::string& campaign);
 
   /// Test hook: freeze the drain thread so the queue backs up
   /// deterministically (backpressure / shedding drills).
@@ -239,7 +243,9 @@ class IngestServer {
   bool drain_paused_ = false;
 
   mutable std::mutex cursors_mu_;
-  std::map<std::string, CampaignState> campaigns_;
+  /// Shared with the connections bound to each campaign, so
+  /// forget_campaign() never leaves a live connection dangling.
+  std::map<std::string, std::shared_ptr<CampaignState>> campaigns_;
 
   // Exact cross-thread counters (several connection threads write them, so
   // the single-writer obs cells don't fit; /metrics reads them via probes).

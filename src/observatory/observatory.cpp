@@ -162,8 +162,12 @@ void Observatory::note_campaign_report(const std::string& campaign,
 }
 
 void Observatory::drop_campaign(const std::string& campaign) {
-  std::lock_guard<std::mutex> lock(mu_);
-  push_.erase(campaign);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    push_.erase(campaign);
+  }
+  // The resume cursor lives in the ingest server, under its own lock.
+  if (ingest_) ingest_->forget_campaign(campaign);
 }
 
 void Observatory::capture_trace(const obs::TraceRing& ring) {

@@ -136,8 +136,10 @@ class Observatory : public EventSink {
   void note_campaign_report(const std::string& campaign,
                             const std::string& kind,
                             const super::CampaignReport& report);
-  /// Forgets a finished push campaign (detectors, sessions, reports) so a
-  /// long-running daemon's memory is bounded by its *live* campaigns.
+  /// Forgets a finished push campaign (detectors, sessions, reports, and
+  /// the ingest server's resume cursor) so a long-running daemon's memory
+  /// is bounded by its *live* campaigns, and the name can be pushed again
+  /// from seq 0.
   void drop_campaign(const std::string& campaign);
 
   // --- consumer side (any thread) ----------------------------------------

@@ -22,7 +22,7 @@ namespace {
 // payload version constants when a struct there changes shape.
 
 constexpr std::uint64_t kNetalyzrPayloadVersion = 2;  // v2: +transition
-constexpr std::uint64_t kPingPayloadVersion = 1;
+constexpr std::uint64_t kPingPayloadVersion = 2;  // v2: -pongs_received
 
 // The crawl walk drains the frontier in steps of this many peers and stops
 // once this many peers were processed.
@@ -162,7 +162,6 @@ std::unique_ptr<crawler::DhtCrawler> run_crawl_phase(
     w.u32(static_cast<std::uint32_t>(outcome.responders.size()));
     for (const dht::Contact& c : outcome.responders) put_contact(w, c);
     w.u64(outcome.pings_sent);
-    w.u64(outcome.pongs_received);
     return w.take();
   };
   codec.decode = [&](std::size_t s, std::string_view payload) {
@@ -173,7 +172,6 @@ std::unique_ptr<crawler::DhtCrawler> run_crawl_phase(
     for (std::uint32_t i = 0; i < responders && r.ok(); ++i)
       outcome.responders.push_back(get_contact(r));
     outcome.pings_sent = r.u64();
-    outcome.pongs_received = r.u64();
     if (!r.done()) return false;
     sweep_end[s] = end;
     outcomes[s] = std::move(outcome);
@@ -198,7 +196,7 @@ std::unique_ptr<crawler::DhtCrawler> run_crawl_phase(
         sim::ThreadClockScope clock_scope(clock);
         fault::StreamScope fault_scope(internet.faults.get(),
                                        fault::kSaltPingSweep, s);
-        outcomes[s] = crawler->ping_shard(internet.net, shards[s], s, &clock);
+        outcomes[s] = crawler->ping_shard(internet.net, shards[s], &clock);
         sweep_end[s] = clock.now();
       },
       &codec, config.threads);

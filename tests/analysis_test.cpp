@@ -16,7 +16,8 @@ using netcore::Ipv4Prefix;
 using netcore::RoutingTable;
 
 TEST(UnionFind, BasicConnectivity) {
-  UnionFind uf(6);
+  DynamicUnionFind uf;
+  for (int i = 0; i < 6; ++i) uf.add_vertex();
   EXPECT_TRUE(uf.unite(0, 1));
   EXPECT_TRUE(uf.unite(1, 2));
   EXPECT_FALSE(uf.unite(0, 2)) << "already connected";

@@ -120,7 +120,7 @@ struct CrawlWorld {
     const std::vector<dht::Contact> learned =
         crawler->dataset().learned_contacts();
     const DhtCrawler::PingShardOutcome sweep =
-        crawler->ping_shard(mini.net, learned, 0);
+        crawler->ping_shard(mini.net, learned);
     crawler->absorb_ping_outcomes({&sweep, 1});
   }
 };

@@ -206,7 +206,7 @@ TEST(Crawler, InternalPeersNeverJoinTheFrontier) {
   }
   const std::vector<Contact> learned = crawler.dataset().learned_contacts();
   const crawler::DhtCrawler::PingShardOutcome sweep =
-      crawler.ping_shard(swarm.mini.net, learned, 0);
+      crawler.ping_shard(swarm.mini.net, learned);
   crawler.absorb_ping_outcomes({&sweep, 1});
   // The internal peer was learned (and bt_pinged, unreachable) but never
   // queried with find_nodes.

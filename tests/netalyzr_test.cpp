@@ -209,20 +209,35 @@ TEST(TtlEnumerationLimits, LongTimeoutGoesUnnoticed) {
 }
 
 TEST(NetalyzrServer, ObservedEndpointsPerFlow) {
+  // The server keeps no flow table: its ack carries the mapped source it
+  // observed, and keepalives and probes go wherever the caller says.
   NetalyzrWorld w;
   LineConfig lc;
-  lc.with_cpe = false;
+  lc.with_cpe = true;
   auto line = w.mini.add_line(lc);
-  EXPECT_FALSE(w.server->observed_endpoint(42).has_value());
+  std::vector<NetalyzrMessage> got;
+  line.demux->bind(9999, [&](sim::Network&, const sim::Packet& p) {
+    if (const auto* m = std::any_cast<NetalyzrMessage>(&p.payload))
+      got.push_back(*m);
+  });
   sim::Packet init = sim::Packet::udp({line.device_address, 9999},
                                       w.server->udp_endpoint());
   init.payload = NetalyzrMessage{UdpInit{42}};
   w.mini.net.send(std::move(init), line.device);
-  auto obs = w.server->observed_endpoint(42);
-  ASSERT_TRUE(obs.has_value());
-  EXPECT_EQ(*obs, (Endpoint{line.device_address, 9999}));
-  w.server->reset();
-  EXPECT_FALSE(w.server->observed_endpoint(42).has_value());
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_TRUE(std::holds_alternative<UdpInitAck>(got[0]));
+  const UdpInitAck ack = std::get<UdpInitAck>(got[0]);  // got grows below
+  EXPECT_EQ(ack.flow, 42u);
+  EXPECT_EQ(ack.observed.address, (Ipv4Address{16, 0, 1, 2}))
+      << "the CPE's public side, not the device";
+
+  w.server->send_keepalive(w.mini.net, ack.observed, 42, 64);
+  w.server->send_probe(w.mini.net, ack.observed, 42, 7);
+  ASSERT_EQ(got.size(), 3u) << "both reach the device through the mapping";
+  EXPECT_EQ(std::get<UdpKeepalive>(got[1]).flow, 42u);
+  const auto& probe = std::get<UdpProbe>(got[2]);
+  EXPECT_EQ(probe.flow, 42u);
+  EXPECT_EQ(probe.seq, 7u);
 }
 
 }  // namespace

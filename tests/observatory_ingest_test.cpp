@@ -610,6 +610,27 @@ TEST_F(ObservatoryIngestServerTest, MultiCampaignStreamsStayIndependent) {
   EXPECT_EQ(obs_->handle("/figures/alpha").status, 200);
 }
 
+TEST_F(ObservatoryIngestServerTest, DroppedCampaignCanBePushedAgain) {
+  const std::vector<StreamEvent> events = synthetic_stream();
+  const std::map<std::string, analysis::Figures> truth = truth_sets(events);
+  for (int round = 0; round < 3; ++round) {
+    // Round 1 pushes the same world again, round 2 binds a new one: the
+    // dropped campaign's cursor and its identity must both be gone.
+    observatory::PushClientConfig cfg = client_config("again");
+    if (round == 2) cfg.world_seed = 7;
+    observatory::PushClient client(cfg);
+    client.connect();
+    EXPECT_EQ(client.resume_cursor(), 0u) << "round " << round;
+    client.add_stream_total(events.size());
+    for (const StreamEvent& e : events) client.ingest(e);
+    client.note_stream_done();
+    EXPECT_EQ(obs_->figure_sets("again"), truth) << "round " << round;
+    obs_->drop_campaign("again");
+    EXPECT_EQ(server_->cursor("again"), 0u) << "round " << round;
+  }
+  EXPECT_EQ(server_->stats().identity_rejected, 0u);
+}
+
 // --- batched wire contract -------------------------------------------------
 
 TEST_F(ObservatoryIngestServerTest, FramesSplitAcrossRecvsReproduceFigures) {
