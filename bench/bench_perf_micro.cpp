@@ -134,11 +134,9 @@ struct DeliveryFixture {
   DeliveryFixture() {
     sim::NodeId ra = net.add_router_chain(net.root(), 4, "a");
     host = net.add_node(ra, "host");
-    net.add_local_address(host, addr_a);
     net.register_address(addr_a, host, net.root());
     sim::NodeId rb = net.add_router_chain(net.root(), 4, "b");
     server = net.add_node(rb, "server");
-    net.add_local_address(server, addr_b);
     net.register_address(addr_b, server, net.root());
   }
 
@@ -190,7 +188,6 @@ struct DhtTableFixture {
     cfg.table_capacity = n;
     const netcore::Ipv4Address addr(16, 0, 0, 1);
     sim::NodeId host = net.add_node(net.root(), "h");
-    net.add_local_address(host, addr);
     net.register_address(addr, host, net.root());
     node = std::make_unique<dht::DhtNode>(dht::NodeId160::random(rng),
                                           netcore::Endpoint{addr, 6881}, host,

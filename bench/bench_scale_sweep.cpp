@@ -117,7 +117,7 @@ int run_child() {
       g_sink = g_sink + static_cast<std::uint64_t>(
           internet->net.send(std::move(pkt), sub->device).hops);
     };
-    ns_per_op(deliver, 10'000);  // warm the NAT mapping + route caches
+    ns_per_op(deliver, 10'000);  // warm the NAT mappings
     echo_ns = 1e18;
     for (int rep = 0; rep < 5; ++rep)
       echo_ns = std::min(echo_ns, ns_per_op(deliver, 100'000));

@@ -8,8 +8,7 @@
 // CGN_THREADS=N shards the Netalyzr campaign and the crawler's ping sweep
 // across N workers (default 1): wall clock drops, but figures, tables and
 // merged obs totals are bit-identical for every N (see cgn::par), except
-// the pool's own par.* counters and sim.net.route_cache_hits, which count
-// per-thread route-cache stripes.
+// the pool's own par.* counters.
 #pragma once
 
 #include <cstdio>

@@ -63,7 +63,6 @@ int main() {
       sim::NodeId access = net.add_router_chain(nat_node, 1, "acc");
       sim::NodeId device = net.add_node(access, "device");
       Ipv4Address dev_addr{10, 0, 0, 2};
-      net.add_local_address(device, dev_addr);
       net.register_address(dev_addr, device, nat_node);
       sim::PortDemux demux;
       demux.attach(net, device);

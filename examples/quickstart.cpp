@@ -60,7 +60,6 @@ int main() {
   // The subscriber's device on the home LAN.
   sim::NodeId device = net.add_node(cpe_node, "laptop");
   Ipv4Address device_addr{192, 168, 1, 2};
-  net.add_local_address(device, device_addr);
   net.register_address(device_addr, device, cpe_node);
   sim::PortDemux demux;
   demux.attach(net, device);

@@ -5,7 +5,6 @@
 namespace cgn::dht {
 
 void TrackerServer::install(sim::Network& net) {
-  net.add_local_address(host_, address_);
   net.register_address(address_, host_, net.root());
   net.set_receiver(host_, [this](sim::Network& n, const sim::Packet& p) {
     handle(n, p);

@@ -54,9 +54,11 @@ class NatDevice final : public sim::Middlebox {
   Verdict process_outbound(sim::Packet& pkt, sim::SimTime now) override;
   Verdict process_inbound(sim::Packet& pkt, sim::SimTime now) override;
   Verdict process_hairpin(sim::Packet& pkt, sim::SimTime now) override;
-  [[nodiscard]] bool owns_external(netcore::Ipv4Address a) const override;
 
   // --- introspection -------------------------------------------------------
+  /// True when `a` is in the external pool (renumber_external keeps it
+  /// current; the network routes by registration, not by this).
+  [[nodiscard]] bool owns_external(netcore::Ipv4Address a) const;
   [[nodiscard]] const NatConfig& config() const noexcept { return config_; }
   [[nodiscard]] const std::vector<netcore::Ipv4Address>& external_pool()
       const noexcept {

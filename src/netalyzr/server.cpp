@@ -3,7 +3,6 @@
 namespace cgn::netalyzr {
 
 void NetalyzrServer::install(sim::Network& net) {
-  net.add_local_address(host_, address_);
   net.register_address(address_, host_, net.root());
   net.set_receiver(host_, [this](sim::Network& n, const sim::Packet& p) {
     handle(n, p);
@@ -13,7 +12,6 @@ void NetalyzrServer::install(sim::Network& net) {
 void NetalyzrServer::install_literal_address(sim::Network& net,
                                              netcore::Ipv4Address a) {
   literal_address_ = a;
-  net.add_local_address(host_, a);
   net.register_address(a, host_, net.root());
 }
 

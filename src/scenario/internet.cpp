@@ -182,7 +182,6 @@ class InternetBuilder {
                                          : site.public_chain;
       sub.device = I_.net.add_node(attach, site.as_name + "-dev" + home);
       sub.device_address = lp.line_addr;
-      I_.net.add_local_address(sub.device, lp.line_addr);
       I_.net.register_address(lp.line_addr, sub.device, line_scope);
     } else {
       sim::NodeId attach = lp.behind_cgn ? site.cpe_chain : site.public_chain;
@@ -209,7 +208,6 @@ class InternetBuilder {
 
       sub.device = I_.net.add_node(cpe_node, site.as_name + "-dev" + home);
       sub.device_address = model.lan_prefix.at(2);
-      I_.net.add_local_address(sub.device, sub.device_address);
       I_.net.register_address(sub.device_address, sub.device, cpe_node);
       sub.cpe_node = cpe_node;
     }
@@ -251,8 +249,8 @@ class InternetBuilder {
       sub.device_v6 = line_v6_address(1, asn, lp.index);
       elem_node = I_.net.add_node(site.cpe_chain, site.as_name + "-b4" + home);
       sub.device_address = kB4DeviceV4;
-      auto b4 = std::make_unique<v6::B4Element>(
-          sub.device_v6, isp.aftr->aftr_address(), underlay);
+      auto b4 = std::make_unique<v6::B4Element>(sub.device_v6,
+                                                isp.aftr->aftr_address());
       I_.net.set_middlebox(elem_node, b4.get());
       I_.b4s_.push_back(std::move(b4));
       isp.aftr->add_softwire(sub.device_v6, underlay);
@@ -260,7 +258,6 @@ class InternetBuilder {
     I_.net.register_address(underlay, elem_node, isp.cgn_node);
 
     sub.device = I_.net.add_node(elem_node, site.as_name + "-dev" + home);
-    I_.net.add_local_address(sub.device, sub.device_address);
     I_.net.register_address(sub.device_address, sub.device, elem_node);
     attach_demux(sub);
   }
@@ -277,7 +274,6 @@ class InternetBuilder {
         site.as_name + "-dev" + std::to_string(first.home_id) + "b");
     sub.device_address =
         netcore::Ipv4Address(first.device_address.value() + 1);
-    I_.net.add_local_address(sub.device, sub.device_address);
     I_.net.register_address(sub.device_address, sub.device, first.cpe_node);
     attach_demux(sub);
     return sub;
@@ -430,7 +426,6 @@ class InternetBuilder {
 
     s.bootstrap_host = I_.net.add_node(rack, "dht-bootstrap");
     netcore::Ipv4Address boot_addr = prefix.at(30);
-    I_.net.add_local_address(s.bootstrap_host, boot_addr);
     I_.net.register_address(boot_addr, s.bootstrap_host, I_.net.root());
     dht::DhtNodeConfig boot_cfg;
     boot_cfg.table_capacity = 4096;
@@ -456,7 +451,6 @@ class InternetBuilder {
 
     s.crawler_host = I_.net.add_node(rack, "crawler");
     netcore::Ipv4Address crawler_addr = prefix.at(50);
-    I_.net.add_local_address(s.crawler_host, crawler_addr);
     I_.net.register_address(crawler_addr, s.crawler_host, I_.net.root());
     s.crawler_endpoint = {crawler_addr, 6881};
   }
@@ -752,7 +746,6 @@ std::size_t Internet::materialize_silent_lines(IspInstance& isp) {
         base.value() + static_cast<std::uint32_t>(j + 1) * 256 + 2);
     sim::NodeId dev = net.add_node(
         pool.direct_chain, pool.as_name + "-sln" + std::to_string(pool.built));
-    net.add_local_address(dev, addr);
     net.register_address(addr, dev, isp.cgn_node);
     auto demux = std::make_unique<sim::PortDemux>();
     demux->attach(net, dev);

@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <array>
 #include <ostream>
 #include <stdexcept>
 
@@ -24,7 +25,6 @@ void for_each_stat(const Handles& h, F&& f) {
   f(&NetworkStats::dropped_fault_loss, h.dropped_fault_loss);
   f(&NetworkStats::dropped_fault_unresponsive, h.dropped_fault_unresponsive);
   f(&NetworkStats::duplicated, h.duplicated);
-  f(&NetworkStats::route_cache_hits, h.route_cache_hits);
 }
 
 }  // namespace
@@ -46,7 +46,6 @@ Network::ObsHandles Network::make_obs_handles() {
       .dropped_fault_unresponsive =
           obs::counter("sim.net.dropped.fault_unresponsive"),
       .duplicated = obs::counter("sim.net.duplicated"),
-      .route_cache_hits = obs::counter("sim.net.route_cache_hits"),
       .hops = obs::histogram("sim.net.hops", kHopBounds),
   };
 }
@@ -70,20 +69,7 @@ Network::Network(Clock& clock) : clock_(&clock) {
   Node core;
   core.name = "core";
   nodes_.push_back(std::move(core));
-  grow_route_cache();
   reset_stats();
-}
-
-void Network::grow_route_cache() {
-  if (nodes_.size() <= route_stride_) return;
-  std::size_t stride = route_stride_ == 0 ? 64 : route_stride_;
-  while (stride < nodes_.size()) stride *= 2;
-  route_stride_ = stride;
-  // Reallocate (zeroed) any stripe a thread already touched; unused slots
-  // stay lazy. Topology construction is single-threaded, so no send is in
-  // flight while stripes swap.
-  for (auto& stripe : route_stripes_)
-    if (stripe) stripe.reset(new std::atomic<std::uint64_t>[route_stride_]());
 }
 
 NodeId Network::add_node(NodeId parent, std::string name) {
@@ -91,8 +77,8 @@ NodeId Network::add_node(NodeId parent, std::string name) {
   Node node;
   node.name = std::move(name);
   node.parent = parent;
+  node.depth = nodes_[parent].depth + 1;
   nodes_.push_back(std::move(node));
-  grow_route_cache();
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -112,35 +98,23 @@ void Network::set_receiver(NodeId node, Receiver receiver) {
   nodes_.at(node).receiver = std::move(receiver);
 }
 
-void Network::add_local_address(NodeId node, netcore::Ipv4Address address) {
-  nodes_.at(node).local_addresses.push_back(address);
-}
-
 void Network::register_address(netcore::Ipv4Address address, NodeId owner,
                                NodeId scope) {
-  NodeId child = owner;
-  NodeId node = nodes_.at(owner).parent;
-  while (node != kNoNode) {
-    nodes_[node].down_routes[address] = child;
-    // Any route mutation invalidates the node's cache entry in every
-    // thread's stripe, whatever address each currently holds.
-    invalidate_route_cache(node);
-    if (node == scope) return;
-    child = node;
-    node = nodes_[node].parent;
-  }
-  throw std::invalid_argument("scope is not an ancestor of owner");
+  const int owner_depth = nodes_.at(owner).depth;
+  if (scope >= nodes_.size() || nodes_[scope].depth >= owner_depth ||
+      ancestor_at(owner, nodes_[scope].depth) != scope)
+    throw std::invalid_argument("scope is not an ancestor of owner");
+  if (owners_.insert_or_assign(index_key(scope, address), owner).second)
+    ++nodes_[scope].scoped;
 }
 
 void Network::unregister_address(netcore::Ipv4Address address, NodeId owner,
                                  NodeId scope) {
-  NodeId node = nodes_.at(owner).parent;
-  while (node != kNoNode) {
-    nodes_[node].down_routes.erase(address);
-    invalidate_route_cache(node);
-    if (node == scope) return;
-    node = nodes_[node].parent;
-  }
+  const std::uint64_t key = index_key(scope, address);
+  auto it = owners_.find(key);
+  if (it == owners_.end() || it->second != owner) return;
+  owners_.erase(key);
+  --nodes_[scope].scoped;
 }
 
 NodeId Network::parent(NodeId node) const { return nodes_.at(node).parent; }
@@ -160,9 +134,8 @@ void Network::reset_stats() noexcept {
 }
 
 NodeId Network::top_route(netcore::Ipv4Address address) const {
-  const auto& routes = nodes_.front().down_routes;
-  auto it = routes.find(address);
-  return it == routes.end() ? kNoNode : it->second;
+  auto it = owners_.find(index_key(root(), address));
+  return it == owners_.end() ? kNoNode : ancestor_at(it->second, 1);
 }
 
 const std::string& Network::name(NodeId node) const {
@@ -170,37 +143,61 @@ const std::string& Network::name(NodeId node) const {
 }
 
 int Network::path_hops(NodeId from, NodeId to) const {
-  auto depth = [this](NodeId n) {
-    int d = 0;
-    for (NodeId p = nodes_.at(n).parent; p != kNoNode; p = nodes_[p].parent)
-      ++d;
-    return d;
-  };
-  int df = depth(from);
-  int dt = depth(to);
-  NodeId a = from;
-  NodeId b = to;
-  int da = df;
-  int db = dt;
-  while (da > db) {
-    a = nodes_[a].parent;
-    --da;
-  }
-  while (db > da) {
-    b = nodes_[b].parent;
-    --db;
-  }
+  const int df = nodes_.at(from).depth;
+  const int dt = nodes_.at(to).depth;
+  NodeId a = ancestor_at(from, std::min(df, dt));
+  NodeId b = ancestor_at(to, std::min(df, dt));
   while (a != b) {
     a = nodes_[a].parent;
     b = nodes_[b].parent;
-    --da;
   }
-  return df + dt - 2 * da - 1;
+  return df + dt - 2 * nodes_[a].depth - 1;
 }
 
-bool Network::owns_local(const Node& n, netcore::Ipv4Address a) const {
-  return std::find(n.local_addresses.begin(), n.local_addresses.end(), a) !=
-         n.local_addresses.end();
+Network::Target Network::resolve_up(NodeId start,
+                                    netcore::Ipv4Address a) const {
+  // The climb from start, by levels above it. A packet stops after
+  // kMaxHops hops, so no node higher than that can turn it.
+  std::array<NodeId, kMaxHops> climb;
+  int levels = 0;
+  const int start_depth = start == kNoNode ? 0 : nodes_[start].depth;
+  Target best;
+  int best_depth = -1;
+  for (NodeId scope = start; scope != kNoNode; scope = nodes_[scope].parent) {
+    if (levels < kMaxHops) climb[levels++] = scope;
+    if (nodes_[scope].scoped == 0) continue;
+    auto it = owners_.find(index_key(scope, a));
+    if (it == owners_.end()) continue;
+    // The owner's lowest ancestor-or-self on the climb: where the packet
+    // reaches it or turns down toward it.
+    NodeId turn = ancestor_at(it->second, start_depth);
+    int level = start_depth - nodes_[turn].depth;
+    while (level < levels && climb[level] != turn) {
+      turn = nodes_[turn].parent;
+      ++level;
+    }
+    // On a tie, a node that owns `a` also has `a` registered at itself as
+    // scope; that lower scope is found first and wins, so the packet
+    // descends there rather than hairpins.
+    if (level < levels && nodes_[turn].depth > best_depth) {
+      best_depth = nodes_[turn].depth;
+      best = {it->second, turn};
+    }
+  }
+  return best;
+}
+
+NodeId Network::resolve_down(NodeId node, netcore::Ipv4Address a) const {
+  const int depth = nodes_[node].depth;
+  for (NodeId scope = node; scope != kNoNode; scope = nodes_[scope].parent) {
+    if (nodes_[scope].scoped == 0) continue;
+    auto it = owners_.find(index_key(scope, a));
+    if (it == owners_.end()) continue;
+    const NodeId owner = it->second;
+    if (nodes_[owner].depth > depth && ancestor_at(owner, depth) == node)
+      return owner;
+  }
+  return kNoNode;
 }
 
 DropReason Network::to_drop_reason(Middlebox::Verdict v) noexcept {
@@ -213,15 +210,7 @@ DropReason Network::to_drop_reason(Middlebox::Verdict v) noexcept {
   return DropReason::mb_dropped;
 }
 
-DeliveryResult Network::finish(DeliveryResult r, SendCtx& ctx) {
-  // Batched flush: route-cache hits accumulated hop by hop in the send's
-  // local context land in the metric slot once per delivery, not once per
-  // hop. Nested sends (receiver replies) carry their own context, so the
-  // counts are exact.
-  if (ctx.cache_hits > 0) {
-    obs_.route_cache_hits.inc(static_cast<std::uint64_t>(ctx.cache_hits));
-    ctx.cache_hits = 0;
-  }
+DeliveryResult Network::finish(DeliveryResult r) {
   switch (r.reason) {
     case DropReason::none:
       obs_.delivered.inc();
@@ -254,16 +243,14 @@ DeliveryResult Network::finish(DeliveryResult r, SendCtx& ctx) {
   return r;
 }
 
-DeliveryResult Network::deliver_at(NodeId node, Packet& pkt, int hops,
-                                   SendCtx& ctx) {
+DeliveryResult Network::deliver_at(NodeId node, Packet& pkt, int hops) {
   // An injected-unresponsive endpoint receives nothing: the NAT state along
   // the path was still created/refreshed (the packet really travelled), but
   // the application never answers — a deaf BitTorrent peer.
   if (faults_ && faults_->unresponsive(node, pkt.dst.port))
     return finish({.reason = DropReason::fault_unresponsive,
                    .hops = hops,
-                   .final_node = node},
-                  ctx);
+                   .final_node = node});
   if (nodes_[node].receiver) {
     nodes_[node].receiver(*this, pkt);
     // Injected duplication: the receiver sees the same datagram twice, as
@@ -276,24 +263,20 @@ DeliveryResult Network::deliver_at(NodeId node, Packet& pkt, int hops,
   return finish({.delivered = true,
                  .reason = DropReason::none,
                  .hops = hops,
-                 .final_node = node},
-                ctx);
+                 .final_node = node});
 }
 
 DeliveryResult Network::send(Packet pkt, NodeId from) {
   obs_.sent.inc();
-  // One TLS read resolves this thread's route-cache stripe for the whole
-  // delivery (every hop used to re-derive the slot via the metric cell).
-  SendCtx ctx{route_stripe()};
   const SimTime now = clock().now();
   int hops = 0;
   NodeId node = nodes_.at(from).parent;
-  // Ascent: walk from the sender toward the core until a node claims the
-  // destination (locally, via a scoped down-route, or via a hairpin).
+  Target target = resolve_up(node, pkt.dst.address);
+  // Ascent: walk from the sender toward the core until the packet reaches
+  // the destination's owner or the node where it turns down toward it.
   while (node != kNoNode) {
     if (++hops > kMaxHops)
-      return finish({.reason = DropReason::hop_limit, .final_node = node},
-                    ctx);
+      return finish({.reason = DropReason::hop_limit, .final_node = node});
     Node& n = nodes_[node];
     pkt.ttl -= 1;
     trace_event(TraceKind::hop, node, pkt.ttl, 0);
@@ -302,104 +285,96 @@ DeliveryResult Network::send(Packet pkt, NodeId from) {
     if (faults_ && faults_->drop_at_hop())
       return finish({.reason = DropReason::fault_loss,
                      .hops = hops,
-                     .final_node = node},
-                    ctx);
-    if (owns_local(n, pkt.dst.address))
-      return deliver_at(node, pkt, hops, ctx);
+                     .final_node = node});
+    const bool owner_here = node == target.owner;
+    if (owner_here && !n.middlebox) return deliver_at(node, pkt, hops);
     if (pkt.ttl <= 0)
       return finish({.reason = DropReason::ttl_expired,
                      .hops = hops,
-                     .final_node = node},
-                    ctx);
-    if (NodeId next = route_lookup(n, node, pkt.dst.address, ctx);
-        next != kNoNode)
-      return descend(next, pkt, hops, ctx);
-    if (n.middlebox && n.middlebox->owns_external(pkt.dst.address)) {
+                     .final_node = node});
+    if (node == target.turn && !owner_here)
+      return descend(target.owner, node, pkt, hops);
+    if (owner_here) {
       auto verdict = n.middlebox->process_hairpin(pkt, now);
       trace_event(TraceKind::middlebox, node, pkt.ttl,
                   static_cast<std::uint8_t>(verdict));
       if (verdict != Middlebox::Verdict::forward)
         return finish({.reason = to_drop_reason(verdict),
                        .hops = hops,
-                       .final_node = node},
-                      ctx);
-      // Hairpin processing may rewrite pkt.dst, so route on the new address.
-      NodeId next = route_lookup(n, node, pkt.dst.address, ctx);
-      if (next == kNoNode)
+                       .final_node = node});
+      // Hairpin processing rewrites pkt.dst to an inside endpoint.
+      const NodeId owner = resolve_down(node, pkt.dst.address);
+      if (owner == kNoNode)
         return finish({.reason = DropReason::no_route,
                        .hops = hops,
-                       .final_node = node},
-                      ctx);
-      return descend(next, pkt, hops, ctx);
+                       .final_node = node});
+      return descend(owner, node, pkt, hops);
     }
     if (n.middlebox) {
+      const netcore::Ipv4Address dst = pkt.dst.address;
       auto verdict = n.middlebox->process_outbound(pkt, now);
       trace_event(TraceKind::middlebox, node, pkt.ttl,
                   static_cast<std::uint8_t>(verdict));
       if (verdict != Middlebox::Verdict::forward)
         return finish({.reason = to_drop_reason(verdict),
                        .hops = hops,
-                       .final_node = node},
-                      ctx);
+                       .final_node = node});
+      // A NAT64 takes the destination out of the v6 overlay.
+      if (pkt.dst.address != dst)
+        target = resolve_up(n.parent, pkt.dst.address);
     }
     if (n.parent == kNoNode)
       return finish({.reason = DropReason::no_route,
                      .hops = hops,
-                     .final_node = node},
-                    ctx);
+                     .final_node = node});
     node = n.parent;
   }
-  return finish({.reason = DropReason::no_route, .hops = hops}, ctx);
+  return finish({.reason = DropReason::no_route, .hops = hops});
 }
 
-DeliveryResult Network::descend(NodeId node, Packet& pkt, int hops,
-                                SendCtx& ctx) {
+DeliveryResult Network::descend(NodeId owner, NodeId turn, Packet& pkt,
+                                int hops) {
   const SimTime now = clock().now();
+  NodeId node = ancestor_at(owner, nodes_[turn].depth + 1);
   while (true) {
     if (++hops > kMaxHops)
-      return finish({.reason = DropReason::hop_limit, .final_node = node},
-                    ctx);
+      return finish({.reason = DropReason::hop_limit, .final_node = node});
     Node& n = nodes_[node];
     pkt.ttl -= 1;
     trace_event(TraceKind::hop, node, pkt.ttl, 0);
     if (faults_ && faults_->drop_at_hop())
       return finish({.reason = DropReason::fault_loss,
                      .hops = hops,
-                     .final_node = node},
-                    ctx);
-    // A NAT whose external address the packet targets translates it inward —
-    // but only if the packet still has TTL budget to be forwarded; a probe
-    // that expires here dies without refreshing the NAT's mapping, which is
-    // exactly what the TTL-driven enumeration test exploits.
-    if (n.middlebox && n.middlebox->owns_external(pkt.dst.address)) {
+                     .final_node = node});
+    // A middlebox owning the destination translates it inward — but only if
+    // the packet still has TTL budget to be forwarded; a probe that expires
+    // here dies without refreshing the NAT's mapping, which is exactly what
+    // the TTL-driven enumeration test exploits.
+    if (node == owner && n.middlebox) {
       if (pkt.ttl <= 0)
         return finish({.reason = DropReason::ttl_expired,
                        .hops = hops,
-                       .final_node = node},
-                      ctx);
+                       .final_node = node});
       auto verdict = n.middlebox->process_inbound(pkt, now);
       trace_event(TraceKind::middlebox, node, pkt.ttl,
                   static_cast<std::uint8_t>(verdict));
       if (verdict != Middlebox::Verdict::forward)
         return finish({.reason = to_drop_reason(verdict),
                        .hops = hops,
-                       .final_node = node},
-                      ctx);
+                       .final_node = node});
+      // Inbound translation rewrote pkt.dst to an inside endpoint.
+      owner = resolve_down(node, pkt.dst.address);
     }
-    if (owns_local(n, pkt.dst.address))
-      return deliver_at(node, pkt, hops, ctx);
+    if (node == owner) return deliver_at(node, pkt, hops);
     if (pkt.ttl <= 0)
       return finish({.reason = DropReason::ttl_expired,
                      .hops = hops,
-                     .final_node = node},
-                    ctx);
-    NodeId next = route_lookup(n, node, pkt.dst.address, ctx);
-    if (next == kNoNode)
+                     .final_node = node});
+    if (owner == kNoNode)
       return finish({.reason = DropReason::no_route,
                      .hops = hops,
-                     .final_node = node},
-                    ctx);
-    node = next;
+                     .final_node = node});
+    node = ancestor_at(owner, n.depth + 1);
   }
 }
 

@@ -4,20 +4,19 @@
 // hang off the core through chains of plain router nodes, and each ISP is a
 // subtree (access routers, optional CGN middlebox, CPE middleboxes, end
 // hosts). Delivery walks real hops: every hop decrements the TTL, NAT
-// middleboxes translate and filter, and scoped per-node routing maps model
-// the fact that reserved address space is only meaningful inside its own
-// subtree. This per-hop fidelity is what makes the paper's TTL-driven NAT
-// enumeration (§6.3) and hairpin-based internal-address leakage (§4.1)
-// reproducible as *measurements* instead of hard-coded outputs.
+// middleboxes translate and filter, and every address is registered with a
+// scope (the subtree it is meaningful in: the root for public space, the
+// enclosing NAT node for reserved space), so internal ranges can repeat
+// across ISPs and homes. This per-hop fidelity is what makes the paper's
+// TTL-driven NAT enumeration (§6.3) and hairpin-based internal-address
+// leakage (§4.1) reproducible as *measurements* instead of hard-coded
+// outputs.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,13 +66,12 @@ class Middlebox {
 
   /// Packet travelling from the edge toward the core: translate src.
   virtual Verdict process_outbound(Packet& pkt, SimTime now) = 0;
-  /// Packet travelling from the core toward the edge: match mapping, apply
-  /// filtering policy, translate dst.
+  /// Packet travelling from the core toward the edge, addressed to one of
+  /// this box's external addresses (those registered with its node as
+  /// owner): match mapping, apply filtering policy, translate dst.
   virtual Verdict process_inbound(Packet& pkt, SimTime now) = 0;
   /// Packet from the inside addressed to one of our own external addresses.
   virtual Verdict process_hairpin(Packet& pkt, SimTime now) = 0;
-  /// True when `a` is one of this box's external (translated-to) addresses.
-  [[nodiscard]] virtual bool owns_external(netcore::Ipv4Address a) const = 0;
 };
 
 /// Outcome of one end-to-end delivery attempt.
@@ -98,8 +96,7 @@ struct NetworkStats {
   std::uint64_t dropped_fault_loss = 0;
   std::uint64_t dropped_fault_unresponsive = 0;
   std::uint64_t duplicated = 0;  ///< extra deliveries from injected duplication
-  /// Down-route lookups answered by the per-node one-entry route cache
-  /// (repeated same-destination probes: TTL enumeration, ping sweeps).
+  /// Always 0: the route cache is gone; kept because perfbench reads it.
   std::uint64_t route_cache_hits = 0;
 };
 
@@ -130,18 +127,21 @@ class Network {
   /// Marks a node as a host with a delivery callback.
   void set_receiver(NodeId node, Receiver receiver);
 
-  /// Declares that `node` locally owns `address` (a host interface address).
-  void add_local_address(NodeId node, netcore::Ipv4Address address);
-
-  /// Installs downward routes for `address` from `scope` (inclusive) down to
-  /// `owner`: each ancestor learns the child next-hop. `scope` must be an
-  /// ancestor of `owner`. Use the root as scope for public addresses and the
-  /// enclosing NAT node for internal ones.
+  /// Declares that `owner` owns `address` within the subtree of `scope`:
+  /// a host's interface address, or a middlebox's external address. Packets
+  /// to `address` from inside `scope` route to `owner`, which delivers them
+  /// (a host) or translates them inbound (a middlebox node). `scope` must be
+  /// a proper ancestor of `owner`, else std::invalid_argument and nothing is
+  /// registered. Use the root as scope for public addresses and the
+  /// enclosing NAT node for internal ones. Registering an address again at
+  /// the same scope replaces its owner. Two registrations of one address
+  /// must not share a node on their paths from owner up to scope: the
+  /// walk would reach only one of them.
   void register_address(netcore::Ipv4Address address, NodeId owner,
                         NodeId scope);
 
-  /// Removes the downward routes for `address` along the owner->scope path
-  /// (ISP renumbering). Missing entries are ignored.
+  /// Removes `owner`'s registration of `address` at `scope` (ISP
+  /// renumbering). A missing registration is ignored.
   void unregister_address(netcore::Ipv4Address address, NodeId owner,
                           NodeId scope);
 
@@ -176,11 +176,12 @@ class Network {
     return c ? *c : *clock_;
   }
 
-  /// First-hop child the root would forward `address` to, or kNoNode when
-  /// the root has no route (reserved/unrouted space). Two destinations with
-  /// the same top route share a root subtree — the unit campaign sharding
-  /// partitions work by, since all mutable middlebox state on a delivery
-  /// path lives inside the destination's subtree.
+  /// First-hop child the root would forward `address` to: the depth-1
+  /// ancestor of its root-scoped owner, or kNoNode when it has none
+  /// (reserved/unrouted space). Two destinations with the same top route
+  /// share a root subtree — the unit campaign sharding partitions work by,
+  /// since all mutable middlebox state on a delivery path lives inside the
+  /// destination's subtree.
   [[nodiscard]] NodeId top_route(netcore::Ipv4Address address) const;
 
   /// Event classes pushed into an attached hop-trace ring. `code` carries
@@ -218,20 +219,13 @@ class Network {
   struct Node {
     std::string name;
     NodeId parent = kNoNode;
+    int depth = 0;  ///< hops below the root
+    /// Index entries with this node as scope. Resolution probes only the
+    /// nodes that have some: a TTL-limited probe that dies a hop or two up
+    /// still resolves its whole chain, and most chain nodes are routers.
+    std::uint32_t scoped = 0;
     Middlebox* middlebox = nullptr;
     Receiver receiver;
-    flat::FlatMap<netcore::Ipv4Address, NodeId> down_routes;
-    std::vector<netcore::Ipv4Address> local_addresses;
-  };
-
-  /// Per-delivery context threaded through send/descend: the calling
-  /// thread's route-cache stripe resolved once per send (one TLS read
-  /// instead of one per hop), and the send's cache hits batched into a
-  /// plain local counter that finish() flushes to the metric slot in one
-  /// go — per-send instead of per-hop metric traffic.
-  struct SendCtx {
-    std::atomic<std::uint64_t>* cache;
-    int cache_hits = 0;
   };
 
   static constexpr int kMaxHops = 64;
@@ -249,61 +243,38 @@ class Network {
     obs::Counter& dropped_fault_loss;
     obs::Counter& dropped_fault_unresponsive;
     obs::Counter& duplicated;
-    obs::Counter& route_cache_hits;
     obs::Histogram& hops;
   };
   static ObsHandles make_obs_handles();
 
-  [[nodiscard]] bool owns_local(const Node& n, netcore::Ipv4Address a) const;
-  DeliveryResult deliver_at(NodeId node, Packet& pkt, int hops, SendCtx& ctx);
-  DeliveryResult descend(NodeId node, Packet& pkt, int hops, SendCtx& ctx);
-  DeliveryResult finish(DeliveryResult r, SendCtx& ctx);
+  /// Where an ascending packet stops climbing: at `turn`, it either reaches
+  /// `owner` itself (turn == owner) or starts descending toward it.
+  struct Target {
+    NodeId owner = kNoNode;
+    NodeId turn = kNoNode;
+  };
+
+  [[nodiscard]] static std::uint64_t index_key(NodeId scope,
+                                               netcore::Ipv4Address a) {
+    return (std::uint64_t{scope} << 32) | a.value();
+  }
+  [[nodiscard]] NodeId ancestor_at(NodeId node, int depth) const noexcept {
+    while (nodes_[node].depth > depth) node = nodes_[node].parent;
+    return node;
+  }
+  /// The owner of `a` a packet climbing from `start` meets first: each
+  /// registration at a scope on start's chain takes effect at its lowest
+  /// common ancestor with start; the lowest one wins.
+  [[nodiscard]] Target resolve_up(NodeId start, netcore::Ipv4Address a) const;
+  /// The owner of `a` strictly below `node` whose registration reaches
+  /// `node`, or kNoNode.
+  [[nodiscard]] NodeId resolve_down(NodeId node, netcore::Ipv4Address a) const;
+
+  DeliveryResult deliver_at(NodeId node, Packet& pkt, int hops);
+  /// Walks down from `turn` (exclusive) toward `owner`.
+  DeliveryResult descend(NodeId owner, NodeId turn, Packet& pkt, int hops);
+  DeliveryResult finish(DeliveryResult r);
   static DropReason to_drop_reason(Middlebox::Verdict v) noexcept;
-
-  /// The calling thread's route-cache stripe: one packed (address << 32) |
-  /// child entry per node, 0 when empty (a valid child NodeId is never 0 —
-  /// the root has no ancestors). Stripes are private to a metric slot, so
-  /// campaign workers crossing the same shared core nodes never write the
-  /// same cache line — the old single shared entry per node turned every
-  /// differing-destination descent into cross-core cache-line ping-pong.
-  /// Lazily allocated on a slot's first send; route mutations invalidate
-  /// the entry in every stripe (see DESIGN.md §10).
-  [[nodiscard]] std::atomic<std::uint64_t>* route_stripe() {
-    auto& stripe = route_stripes_[obs::thread_slot()];
-    if (!stripe)  // first send on this slot (cold)
-      stripe.reset(new std::atomic<std::uint64_t>[route_stride_]());
-    return stripe.get();
-  }
-
-  /// Down-route lookup through the sending thread's per-node cache entry.
-  /// Returns kNoNode when the node has no route for `a`; negative results
-  /// are not cached. Hits are batched in ctx and flushed by finish().
-  [[nodiscard]] NodeId route_lookup(Node& n, NodeId id, netcore::Ipv4Address a,
-                                    SendCtx& ctx) noexcept {
-    std::atomic<std::uint64_t>& entry = ctx.cache[id];
-    const std::uint64_t e = entry.load(std::memory_order_relaxed);
-    if (e != 0 && (e >> 32) == a.value()) {
-      ++ctx.cache_hits;
-      return static_cast<NodeId>(e);
-    }
-    auto it = n.down_routes.find(a);
-    if (it == n.down_routes.end()) return kNoNode;
-    entry.store((std::uint64_t{a.value()} << 32) | it->second,
-                std::memory_order_relaxed);
-    return it->second;
-  }
-
-  /// Grows the route-cache stride to cover `nodes_.size()` nodes and drops
-  /// any already-allocated stripes' contents (topology construction is
-  /// single-threaded and cold).
-  void grow_route_cache();
-
-  /// Zeroes `node`'s cache entry in every allocated stripe (route
-  /// mutation: register/unregister_address).
-  void invalidate_route_cache(NodeId node) noexcept {
-    for (auto& stripe : route_stripes_)
-      if (stripe) stripe[node].store(0, std::memory_order_relaxed);
-  }
 
   void trace_event(TraceKind kind, NodeId node, int ttl,
                    std::uint8_t code) const {
@@ -314,11 +285,8 @@ class Network {
 
   Clock* clock_;
   std::vector<Node> nodes_;
-  /// Per-slot route-cache stripes (route_stripe()); stride >= nodes_.size().
-  std::array<std::unique_ptr<std::atomic<std::uint64_t>[]>,
-             obs::kMaxThreadSlots>
-      route_stripes_;
-  std::size_t route_stride_ = 0;
+  /// The one routing store: index_key(scope, address) -> owner.
+  flat::FlatMap<std::uint64_t, NodeId, std::hash<std::uint64_t>> owners_;
   ObsHandles obs_ = make_obs_handles();
   NetworkStats baseline_;  ///< counter values at construction/reset_stats()
   obs::TraceRing* trace_ = nullptr;

@@ -37,8 +37,6 @@ StunServer::StunServer(sim::Network& net, sim::NodeId host,
 }
 
 void StunServer::install(sim::Network& net) {
-  net.add_local_address(host_, primary_ip_);
-  net.add_local_address(host_, alternate_ip_);
   net.register_address(primary_ip_, host_, net.root());
   net.register_address(alternate_ip_, host_, net.root());
   net.set_receiver(host_, [this](sim::Network& n, const sim::Packet& p) {

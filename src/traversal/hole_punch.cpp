@@ -12,7 +12,6 @@ std::string_view to_string(PunchResult r) noexcept {
 }
 
 void RendezvousServer::install(sim::Network& net) {
-  net.add_local_address(host_, address_);
   net.register_address(address_, host_, net.root());
   net.set_receiver(host_, [this](sim::Network& n, const sim::Packet& p) {
     handle(n, p);

@@ -61,9 +61,6 @@ class Nat64Device final : public sim::Middlebox {
   Verdict process_outbound(sim::Packet& pkt, sim::SimTime now) override;
   Verdict process_inbound(sim::Packet& pkt, sim::SimTime now) override;
   Verdict process_hairpin(sim::Packet& pkt, sim::SimTime now) override;
-  [[nodiscard]] bool owns_external(netcore::Ipv4Address a) const override {
-    return core_.owns_external(a);
-  }
 
   [[nodiscard]] nat::NatDevice& core() noexcept { return core_; }
   [[nodiscard]] const nat::NatDevice& core() const noexcept { return core_; }
@@ -104,9 +101,6 @@ class DsLiteAftr final : public sim::Middlebox {
   Verdict process_outbound(sim::Packet& pkt, sim::SimTime now) override;
   Verdict process_inbound(sim::Packet& pkt, sim::SimTime now) override;
   Verdict process_hairpin(sim::Packet& pkt, sim::SimTime now) override;
-  [[nodiscard]] bool owns_external(netcore::Ipv4Address a) const override {
-    return core_.owns_external(a);
-  }
 
   [[nodiscard]] nat::NatDevice& core() noexcept { return core_; }
   [[nodiscard]] const nat::NatDevice& core() const noexcept { return core_; }
@@ -144,9 +138,8 @@ class DsLiteAftr final : public sim::Middlebox {
 /// destination the AFTR stashed in the overlay) on the way down.
 class B4Element final : public sim::Middlebox {
  public:
-  B4Element(netcore::Ipv6Address b4, netcore::Ipv6Address aftr,
-            netcore::Ipv4Address underlay)
-      : b4_(b4), aftr_(aftr), underlay_(underlay) {}
+  B4Element(netcore::Ipv6Address b4, netcore::Ipv6Address aftr)
+      : b4_(b4), aftr_(aftr) {}
 
   Verdict process_outbound(sim::Packet& pkt, sim::SimTime) override {
     pkt.v6.src = b4_;
@@ -163,14 +156,10 @@ class B4Element final : public sim::Middlebox {
   Verdict process_hairpin(sim::Packet&, sim::SimTime) override {
     return Verdict::drop_other;
   }
-  [[nodiscard]] bool owns_external(netcore::Ipv4Address a) const override {
-    return a == underlay_;
-  }
 
  private:
   netcore::Ipv6Address b4_;
   netcore::Ipv6Address aftr_;
-  netcore::Ipv4Address underlay_;
 };
 
 /// Stateless RFC 6877 CLAT (customer-side translator of 464XLAT). The
@@ -199,9 +188,6 @@ class ClatElement final : public sim::Middlebox {
   }
   Verdict process_hairpin(sim::Packet&, sim::SimTime) override {
     return Verdict::drop_other;
-  }
-  [[nodiscard]] bool owns_external(netcore::Ipv4Address a) const override {
-    return a == underlay_;
   }
 
  private:
@@ -247,9 +233,6 @@ class HostV6Stack final : public sim::Middlebox {
   }
   Verdict process_hairpin(sim::Packet&, sim::SimTime) override {
     return Verdict::drop_other;
-  }
-  [[nodiscard]] bool owns_external(netcore::Ipv4Address a) const override {
-    return a == underlay_;
   }
 
   struct Stats {

@@ -38,7 +38,6 @@ struct CrawlWorld {
 
     sim::NodeId boot_host = mini.net.add_node(mini.net.root(), "bootstrap");
     Ipv4Address boot_addr{16, 255, 0, 60};
-    mini.net.add_local_address(boot_host, boot_addr);
     mini.net.register_address(boot_addr, boot_host, mini.net.root());
     dht::DhtNodeConfig boot_cfg;
     boot_cfg.table_capacity = 1024;
@@ -53,7 +52,6 @@ struct CrawlWorld {
 
     sim::NodeId crawl_host = mini.net.add_node(mini.net.root(), "crawler");
     Ipv4Address crawl_addr{16, 255, 0, 70};
-    mini.net.add_local_address(crawl_host, crawl_addr);
     mini.net.register_address(crawl_addr, crawl_host, mini.net.root());
     CrawlConfig cfg;
     crawler = std::make_unique<DhtCrawler>(crawl_host,
@@ -81,7 +79,6 @@ struct CrawlWorld {
       sim::NodeId acc = mini.net.add_router_chain(first.cgn_node, 2, "acc");
       sim::NodeId dev = mini.net.add_node(acc, "dev");
       Ipv4Address addr(10, 0, static_cast<std::uint8_t>(1 + i), 2);
-      mini.net.add_local_address(dev, addr);
       mini.net.register_address(addr, dev, first.cgn_node);
       auto demux = std::make_unique<sim::PortDemux>();
       demux->attach(mini.net, dev);

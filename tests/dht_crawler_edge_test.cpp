@@ -154,7 +154,6 @@ TEST(Crawler, LeakTriggersExtraQueryBatches) {
   sim::NodeId crawl_host =
       swarm.mini.net.add_node(swarm.mini.net.root(), "crawler");
   Ipv4Address crawl_addr{16, 255, 0, 70};
-  swarm.mini.net.add_local_address(crawl_host, crawl_addr);
   swarm.mini.net.register_address(crawl_addr, crawl_host,
                                   swarm.mini.net.root());
   crawler::CrawlConfig cfg;
@@ -194,7 +193,6 @@ TEST(Crawler, InternalPeersNeverJoinTheFrontier) {
   sim::NodeId crawl_host =
       swarm.mini.net.add_node(swarm.mini.net.root(), "crawler");
   Ipv4Address crawl_addr{16, 255, 0, 70};
-  swarm.mini.net.add_local_address(crawl_host, crawl_addr);
   swarm.mini.net.register_address(crawl_addr, crawl_host,
                                   swarm.mini.net.root());
   crawler::CrawlConfig cfg;

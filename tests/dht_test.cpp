@@ -529,7 +529,6 @@ TEST(DhtLeakChain, HairpinPreservingCgnLeaksInternalEndpoints) {
   sim::NodeId acc = mini.net.add_router_chain(line_a.cgn_node, 2, "acc2");
   sim::NodeId dev_b = mini.net.add_node(acc, "dev-b");
   Ipv4Address addr_b{100, 64, 2, 2};
-  mini.net.add_local_address(dev_b, addr_b);
   mini.net.register_address(addr_b, dev_b, line_a.cgn_node);
   sim::PortDemux demux_b;
   demux_b.attach(mini.net, dev_b);
@@ -594,7 +593,6 @@ TEST(DhtLeakChain, ConformantHairpinDoesNotLeak) {
   sim::NodeId dev_b = mini.net.add_node(
       mini.net.add_router_chain(line_a.cgn_node, 2, "acc2"), "dev-b");
   Ipv4Address addr_b{10, 0, 2, 2};
-  mini.net.add_local_address(dev_b, addr_b);
   mini.net.register_address(addr_b, dev_b, line_a.cgn_node);
   sim::PortDemux demux_b;
   demux_b.attach(mini.net, dev_b);

@@ -183,8 +183,6 @@ struct FaultyPair {
     sim::NodeId rb = net.add_router_chain(net.root(), 2, "b");
     a = net.add_node(ra, "host-a");
     b = net.add_node(rb, "host-b");
-    net.add_local_address(a, addr_a);
-    net.add_local_address(b, addr_b);
     net.register_address(addr_a, a, net.root());
     net.register_address(addr_b, b, net.root());
     net.set_receiver(a, [](sim::Network&, const sim::Packet&) {});

@@ -171,7 +171,6 @@ TEST(NetworkNat, HairpinRoutesBetweenTwoLinesOfOneCgn) {
   sim::NodeId acc = mini.net.add_router_chain(line_a.cgn_node, 2, "acc-b");
   sim::NodeId dev_b = mini.net.add_node(acc, "dev-b");
   Ipv4Address addr_b{10, 0, 9, 9};
-  mini.net.add_local_address(dev_b, addr_b);
   mini.net.register_address(addr_b, dev_b, line_a.cgn_node);
   Catcher catch_b;
   catch_b.attach(mini.net, dev_b);

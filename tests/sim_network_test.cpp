@@ -26,8 +26,6 @@ struct TwoHosts {
     NodeId rb = net.add_router_chain(net.root(), chain_b, "b");
     a = net.add_node(ra, "host-a");
     b = net.add_node(rb, "host-b");
-    net.add_local_address(a, addr_a);
-    net.add_local_address(b, addr_b);
     net.register_address(addr_a, a, net.root());
     net.register_address(addr_b, b, net.root());
     net.set_receiver(a, [this](Network&, const Packet& p) {
@@ -118,15 +116,13 @@ TEST(Network, ScopedAddressesInvisibleOutsideScope) {
   NodeId h2 = net.add_node(scope2, "h2");
   Ipv4Address internal{10, 0, 0, 5};
   int got1 = 0, got2 = 0;
-  net.add_local_address(h1, internal);
-  net.add_local_address(h2, internal);
   net.register_address(internal, h1, scope1);
   net.register_address(internal, h2, scope2);
   net.set_receiver(h1, [&](Network&, const Packet&) { ++got1; });
   net.set_receiver(h2, [&](Network&, const Packet&) { ++got2; });
 
   NodeId h1b = net.add_node(scope1, "h1b");
-  net.add_local_address(h1b, Ipv4Address{10, 0, 0, 6});
+  net.register_address(Ipv4Address{10, 0, 0, 6}, h1b, scope1);
   auto r = net.send(
       Packet::udp({Ipv4Address{10, 0, 0, 6}, 1}, {internal, 2}), h1b);
   EXPECT_TRUE(r.delivered);
@@ -142,9 +138,7 @@ TEST(Network, OutOfScopeInternalAddressIsUnrouted) {
   NodeId outside = net.add_node(net.root(), "outside");
   Ipv4Address internal{10, 1, 1, 1};
   Ipv4Address pub{16, 0, 0, 9};
-  net.add_local_address(inside, internal);
   net.register_address(internal, inside, scope);
-  net.add_local_address(outside, pub);
   net.register_address(pub, outside, net.root());
   auto r = net.send(Packet::udp({pub, 1}, {internal, 2}), outside);
   EXPECT_FALSE(r.delivered);
@@ -157,8 +151,15 @@ TEST(Network, RegisterAddressRejectsNonAncestorScope) {
   NodeId a = net.add_node(net.root(), "a");
   NodeId b = net.add_node(net.root(), "b");
   NodeId host = net.add_node(a, "host");
-  EXPECT_THROW(net.register_address(Ipv4Address{1, 2, 3, 4}, host, b),
-               std::invalid_argument);
+  NodeId sender = net.add_node(b, "sender");
+  const Ipv4Address addr{1, 2, 3, 4};
+  EXPECT_THROW(net.register_address(addr, host, b), std::invalid_argument);
+  // A rejected registration leaves nothing behind.
+  EXPECT_EQ(net.top_route(addr), kNoNode);
+  auto r = net.send(Packet::udp({Ipv4Address{16, 0, 0, 1}, 1}, {addr, 2}),
+                    sender);
+  EXPECT_FALSE(r.delivered);
+  EXPECT_EQ(r.reason, DropReason::no_route);
 }
 
 TEST(Network, AddNodeValidatesParent) {

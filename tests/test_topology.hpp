@@ -34,14 +34,15 @@ struct LineConfig {
 };
 
 /// A miniature Internet: core -> server chain -> server host, and one
-/// subscriber line per add_line() call.
-class MiniNet {
+/// subscriber line per add_line() call. `Net` is sim::Network or a type
+/// derived from it (the routing reference model in routing_test.cpp).
+template <class Net>
+class BasicMiniNet {
  public:
-  MiniNet() : net(clock) {
+  BasicMiniNet() : net(clock) {
     sim::NodeId rack = net.add_router_chain(net.root(), 2, "infra");
     server_host = net.add_node(rack, "server");
     server_address = Ipv4Address{16, 255, 0, 10};
-    net.add_local_address(server_host, server_address);
     net.register_address(server_address, server_host, net.root());
   }
 
@@ -92,12 +93,10 @@ class MiniNet {
       net.register_address(line_addr, line.cpe_node, line_scope);
       line.device = net.add_node(line.cpe_node, "device");
       line.device_address = cfg.device_address;
-      net.add_local_address(line.device, line.device_address);
       net.register_address(line.device_address, line.device, line.cpe_node);
     } else {
       line.device = net.add_node(attach, "device");
       line.device_address = line_addr;
-      net.add_local_address(line.device, line.device_address);
       net.register_address(line.device_address, line.device, line_scope);
     }
 
@@ -191,7 +190,6 @@ class MiniNet {
     nat64->add_host(line.device_v6, line.underlay);
     net.register_address(line.underlay, elem, nat64_node);
     line.device = net.add_node(elem, "dev6");
-    net.add_local_address(line.device, line.device_address);
     net.register_address(line.device_address, line.device, elem);
     auto demux = std::make_unique<sim::PortDemux>();
     line.demux = demux.get();
@@ -212,14 +210,13 @@ class MiniNet {
         0x20010db800010000ULL, static_cast<std::uint64_t>(line_count_));
     line.device_address = inner_v4;
     sim::NodeId elem = net.add_node(aftr_node, "b4");
-    auto b4 = std::make_unique<v6::B4Element>(
-        line.device_v6, aftr->aftr_address(), line.underlay);
+    auto b4 =
+        std::make_unique<v6::B4Element>(line.device_v6, aftr->aftr_address());
     net.set_middlebox(elem, b4.get());
     v6_elements.push_back(std::move(b4));
     aftr->add_softwire(line.device_v6, line.underlay);
     net.register_address(line.underlay, elem, aftr_node);
     line.device = net.add_node(elem, "dev4in6");
-    net.add_local_address(line.device, line.device_address);
     net.register_address(line.device_address, line.device, elem);
     auto demux = std::make_unique<sim::PortDemux>();
     line.demux = demux.get();
@@ -229,7 +226,7 @@ class MiniNet {
   }
 
   sim::Clock clock;
-  sim::Network net;
+  Net net;
   sim::NodeId server_host = sim::kNoNode;
   Ipv4Address server_address;
   std::vector<std::unique_ptr<nat::NatDevice>> nats;
@@ -243,5 +240,7 @@ class MiniNet {
  private:
   int line_count_ = 0;
 };
+
+using MiniNet = BasicMiniNet<sim::Network>;
 
 }  // namespace cgn::test
