@@ -73,9 +73,11 @@ stage_obs_off() {
 stage_asan() {
   echo "== sanitizers: ASan+UBSan build + ctest (build-asan/) =="
   cmake -B build-asan -S . -DCGN_SANITIZE=ON >/dev/null
-  # The daemons too: the Daemons.* ctests run their flag parsing.
+  # The daemons and fast examples too: the Daemons.* ctests run their flag
+  # parsing, the Examples.* ctests diff their output.
   cmake --build build-asan -j --target cgn_tests --target cgn_observatoryd \
-    --target cgn_feeder
+    --target cgn_feeder --target quickstart --target nat_behavior_lab \
+    --target isp_dimensioning --target p2p_connectivity
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 }
 

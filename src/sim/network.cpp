@@ -1,7 +1,6 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
-#include <array>
 #include <ostream>
 #include <stdexcept>
 
@@ -26,6 +25,11 @@ void for_each_stat(const Handles& h, F&& f) {
   f(&NetworkStats::dropped_fault_unresponsive, h.dropped_fault_unresponsive);
   f(&NetworkStats::duplicated, h.duplicated);
 }
+
+/// Orders an address's registrations (Network::Registration) by scope.
+constexpr auto by_scope = [](const auto& registration, NodeId scope) {
+  return registration.scope < scope;
+};
 
 }  // namespace
 
@@ -104,17 +108,36 @@ void Network::register_address(netcore::Ipv4Address address, NodeId owner,
   if (scope >= nodes_.size() || nodes_[scope].depth >= owner_depth ||
       ancestor_at(owner, nodes_[scope].depth) != scope)
     throw std::invalid_argument("scope is not an ancestor of owner");
-  if (owners_.insert_or_assign(index_key(scope, address), owner).second)
-    ++nodes_[scope].scoped;
+  const int depth = nodes_[scope].depth;
+  Registrations& regs = owners_[address.value()];
+  // Two vertical paths share a node exactly when the top of one lies on
+  // the other. While the limit holds, only the deepest registration in
+  // scope of the new path can: one scoped on [scope, owner), or one scoped
+  // above whose own path runs through `scope`.
+  if (const Registration* r = in_scope(regs, nodes_[owner].parent);
+      r && r->scope != scope &&
+      (nodes_[r->scope].depth > depth ||
+       (nodes_[r->owner].depth > depth &&
+        ancestor_at(r->owner, depth) == scope)))
+    throw std::invalid_argument("address registered on a shared path");
+  auto pos = std::lower_bound(regs.begin(), regs.end(), scope, by_scope);
+  if (pos != regs.end() && pos->scope == scope)
+    pos->owner = owner;
+  else
+    regs.insert(pos, {scope, owner});
 }
 
 void Network::unregister_address(netcore::Ipv4Address address, NodeId owner,
                                  NodeId scope) {
-  const std::uint64_t key = index_key(scope, address);
-  auto it = owners_.find(key);
-  if (it == owners_.end() || it->second != owner) return;
-  owners_.erase(key);
-  --nodes_[scope].scoped;
+  auto it = owners_.find(address.value());
+  if (it == owners_.end()) return;
+  Registrations& regs = it->second;
+  auto pos = std::find_if(regs.begin(), regs.end(), [&](const Registration& r) {
+    return r.scope == scope && r.owner == owner;
+  });
+  if (pos == regs.end()) return;
+  regs.erase(pos);
+  if (regs.empty()) owners_.erase(address.value());
 }
 
 NodeId Network::parent(NodeId node) const { return nodes_.at(node).parent; }
@@ -134,8 +157,10 @@ void Network::reset_stats() noexcept {
 }
 
 NodeId Network::top_route(netcore::Ipv4Address address) const {
-  auto it = owners_.find(index_key(root(), address));
-  return it == owners_.end() ? kNoNode : ancestor_at(it->second, 1);
+  auto it = owners_.find(address.value());
+  if (it == owners_.end() || it->second.front().scope != root())
+    return kNoNode;
+  return ancestor_at(it->second.front().owner, 1);
 }
 
 const std::string& Network::name(NodeId node) const {
@@ -145,59 +170,45 @@ const std::string& Network::name(NodeId node) const {
 int Network::path_hops(NodeId from, NodeId to) const {
   const int df = nodes_.at(from).depth;
   const int dt = nodes_.at(to).depth;
-  NodeId a = ancestor_at(from, std::min(df, dt));
-  NodeId b = ancestor_at(to, std::min(df, dt));
+  return df + dt - 2 * nodes_[common_ancestor(from, to)].depth - 1;
+}
+
+NodeId Network::common_ancestor(NodeId a, NodeId b) const noexcept {
+  const int depth = std::min(nodes_[a].depth, nodes_[b].depth);
+  a = ancestor_at(a, depth);
+  b = ancestor_at(b, depth);
   while (a != b) {
     a = nodes_[a].parent;
     b = nodes_[b].parent;
   }
-  return df + dt - 2 * nodes_[a].depth - 1;
+  return a;
 }
 
-Network::Target Network::resolve_up(NodeId start,
-                                    netcore::Ipv4Address a) const {
-  // The climb from start, by levels above it. A packet stops after
-  // kMaxHops hops, so no node higher than that can turn it.
-  std::array<NodeId, kMaxHops> climb;
-  int levels = 0;
-  const int start_depth = start == kNoNode ? 0 : nodes_[start].depth;
-  Target best;
-  int best_depth = -1;
-  for (NodeId scope = start; scope != kNoNode; scope = nodes_[scope].parent) {
-    if (levels < kMaxHops) climb[levels++] = scope;
-    if (nodes_[scope].scoped == 0) continue;
-    auto it = owners_.find(index_key(scope, a));
-    if (it == owners_.end()) continue;
-    // The owner's lowest ancestor-or-self on the climb: where the packet
-    // reaches it or turns down toward it.
-    NodeId turn = ancestor_at(it->second, start_depth);
-    int level = start_depth - nodes_[turn].depth;
-    while (level < levels && climb[level] != turn) {
-      turn = nodes_[turn].parent;
-      ++level;
-    }
-    // On a tie, a node that owns `a` also has `a` registered at itself as
-    // scope; that lower scope is found first and wins, so the packet
-    // descends there rather than hairpins.
-    if (level < levels && nodes_[turn].depth > best_depth) {
-      best_depth = nodes_[turn].depth;
-      best = {it->second, turn};
-    }
+const Network::Registration* Network::in_scope(const Registrations& regs,
+                                               NodeId node) const {
+  // A node's ancestors have smaller ids (add_node), so the scopes left to
+  // search shrink to those below the last miss's position.
+  auto end = regs.end();
+  for (; node != kNoNode; node = nodes_[node].parent) {
+    const auto r = std::lower_bound(regs.begin(), end, node, by_scope);
+    if (r != end && r->scope == node) return &*r;
+    if (r == regs.begin()) break;
+    end = r;
   }
-  return best;
+  return nullptr;
 }
 
-NodeId Network::resolve_down(NodeId node, netcore::Ipv4Address a) const {
-  const int depth = nodes_[node].depth;
-  for (NodeId scope = node; scope != kNoNode; scope = nodes_[scope].parent) {
-    if (nodes_[scope].scoped == 0) continue;
-    auto it = owners_.find(index_key(scope, a));
-    if (it == owners_.end()) continue;
-    const NodeId owner = it->second;
-    if (nodes_[owner].depth > depth && ancestor_at(owner, depth) == node)
-      return owner;
-  }
-  return kNoNode;
+Network::Target Network::resolve(NodeId node, netcore::Ipv4Address a) const {
+  auto it = owners_.find(a.value());
+  if (node == kNoNode || it == owners_.end()) return {};
+  // A shallower registration in scope has its owner outside this one's
+  // scope, so it takes effect higher up, or at this scope when it is
+  // owned there (a NAT's external address that is also an inside address
+  // below it): then this deeper scope wins the tie and the packet
+  // descends rather than hairpins.
+  const Registration* r = in_scope(it->second, node);
+  if (r == nullptr) return {};
+  return {r->owner, common_ancestor(r->owner, node)};
 }
 
 DropReason Network::to_drop_reason(Middlebox::Verdict v) noexcept {
@@ -271,9 +282,10 @@ DeliveryResult Network::send(Packet pkt, NodeId from) {
   const SimTime now = clock().now();
   int hops = 0;
   NodeId node = nodes_.at(from).parent;
-  Target target = resolve_up(node, pkt.dst.address);
-  // Ascent: walk from the sender toward the core until the packet reaches
-  // the destination's owner or the node where it turns down toward it.
+  Target target = resolve(node, pkt.dst.address);
+  // Up from the sender until the packet reaches the destination's owner or
+  // the node where it turns toward it, then down the owner's ancestors.
+  bool down = false;
   while (node != kNoNode) {
     if (++hops > kMaxHops)
       return finish({.reason = DropReason::hop_limit, .final_node = node});
@@ -288,29 +300,35 @@ DeliveryResult Network::send(Packet pkt, NodeId from) {
                      .final_node = node});
     const bool owner_here = node == target.owner;
     if (owner_here && !n.middlebox) return deliver_at(node, pkt, hops);
+    // A middlebox owning the destination translates it only if the packet
+    // still has TTL budget to be forwarded; a probe that expires here dies
+    // without refreshing the NAT's mapping, which is exactly what the
+    // TTL-driven enumeration test exploits.
     if (pkt.ttl <= 0)
       return finish({.reason = DropReason::ttl_expired,
                      .hops = hops,
                      .final_node = node});
-    if (node == target.turn && !owner_here)
-      return descend(target.owner, node, pkt, hops);
     if (owner_here) {
-      auto verdict = n.middlebox->process_hairpin(pkt, now);
+      // One of the box's own external addresses: from the inside a
+      // hairpin, from the outside an inbound translation. Either rewrites
+      // pkt.dst to an inside endpoint, whose owner must lie below.
+      auto verdict = down ? n.middlebox->process_inbound(pkt, now)
+                          : n.middlebox->process_hairpin(pkt, now);
       trace_event(TraceKind::middlebox, node, pkt.ttl,
                   static_cast<std::uint8_t>(verdict));
       if (verdict != Middlebox::Verdict::forward)
         return finish({.reason = to_drop_reason(verdict),
                        .hops = hops,
                        .final_node = node});
-      // Hairpin processing rewrites pkt.dst to an inside endpoint.
-      const NodeId owner = resolve_down(node, pkt.dst.address);
-      if (owner == kNoNode)
+      target = resolve(node, pkt.dst.address);
+      if (target.turn != node || target.owner == node)
         return finish({.reason = DropReason::no_route,
                        .hops = hops,
                        .final_node = node});
-      return descend(owner, node, pkt, hops);
-    }
-    if (n.middlebox) {
+      down = true;
+    } else if (!down && node == target.turn) {
+      down = true;
+    } else if (!down && n.middlebox) {
       const netcore::Ipv4Address dst = pkt.dst.address;
       auto verdict = n.middlebox->process_outbound(pkt, now);
       trace_event(TraceKind::middlebox, node, pkt.ttl,
@@ -321,61 +339,19 @@ DeliveryResult Network::send(Packet pkt, NodeId from) {
                        .final_node = node});
       // A NAT64 takes the destination out of the v6 overlay.
       if (pkt.dst.address != dst)
-        target = resolve_up(n.parent, pkt.dst.address);
+        target = resolve(n.parent, pkt.dst.address);
     }
-    if (n.parent == kNoNode)
+    if (down) {
+      node = ancestor_at(target.owner, n.depth + 1);
+    } else if (n.parent == kNoNode) {
       return finish({.reason = DropReason::no_route,
                      .hops = hops,
                      .final_node = node});
-    node = n.parent;
+    } else {
+      node = n.parent;
+    }
   }
   return finish({.reason = DropReason::no_route, .hops = hops});
-}
-
-DeliveryResult Network::descend(NodeId owner, NodeId turn, Packet& pkt,
-                                int hops) {
-  const SimTime now = clock().now();
-  NodeId node = ancestor_at(owner, nodes_[turn].depth + 1);
-  while (true) {
-    if (++hops > kMaxHops)
-      return finish({.reason = DropReason::hop_limit, .final_node = node});
-    Node& n = nodes_[node];
-    pkt.ttl -= 1;
-    trace_event(TraceKind::hop, node, pkt.ttl, 0);
-    if (faults_ && faults_->drop_at_hop())
-      return finish({.reason = DropReason::fault_loss,
-                     .hops = hops,
-                     .final_node = node});
-    // A middlebox owning the destination translates it inward — but only if
-    // the packet still has TTL budget to be forwarded; a probe that expires
-    // here dies without refreshing the NAT's mapping, which is exactly what
-    // the TTL-driven enumeration test exploits.
-    if (node == owner && n.middlebox) {
-      if (pkt.ttl <= 0)
-        return finish({.reason = DropReason::ttl_expired,
-                       .hops = hops,
-                       .final_node = node});
-      auto verdict = n.middlebox->process_inbound(pkt, now);
-      trace_event(TraceKind::middlebox, node, pkt.ttl,
-                  static_cast<std::uint8_t>(verdict));
-      if (verdict != Middlebox::Verdict::forward)
-        return finish({.reason = to_drop_reason(verdict),
-                       .hops = hops,
-                       .final_node = node});
-      // Inbound translation rewrote pkt.dst to an inside endpoint.
-      owner = resolve_down(node, pkt.dst.address);
-    }
-    if (node == owner) return deliver_at(node, pkt, hops);
-    if (pkt.ttl <= 0)
-      return finish({.reason = DropReason::ttl_expired,
-                     .hops = hops,
-                     .final_node = node});
-    if (owner == kNoNode)
-      return finish({.reason = DropReason::no_route,
-                     .hops = hops,
-                     .final_node = node});
-    node = ancestor_at(owner, n.depth + 1);
-  }
 }
 
 void Network::dump_trace(std::ostream& os, const obs::TraceRing& ring) const {

@@ -130,13 +130,14 @@ class Network {
   /// Declares that `owner` owns `address` within the subtree of `scope`:
   /// a host's interface address, or a middlebox's external address. Packets
   /// to `address` from inside `scope` route to `owner`, which delivers them
-  /// (a host) or translates them inbound (a middlebox node). `scope` must be
-  /// a proper ancestor of `owner`, else std::invalid_argument and nothing is
-  /// registered. Use the root as scope for public addresses and the
-  /// enclosing NAT node for internal ones. Registering an address again at
-  /// the same scope replaces its owner. Two registrations of one address
-  /// must not share a node on their paths from owner up to scope: the
-  /// walk would reach only one of them.
+  /// (a host) or translates them inbound (a middlebox node). Use the root
+  /// as scope for public addresses and the enclosing NAT node for internal
+  /// ones. Registering an address again at the same scope replaces its
+  /// owner. Throws std::invalid_argument, and registers nothing, when
+  /// `scope` is not a proper ancestor of `owner` or when the path from
+  /// `scope` down to `owner` (scope included, owner excluded) shares a
+  /// node with another registration's path of the same address: the walk
+  /// could reach only one of them there.
   void register_address(netcore::Ipv4Address address, NodeId owner,
                         NodeId scope);
 
@@ -220,10 +221,6 @@ class Network {
     std::string name;
     NodeId parent = kNoNode;
     int depth = 0;  ///< hops below the root
-    /// Index entries with this node as scope. Resolution probes only the
-    /// nodes that have some: a TTL-limited probe that dies a hop or two up
-    /// still resolves its whole chain, and most chain nodes are routers.
-    std::uint32_t scoped = 0;
     Middlebox* middlebox = nullptr;
     Receiver receiver;
   };
@@ -247,32 +244,42 @@ class Network {
   };
   static ObsHandles make_obs_handles();
 
-  /// Where an ascending packet stops climbing: at `turn`, it either reaches
-  /// `owner` itself (turn == owner) or starts descending toward it.
+  /// One registration of an address: `owner` owns it within `scope`'s
+  /// subtree.
+  struct Registration {
+    NodeId scope = kNoNode;
+    NodeId owner = kNoNode;
+  };
+  /// An address's registrations, sorted by scope.
+  using Registrations = std::vector<Registration>;
+
+  /// Where a packet stops climbing: at `turn`, it either reaches `owner`
+  /// itself (turn == owner) or starts down toward it.
   struct Target {
     NodeId owner = kNoNode;
     NodeId turn = kNoNode;
   };
 
-  [[nodiscard]] static std::uint64_t index_key(NodeId scope,
-                                               netcore::Ipv4Address a) {
-    return (std::uint64_t{scope} << 32) | a.value();
-  }
   [[nodiscard]] NodeId ancestor_at(NodeId node, int depth) const noexcept {
     while (nodes_[node].depth > depth) node = nodes_[node].parent;
     return node;
   }
-  /// The owner of `a` a packet climbing from `start` meets first: each
-  /// registration at a scope on start's chain takes effect at its lowest
-  /// common ancestor with start; the lowest one wins.
-  [[nodiscard]] Target resolve_up(NodeId start, netcore::Ipv4Address a) const;
-  /// The owner of `a` strictly below `node` whose registration reaches
-  /// `node`, or kNoNode.
-  [[nodiscard]] NodeId resolve_down(NodeId node, netcore::Ipv4Address a) const;
+  [[nodiscard]] NodeId common_ancestor(NodeId a, NodeId b) const noexcept;
+  /// The registration of `regs` with the deepest scope that is `node` or
+  /// an ancestor of it, or null. One binary search per ancestor, in a
+  /// range that shrinks as the climb goes up, so an address registered in
+  /// every home costs about as little as one registered once.
+  [[nodiscard]] const Registration* in_scope(const Registrations& regs,
+                                             NodeId node) const;
+  /// The owner of `a` a packet at `node` heads for, and where it turns
+  /// toward it: each registration whose scope is `node` or an ancestor
+  /// takes effect at its owner's lowest common ancestor with `node`; the
+  /// lowest wins, and on a tie the deeper scope. Under register_address's
+  /// limit that is always the in_scope() registration. Empty when none is
+  /// in scope.
+  [[nodiscard]] Target resolve(NodeId node, netcore::Ipv4Address a) const;
 
   DeliveryResult deliver_at(NodeId node, Packet& pkt, int hops);
-  /// Walks down from `turn` (exclusive) toward `owner`.
-  DeliveryResult descend(NodeId owner, NodeId turn, Packet& pkt, int hops);
   DeliveryResult finish(DeliveryResult r);
   static DropReason to_drop_reason(Middlebox::Verdict v) noexcept;
 
@@ -285,8 +292,9 @@ class Network {
 
   Clock* clock_;
   std::vector<Node> nodes_;
-  /// The one routing store: index_key(scope, address) -> owner.
-  flat::FlatMap<std::uint64_t, NodeId, std::hash<std::uint64_t>> owners_;
+  /// The one routing store: address -> its registrations.
+  flat::FlatMap<std::uint32_t, Registrations, std::hash<std::uint32_t>>
+      owners_;
   ObsHandles obs_ = make_obs_handles();
   NetworkStats baseline_;  ///< counter values at construction/reset_stats()
   obs::TraceRing* trace_ = nullptr;

@@ -17,6 +17,7 @@
 #include "scenario/campaign.hpp"
 #include "scenario/internet.hpp"
 #include "super/supervisor.hpp"
+#include "test_temp.hpp"
 
 namespace cgn {
 namespace {
@@ -112,9 +113,7 @@ TEST(ObservatoryStream, FourWorkerStreamMatchesBatchFigures) {
 }
 
 TEST(ObservatoryStream, KillAndCheckpointResumeMatchesBatchFigures) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "observatory_ckpt";
-  std::filesystem::remove_all(dir);
+  const std::filesystem::path dir = test::temp_path("observatory_ckpt");
   std::filesystem::create_directories(dir);
   const std::string ckpt = (dir / "netalyzr.ckpt").string();
 

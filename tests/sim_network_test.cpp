@@ -162,6 +162,46 @@ TEST(Network, RegisterAddressRejectsNonAncestorScope) {
   EXPECT_EQ(r.reason, DropReason::no_route);
 }
 
+TEST(Network, RegisterAddressRejectsSharedPath) {
+  // root - isp - cpe - dev, and a second host beside cpe under isp.
+  Clock clock;
+  Network net(clock);
+  NodeId isp = net.add_node(net.root(), "isp");
+  NodeId cpe = net.add_node(isp, "cpe");
+  NodeId dev = net.add_node(cpe, "dev");
+  NodeId other = net.add_node(isp, "other");
+  NodeId sender = net.add_node(net.root(), "sender");
+  const Ipv4Address addr{16, 0, 0, 7};
+  const Ipv4Address from{16, 0, 0, 1};
+  net.register_address(from, sender, net.root());
+  int at_dev = 0, at_other = 0;
+  net.set_receiver(dev, [&](Network&, const Packet&) { ++at_dev; });
+  net.set_receiver(other, [&](Network&, const Packet&) { ++at_other; });
+
+  net.register_address(addr, dev, isp);  // path: isp, cpe
+  // A higher scope whose path runs through isp.
+  EXPECT_THROW(net.register_address(addr, other, net.root()),
+               std::invalid_argument);
+  // A lower scope on the registered path (cpe).
+  EXPECT_THROW(net.register_address(addr, dev, cpe), std::invalid_argument);
+  // Neither left a trace: only the first registration routes.
+  EXPECT_EQ(net.top_route(addr), kNoNode);
+  EXPECT_EQ(net.send(Packet::udp({from, 1}, {addr, 2}), sender).reason,
+            DropReason::no_route);
+  EXPECT_TRUE(net.send(Packet::udp({addr, 1}, {addr, 2}), other).delivered);
+  EXPECT_EQ(at_dev, 1);
+  EXPECT_EQ(at_other, 0);
+
+  // Allowed: the same scope again (moves the owner), and a registration
+  // owned at the top of the other's path (a NAT's external address that
+  // is also an inside address below it).
+  net.register_address(addr, other, isp);
+  EXPECT_TRUE(net.send(Packet::udp({addr, 1}, {addr, 2}), dev).delivered);
+  EXPECT_EQ(at_other, 1);
+  net.register_address(addr, isp, net.root());
+  EXPECT_EQ(net.top_route(addr), isp);
+}
+
 TEST(Network, AddNodeValidatesParent) {
   Clock clock;
   Network net(clock);

@@ -5,7 +5,6 @@
 // (scripts/check.sh runs ctest -R 'SuperRecovery').
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -14,9 +13,12 @@
 #include "scenario/campaign.hpp"
 #include "scenario/internet.hpp"
 #include "super/supervisor.hpp"
+#include "test_temp.hpp"
 
 namespace cgn::scenario {
 namespace {
+
+using test::temp_path;
 
 InternetConfig tiny_config() {
   InternetConfig cfg;
@@ -40,12 +42,6 @@ fault::FaultPlan stormy_crashy_plan() {
   plan.peers.unresponsive_fraction = 0.10;
   plan.shards.crash_rate = 0.25;
   return plan;
-}
-
-std::string temp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "cgn_recovery_" + name;
-  std::remove(path.c_str());
-  return path;
 }
 
 struct NetalyzrRun {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <vector>
 
@@ -13,15 +12,12 @@
 #include "super/checkpoint.hpp"
 #include "super/supervisor.hpp"
 #include "super/wire.hpp"
+#include "test_temp.hpp"
 
 namespace cgn::super {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "cgn_super_" + name;
-  std::remove(path.c_str());
-  return path;
-}
+using test::temp_path;
 
 TEST(SuperWire, RoundTripsEveryFieldType) {
   wire::Writer w;

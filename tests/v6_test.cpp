@@ -5,7 +5,6 @@
 // v6 measurement campaign across worker counts and kill→resume.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "netcore/ipv6.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/internet.hpp"
+#include "test_temp.hpp"
 #include "test_topology.hpp"
 #include "v6/dns64.hpp"
 #include "v6/translator.hpp"
@@ -428,8 +428,7 @@ TEST(V6Campaign, KillResumeIsByteIdentical) {
   ASSERT_GT(uninterrupted.battery, 50u);
 
   super::SupervisorConfig ckpt;
-  ckpt.checkpoint_path = ::testing::TempDir() + "cgn_v6_resume.ckpt";
-  std::remove(ckpt.checkpoint_path.c_str());
+  ckpt.checkpoint_path = test::temp_path("v6_resume.ckpt");
 
   super::SupervisorConfig kill = ckpt;
   kill.abort_after_shards = uninterrupted.report.planned() / 2;
