@@ -9,6 +9,12 @@
 # given number of seconds, and prints the gprof flat profile (top 40 rows)
 # followed by the driver's own last line. gmon.out and the full report stay
 # in the build directory.
+#
+# gprof records the main thread only. A workload that runs more than one
+# par worker (the driver's last line says "workers":N) gets a profile of
+# the calling lane's shards, not of the whole workload: its times and call
+# counts undercount everything the pool threads ran. The script prints a
+# warning under the profile when N > 1.
 set -euo pipefail
 
 if [[ $# -ne 3 ]]; then
@@ -38,5 +44,12 @@ rm -f gmon.out
 gprof -b -p "$build/perfbench_driver" gmon.out >flat_profile.txt
 head -n 45 flat_profile.txt
 echo "..."
-echo "driver: $(tail -n 1 driver.out)"
+last=$(tail -n 1 driver.out)
+echo "driver: $last"
+workers=$(grep -o '"workers":[0-9]*' <<<"$last" | cut -d: -f2 || true)
+if [[ "${workers:-1}" -gt 1 ]]; then
+  echo "warning: the workload ran $workers par workers; gprof profiled the" \
+    "main thread only, so the times and call counts above cover one lane," \
+    "not the whole workload"
+fi
 echo "full report: $build/flat_profile.txt"

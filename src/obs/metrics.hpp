@@ -45,7 +45,7 @@ inline constexpr bool kMetricsEnabled = true;
 
 /// Metric cells per metric: slot 0 is the default (main-thread) cell,
 /// slots 1.. are claimed by parallel campaign workers. Bounds the worker
-/// count of cgn::par::ThreadPool.
+/// count of cgn::par's WorkerPool.
 inline constexpr std::size_t kMaxThreadSlots = 32;
 
 namespace detail {
@@ -58,8 +58,9 @@ inline thread_local std::size_t t_metric_slot = 0;
 }
 
 /// Scoped claim of a metric slot for the calling thread. Two live threads
-/// must never share a slot; cgn::par::ThreadPool assigns worker w slot w+1
-/// for the worker's lifetime, keeping slot 0 for the (blocked) main thread.
+/// must never share a slot; cgn::par's WorkerPool assigns pool thread w
+/// slot w+1 for its lifetime, and the calling thread works the queue as
+/// lane 0 on its own slot (0 on the main thread).
 class ThreadSlotScope {
  public:
   explicit ThreadSlotScope(std::size_t slot) noexcept

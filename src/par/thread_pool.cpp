@@ -1,19 +1,14 @@
 #include "par/thread_pool.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <memory>
 #include <mutex>
-#include <sstream>
-#include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -26,7 +21,6 @@ obs::Counter& g_jobs = obs::counter("par.jobs_dispatched");
 obs::Counter& g_shards = obs::counter("par.shards_run");
 obs::Counter& g_spawned = obs::counter("par.pool_threads_spawned");
 
-thread_local bool t_pool_worker = false;
 /// True while this thread is executing a shard body (pool worker or
 /// caller lane 0). A nested run_shards under a running job must not touch
 /// the pool — the caller lane still holds the job mutex — so it runs
@@ -39,6 +33,16 @@ struct InShardScope {
   ~InShardScope() { t_in_shard = prev; }
 };
 
+/// Runs one shard body. noexcept makes a body that breaks run_shards'
+/// no-throw precondition terminate here, on the thread that threw,
+/// instead of unwinding through a pool thread.
+void run_one(const std::function<void(std::size_t)>& fn,
+             std::size_t shard) noexcept {
+  InShardScope in_shard;
+  fn(shard);
+  g_shards.inc();
+}
+
 /// One dispatched run_shards call. Lives on the heap behind shared_ptrs so
 /// a pool thread that wakes late (after the queue drained and the caller
 /// returned) still holds valid memory to look at.
@@ -49,15 +53,9 @@ struct Job {
   /// with one relaxed fetch_add. Claims are unique; order of execution is
   /// a scheduling accident that no output may depend on.
   std::atomic<std::size_t> next{0};
-  /// Shards finished (successfully or not). The release increment pairs
-  /// with the caller's acquire load so per-lane error writes are visible
-  /// at the barrier.
+  /// Shards finished. The release increment pairs with the caller's
+  /// acquire load so every shard's writes are visible at the barrier.
   std::atomic<std::size_t> finished{0};
-  /// Lane l records failures of the shards *it* ran; lanes never share a
-  /// vector (and each vector sits in its own heap block), so error capture
-  /// is write-contention- and false-sharing-free. Merged and sorted by
-  /// shard id after the barrier.
-  std::vector<std::vector<std::pair<std::size_t, std::exception_ptr>>> errors;
 };
 
 /// Process-wide persistent worker pool. Threads are spawned lazily (first
@@ -85,7 +83,6 @@ class WorkerPool {
     auto job = std::make_shared<Job>();
     job->fn = &shard_fn;
     job->count = shard_count;
-    job->errors.resize(workers);
     g_jobs.inc();
 
     {
@@ -98,18 +95,15 @@ class WorkerPool {
 
     // The caller is lane 0: it works the same queue on its own metric slot
     // instead of blocking while the pool does everything.
-    work(*job, 0);
+    work(*job);
 
     // Barrier: every shard finished (acquire pairs with the workers'
-    // release increments, making their result/error writes visible).
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [&] {
-        return job->finished.load(std::memory_order_acquire) == job->count;
-      });
-      job_.reset();
-    }
-    rethrow(*job);
+    // release increments, making their result writes visible).
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&] {
+      return job->finished.load(std::memory_order_acquire) == job->count;
+    });
+    job_.reset();
   }
 
   [[nodiscard]] std::size_t thread_count() {
@@ -134,7 +128,6 @@ class WorkerPool {
     // for its whole life, so any shard it steals writes that slot and the
     // slot never aliases another live thread.
     obs::ThreadSlotScope slot(index + 1);
-    t_pool_worker = true;
     std::uint64_t seen_generation = 0;
     for (;;) {
       std::shared_ptr<Job> job;
@@ -149,26 +142,19 @@ class WorkerPool {
         seen_generation = generation_;
         job = job_;
       }
-      work(*job, index + 1);
+      work(*job);
     }
   }
 
   /// The self-scheduling loop every lane (caller and pool threads) runs:
   /// claim the next shard, run it, repeat until the queue drains. A lane
   /// that wakes after the drain claims nothing and goes back to sleep.
-  void work(Job& job, std::size_t lane) {
-    auto& errors = job.errors[lane];
+  void work(Job& job) {
     for (;;) {
       const std::size_t shard =
           job.next.fetch_add(1, std::memory_order_relaxed);
       if (shard >= job.count) break;
-      try {
-        InShardScope in_shard;
-        (*job.fn)(shard);
-      } catch (...) {
-        errors.emplace_back(shard, std::current_exception());
-      }
-      g_shards.inc();
+      run_one(*job.fn, shard);
       if (job.finished.fetch_add(1, std::memory_order_release) + 1 ==
           job.count) {
         // Whoever finishes the last shard releases the barrier.
@@ -178,48 +164,6 @@ class WorkerPool {
     }
   }
 
-  static void rethrow(Job& job) {
-    std::vector<std::pair<std::size_t, std::exception_ptr>> failed;
-    for (auto& lane : job.errors)
-      for (auto& e : lane) failed.push_back(std::move(e));
-    if (failed.empty()) return;
-    // Deterministic aggregation: ascending shard order, independent of
-    // which lane ran (or stole) the failing shard.
-    std::sort(failed.begin(), failed.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    throw_shard_failures(job.count, failed);
-  }
-
- public:
-  /// Shared with the inline (serial) path so failure messages are
-  /// byte-identical at every worker count. `failed` must be sorted by
-  /// shard id. A lone failure keeps its original type (callers catch
-  /// specific exceptions); multiple failures are aggregated so none is
-  /// silently dropped.
-  static void throw_shard_failures(
-      std::size_t shard_count,
-      const std::vector<std::pair<std::size_t, std::exception_ptr>>& failed) {
-    if (failed.size() == 1) std::rethrow_exception(failed[0].second);
-    std::ostringstream os;
-    os << failed.size() << " of " << shard_count << " shards failed: ";
-    constexpr std::size_t kMaxDetail = 4;
-    for (std::size_t i = 0; i < failed.size() && i < kMaxDetail; ++i) {
-      if (i > 0) os << "; ";
-      os << "shard " << failed[i].first << ": ";
-      try {
-        std::rethrow_exception(failed[i].second);
-      } catch (const std::exception& e) {
-        os << e.what();
-      } catch (...) {
-        os << "unknown exception";
-      }
-    }
-    if (failed.size() > kMaxDetail)
-      os << "; (+" << failed.size() - kMaxDetail << " more)";
-    throw std::runtime_error(std::move(os).str());
-  }
-
- private:
   std::mutex job_mu_;  ///< serializes whole jobs (outer)
   std::mutex mu_;      ///< guards dispatch state below (inner)
   std::condition_variable cv_;       ///< parks idle pool threads
@@ -271,8 +215,6 @@ std::size_t configured_threads() {
 
 std::size_t pool_thread_count() { return WorkerPool::instance().thread_count(); }
 
-bool on_pool_thread() { return t_pool_worker; }
-
 void run_shards(std::size_t shard_count,
                 const std::function<void(std::size_t)>& shard_fn,
                 std::size_t threads) {
@@ -284,19 +226,9 @@ void run_shards(std::size_t shard_count,
     // Serial path (also the nested-fan-out guard: a shard body that fans
     // out again runs its inner shards inline — whether it is a pool
     // worker or the caller lane, the pool is busy with the outer job).
-    // Same shard loop, same failure semantics, calling thread keeps its
-    // own metric slot.
-    std::vector<std::pair<std::size_t, std::exception_ptr>> failed;
-    for (std::size_t shard = 0; shard < shard_count; ++shard) {
-      try {
-        InShardScope in_shard;
-        shard_fn(shard);
-      } catch (...) {
-        failed.emplace_back(shard, std::current_exception());
-      }
-      g_shards.inc();
-    }
-    if (!failed.empty()) WorkerPool::throw_shard_failures(shard_count, failed);
+    // Same shard body, calling thread keeps its own metric slot.
+    for (std::size_t shard = 0; shard < shard_count; ++shard)
+      run_one(shard_fn, shard);
     return;
   }
 

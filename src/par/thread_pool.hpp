@@ -17,17 +17,18 @@
 //    and runs under its own virtual clock (sim::ThreadClockScope), so no
 //    shard observes another's randomness or time.
 //  * Reduction is ordered: callers merge per-shard results in ascending
-//    shard order after the barrier, and shard failures are aggregated in
-//    ascending shard order no matter which worker recorded them. Stealing
-//    therefore changes wall-clock only, never a byte of output.
+//    shard order after the barrier. Stealing therefore changes wall-clock
+//    only, never a byte of output.
 //  * Workers come from a process-wide persistent pool (WorkerPool) that is
 //    spawned once and parked between campaigns; a run_shards call wakes
 //    `workers - 1` pool threads and the calling thread works the queue
 //    alongside them. Pool thread w permanently owns obs thread slot w + 1
 //    (obs::ThreadSlotScope); the caller keeps its own slot (0 on the main
 //    thread), so metric cells stay single-writer and merge exactly.
-//  * run_shards() is a barrier: all shards finish before it returns; any
-//    shard failures are rethrown on the caller afterwards.
+//  * run_shards() is a barrier: all shards finish before it returns.
+//  * Shard bodies do not throw. par only runs shards; what a failed shard
+//    means (retry, quarantine) is decided by super::ShardSupervisor, which
+//    catches every failure inside the body it hands to run_shards().
 //
 // With one worker (or one shard) everything runs inline on the calling
 // thread — same sharded code path, no pool interaction — so the worker
@@ -52,13 +53,11 @@ namespace cgn::par {
 /// queue described above, and blocks until all shards complete. With one
 /// worker (or one shard, or when called from inside a running shard body
 /// — nested fan-outs never touch the busy pool) everything runs inline
-/// on the calling thread — same code path, no threads woken. If exactly one shard throws, its exception is rethrown
-/// unchanged after the barrier; if several throw, a std::runtime_error
-/// aggregating the failure count and the first few shard ids/messages is
-/// thrown instead (deterministic: built in ascending shard order, never
-/// worker or completion order), so no failure is silently dropped.
-/// shard_fn must not touch state shared with other shards unless that
-/// state is internally synchronized.
+/// on the calling thread — same code path, no threads woken.
+/// Precondition: shard_fn does not throw. A body that does terminates the
+/// process (std::terminate) on the thread that ran it. shard_fn must not
+/// touch state shared with other shards unless that state is internally
+/// synchronized.
 void run_shards(std::size_t shard_count,
                 const std::function<void(std::size_t)>& shard_fn,
                 std::size_t threads = 0);
@@ -69,9 +68,5 @@ void run_shards(std::size_t shard_count,
 /// worker count reuse the same threads instead of paying create/join per
 /// campaign.
 [[nodiscard]] std::size_t pool_thread_count();
-
-/// True when the calling thread is a persistent pool worker. run_shards
-/// from such a thread runs inline (no nested fan-out).
-[[nodiscard]] bool on_pool_thread();
 
 }  // namespace cgn::par

@@ -12,18 +12,6 @@ namespace cgn::scenario {
 
 namespace {
 
-// --- Checkpoint payload codecs ---------------------------------------------
-//
-// Shard payloads round-trip *every* field of the shard's results plus its
-// end-of-shard virtual time (the campaign clock advances to the latest
-// shard end, so a resumed run must restore it exactly). The per-struct
-// codecs live in scenario/result_codec.{hpp,cpp} and are shared with the
-// observatory's push-ingestion wire protocol — see DESIGN.md §11. Bump the
-// payload version constants when a struct there changes shape.
-
-constexpr std::uint64_t kNetalyzrPayloadVersion = 2;  // v2: +transition
-constexpr std::uint64_t kPingPayloadVersion = 2;  // v2: -pongs_received
-
 // The crawl walk drains the frontier in steps of this many peers and stops
 // once this many peers were processed.
 constexpr std::size_t kPeersPerCrawlStep = 500;
@@ -41,25 +29,130 @@ constexpr double kLocalSwarmJoin = 0.85;
 /// Idle gap between a vantage point's Netalyzr sessions.
 constexpr double kInterSessionGapS = 300.0;
 
-using codec::get_contact;
-using codec::get_session;
-using codec::put_contact;
-using codec::put_session;
+using PingOutcome = crawler::DhtCrawler::PingShardOutcome;
+using Sessions = std::vector<netalyzr::SessionResult>;
 
-/// Fills driver-owned identity fields of a caller-supplied supervision
-/// config: the checkpoint key must bind to *this* world and plan no matter
-/// what the caller left in the struct.
-super::SupervisorConfig stamped(super::SupervisorConfig cfg,
-                                const Internet& internet,
-                                std::string kind, std::uint64_t salt,
-                                std::uint64_t payload_version) {
-  cfg.campaign_kind = std::move(kind);
-  cfg.world_seed = internet.config.seed;
-  cfg.plan_hash = internet.faults->plan().hash();
-  cfg.payload_version = payload_version;
-  cfg.faults = internet.faults.get();
-  cfg.salt = salt;
-  return cfg;
+// --- Checkpoint payload codecs ---------------------------------------------
+//
+// Shard payloads round-trip *every* field of the shard's results. The
+// per-struct codecs live in scenario/result_codec.{hpp,cpp} and are shared
+// with the observatory's push-ingestion wire protocol — see DESIGN.md §11.
+// Bump a phase's payload version when its put/get (or a struct they
+// encode) changes shape.
+
+void put_ping_outcome(super::wire::Writer& w, const PingOutcome& outcome) {
+  w.u32(static_cast<std::uint32_t>(outcome.responders.size()));
+  for (const dht::Contact& c : outcome.responders) codec::put_contact(w, c);
+  w.u64(outcome.pings_sent);
+}
+
+PingOutcome get_ping_outcome(super::wire::Reader& r) {
+  PingOutcome outcome;
+  const std::uint32_t responders = r.u32();
+  for (std::uint32_t i = 0; i < responders && r.ok(); ++i)
+    outcome.responders.push_back(codec::get_contact(r));
+  outcome.pings_sent = r.u64();
+  return outcome;
+}
+
+void put_sessions(super::wire::Writer& w, const Sessions& sessions) {
+  w.u32(static_cast<std::uint32_t>(sessions.size()));
+  for (const netalyzr::SessionResult& session : sessions)
+    codec::put_session(w, session);
+}
+
+Sessions get_sessions(super::wire::Reader& r) {
+  Sessions sessions;
+  const std::uint32_t count = r.u32();
+  for (std::uint32_t i = 0; i < count && r.ok(); ++i)
+    sessions.push_back(codec::get_session(r));
+  return sessions;
+}
+
+/// One supervised, sharded campaign phase: its checkpoint identity, the
+/// fault salt its shards draw from, and how a shard's Result is encoded.
+template <typename Result>
+struct ShardedPhase {
+  const char* kind;
+  std::uint64_t salt;
+  std::uint64_t payload_version;
+  void (*put)(super::wire::Writer&, const Result&);
+  Result (*get)(super::wire::Reader&);
+};
+
+constexpr ShardedPhase<PingOutcome> kPingSweep{
+    "crawl_ping", fault::kSaltPingSweep, 2,  // v2: -pongs_received
+    put_ping_outcome, get_ping_outcome};
+constexpr ShardedPhase<Sessions> kNetalyzr{
+    "netalyzr", fault::kSaltNetalyzr, 2,  // v2: +transition
+    put_sessions, get_sessions};
+
+/// Runs `shard_count` shards of `phase` under a ShardSupervisor and returns
+/// their results in shard order (a default Result for a shard that did not
+/// finish). Every attempt of shard s calls body(s, clock) on a fresh
+/// private clock set to the world clock's time, installed as the thread's
+/// clock, under the (phase.salt, s) fault substreams: all functions of what
+/// the shard is, so a retry or another worker replays it bit-identically.
+/// A checkpoint payload is the shard's end time (f64) then phase.put's
+/// bytes. The shards ran concurrently, so the world clock ends at the
+/// latest finished shard's end. The identity fields of config.supervise
+/// are overwritten, binding the checkpoint key to this world and plan.
+template <typename Result, typename Config, typename Body>
+std::vector<Result> run_sharded(Internet& internet,
+                                const ShardedPhase<Result>& phase,
+                                const Config& config, std::size_t shard_count,
+                                Body body, super::CampaignReport* report_out) {
+  const sim::SimTime t0 = internet.clock.now();
+  std::vector<Result> results(shard_count);
+  std::vector<sim::SimTime> ends(shard_count, t0);
+
+  super::ShardCodec codec;
+  codec.encode = [&](std::size_t s) {
+    super::wire::Writer w;
+    w.f64(ends[s]);
+    phase.put(w, results[s]);
+    return w.take();
+  };
+  codec.decode = [&](std::size_t s, std::string_view payload) {
+    super::wire::Reader r(payload);
+    const sim::SimTime end = r.f64();
+    Result result = phase.get(r);
+    if (!r.done()) return false;
+    ends[s] = end;
+    results[s] = std::move(result);
+    return true;
+  };
+
+  super::SupervisorConfig supervise = config.supervise;
+  supervise.campaign_kind = phase.kind;
+  supervise.world_seed = internet.config.seed;
+  supervise.plan_hash = internet.faults->plan().hash();
+  supervise.payload_version = phase.payload_version;
+  supervise.faults = internet.faults.get();
+  supervise.salt = phase.salt;
+  super::ShardSupervisor supervisor(std::move(supervise));
+  super::CampaignReport report = supervisor.run(
+      shard_count,
+      [&](std::size_t s) {
+        sim::Clock clock;
+        clock.set(t0);
+        sim::ThreadClockScope clock_scope(clock);
+        fault::StreamScope fault_scope(internet.faults.get(), phase.salt, s);
+        results[s] = body(s, clock);
+        ends[s] = clock.now();
+      },
+      &codec, config.threads);
+
+  sim::SimTime end = t0;
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    if (report.shards[s].finished())
+      end = std::max(end, ends[s]);
+    else
+      results[s] = {};
+  }
+  internet.clock.set(end);
+  if (report_out != nullptr) *report_out = std::move(report);
+  return results;
 }
 
 }  // namespace
@@ -150,69 +243,17 @@ std::unique_ptr<crawler::DhtCrawler> run_crawl_phase(
     if (inserted) shards.emplace_back();
     shards[it->second].push_back(c);
   }
-  std::vector<crawler::DhtCrawler::PingShardOutcome> outcomes(shards.size());
-  const sim::SimTime sweep_t0 = internet.clock.now();
-  std::vector<sim::SimTime> sweep_end(shards.size(), sweep_t0);
-
-  super::ShardCodec codec;
-  codec.encode = [&](std::size_t s) {
-    super::wire::Writer w;
-    w.f64(sweep_end[s]);
-    const auto& outcome = outcomes[s];
-    w.u32(static_cast<std::uint32_t>(outcome.responders.size()));
-    for (const dht::Contact& c : outcome.responders) put_contact(w, c);
-    w.u64(outcome.pings_sent);
-    return w.take();
-  };
-  codec.decode = [&](std::size_t s, std::string_view payload) {
-    super::wire::Reader r(payload);
-    const sim::SimTime end = r.f64();
-    crawler::DhtCrawler::PingShardOutcome outcome;
-    const std::uint32_t responders = r.u32();
-    for (std::uint32_t i = 0; i < responders && r.ok(); ++i)
-      outcome.responders.push_back(get_contact(r));
-    outcome.pings_sent = r.u64();
-    if (!r.done()) return false;
-    sweep_end[s] = end;
-    outcomes[s] = std::move(outcome);
-    return true;
-  };
-
-  super::ShardSupervisor supervisor(stamped(config.supervise, internet,
-                                            "crawl_ping", fault::kSaltPingSweep,
-                                            kPingPayloadVersion));
-  super::CampaignReport report = supervisor.run(
-      shards.size(),
-      [&](std::size_t s) {
-        // Shards probe concurrently on private timelines (retry backoff
-        // costs virtual time) and draw fault decisions from shard-keyed
-        // substreams — all functions of what the shard is, never of which
-        // worker runs it. A retry starts from a clean outcome, replaying
-        // the same substreams bit-identically.
-        outcomes[s] = {};
-        sweep_end[s] = sweep_t0;
-        sim::Clock clock;
-        clock.set(sweep_t0);
-        sim::ThreadClockScope clock_scope(clock);
-        fault::StreamScope fault_scope(internet.faults.get(),
-                                       fault::kSaltPingSweep, s);
-        outcomes[s] = crawler->ping_shard(internet.net, shards[s], &clock);
-        sweep_end[s] = clock.now();
+  // A quarantined shard contributes nothing: the dataset degrades to the
+  // finished shards' coverage instead of the sweep dying outright. Retry
+  // backoff costs virtual time, so each shard passes its private clock to
+  // ping_shard.
+  const std::vector<PingOutcome> outcomes = run_sharded(
+      internet, kPingSweep, config, shards.size(),
+      [&](std::size_t s, sim::Clock& clock) {
+        return crawler->ping_shard(internet.net, shards[s], &clock);
       },
-      &codec, config.threads);
-
-  // Quarantined/aborted shards contribute nothing: the dataset degrades to
-  // the finished shards' coverage instead of the sweep dying outright.
-  for (std::size_t s = 0; s < report.shards.size(); ++s)
-    if (!report.shards[s].finished()) {
-      outcomes[s] = {};
-      sweep_end[s] = sweep_t0;
-    }
+      report_out);
   crawler->absorb_ping_outcomes(outcomes);
-  sim::SimTime sweep_done = sweep_t0;
-  for (sim::SimTime t : sweep_end) sweep_done = std::max(sweep_done, t);
-  internet.clock.set(sweep_done);
-  if (report_out != nullptr) *report_out = std::move(report);
   return crawler;
 }
 
@@ -235,60 +276,22 @@ std::vector<netalyzr::SessionResult> run_netalyzr_campaign(
   for (IspInstance& isp : internet.isps)
     if (isp.nz_session_target > 0) shard_isps.push_back(&isp);
 
-  const sim::SimTime t0 = internet.clock.now();
-  std::vector<std::vector<netalyzr::SessionResult>> shard_results(
-      shard_isps.size());
-  std::vector<sim::SimTime> shard_end(shard_isps.size(), t0);
-
-  super::ShardCodec codec;
-  codec.encode = [&](std::size_t s) {
-    super::wire::Writer w;
-    w.f64(shard_end[s]);
-    w.u32(static_cast<std::uint32_t>(shard_results[s].size()));
-    for (const netalyzr::SessionResult& session : shard_results[s])
-      put_session(w, session);
-    return w.take();
-  };
-  codec.decode = [&](std::size_t s, std::string_view payload) {
-    super::wire::Reader r(payload);
-    const sim::SimTime end = r.f64();
-    std::vector<netalyzr::SessionResult> sessions;
-    const std::uint32_t count = r.u32();
-    for (std::uint32_t i = 0; i < count && r.ok(); ++i)
-      sessions.push_back(get_session(r));
-    if (!r.done()) return false;
-    shard_end[s] = end;
-    shard_results[s] = std::move(sessions);
-    return true;
-  };
-
-  super::ShardSupervisor supervisor(
-      stamped(config.supervise, internet, "netalyzr", fault::kSaltNetalyzr,
-              kNetalyzrPayloadVersion));
-  super::CampaignReport report = supervisor.run(
-      shard_isps.size(),
-      [&](std::size_t s) {
-        // A retry replays the shard from scratch: same substreams, same
-        // rebased clock, empty result vector.
-        shard_results[s].clear();
-        shard_end[s] = t0;
+  // Per-ISP vantage points measure concurrently, each on its shard's
+  // private timeline. A quarantined shard contributes no sessions —
+  // degraded coverage, reported through `report_out` and
+  // analysis::MeasurementCoverage.
+  std::vector<Sessions> shard_results = run_sharded(
+      internet, kNetalyzr, config, shard_isps.size(),
+      [&](std::size_t s, sim::Clock& clock) {
         IspInstance& isp = *shard_isps[s];
         sim::Rng rng = sim::Rng::fork(campaign_seed, s);
-        // Per-ISP vantage points measure concurrently, so each shard
-        // advances a private timeline; the override makes the network
-        // stamp this worker's packets from it.
-        sim::Clock clock;
-        clock.set(t0);
-        sim::ThreadClockScope clock_scope(clock);
-        fault::StreamScope fault_scope(internet.faults.get(),
-                                       fault::kSaltNetalyzr, s);
 
         // Sessions come from distinct subscribers where possible.
         std::vector<std::size_t> order(isp.subscribers.size());
         for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
         rng.shuffle(order);
 
-        std::vector<netalyzr::SessionResult>& results = shard_results[s];
+        Sessions results;
         for (std::size_t k = 0; k < isp.nz_session_target; ++k) {
           Subscriber& sub = isp.subscribers[order[k % order.size()]];
           netalyzr::ClientContext ctx;
@@ -324,24 +327,9 @@ std::vector<netalyzr::SessionResult> run_netalyzr_campaign(
         }
         // Trim the ISP's NAT state to bound memory.
         if (isp.cgn) isp.cgn->collect_garbage(clock.now());
-        shard_end[s] = clock.now();
+        return results;
       },
-      &codec, config.threads);
-
-  // Quarantined/aborted shards contribute no sessions — degraded coverage,
-  // reported through `report_out` and analysis::MeasurementCoverage.
-  for (std::size_t s = 0; s < report.shards.size(); ++s)
-    if (!report.shards[s].finished()) {
-      shard_results[s].clear();
-      shard_end[s] = t0;
-    }
-
-  // Vantage points ran concurrently: the campaign took as long as its
-  // longest shard.
-  sim::SimTime end = t0;
-  for (sim::SimTime t : shard_end) end = std::max(end, t);
-  internet.clock.set(end);
-  if (report_out != nullptr) *report_out = std::move(report);
+      report_out);
 
   // Merge in shard (ISP) order — the same order the serial loop visited.
   std::vector<netalyzr::SessionResult> results;

@@ -83,64 +83,65 @@ CampaignReport ShardSupervisor::run(
   std::atomic<std::size_t> finished_this_run{0};
   std::atomic<bool> aborting{false};
 
+  // The body below is the one place a failed shard is handled: every
+  // exception its attempt raises (an injected crash, the caller's shard
+  // function, the codec or the checkpoint write) is caught per attempt,
+  // so nothing leaves it and par::run_shards only runs shards.
   par::run_shards(
       shard_count,
       [&](std::size_t s) {
         ShardOutcome& out = report.shards[s];
         const auto shard_t0 = SteadyClock::now();
 
-        // Resume: restore the shard from its checkpoint record instead of
-        // re-running it. A payload the codec rejects falls through to a
-        // normal run.
-        if (codec != nullptr && codec->decode) {
-          auto it = restored.find(s);
-          if (it != restored.end() && codec->decode(s, it->second)) {
-            out.status = ShardStatus::resumed;
-            g_resumed.inc();
-            return;
-          }
-        }
-
         for (int attempt = 1; attempt <= budget; ++attempt) {
-          if (aborting.load(std::memory_order_relaxed)) {
-            out.status = ShardStatus::not_run;
-            out.error = "campaign aborted";
-            out.elapsed_s = seconds_since(shard_t0);
-            g_not_run.inc();
-            return;
-          }
-          out.attempts = attempt;
-          if (attempt > 1) g_retry_attempts.inc();
-
           bool ok = false;
           try {
+            // Resume: restore the shard from its checkpoint record instead
+            // of re-running it. A payload the codec rejects falls through
+            // to a normal run.
+            if (attempt == 1 && codec != nullptr && codec->decode) {
+              auto it = restored.find(s);
+              if (it != restored.end() && codec->decode(s, it->second)) {
+                out.status = ShardStatus::resumed;
+                g_resumed.inc();
+                return;
+              }
+            }
+            if (aborting.load(std::memory_order_relaxed)) {
+              out.status = ShardStatus::not_run;
+              out.error = "campaign aborted";
+              out.elapsed_s = seconds_since(shard_t0);
+              g_not_run.inc();
+              return;
+            }
+            if (attempt > 1) g_retry_attempts.inc();
             if (config_.faults != nullptr &&
                 config_.faults->shard_crash(config_.salt, s, attempt))
               throw ShardCrashError("injected shard crash (attempt " +
                                     std::to_string(attempt) + ")");
             shard_fn(s);
+            if (writer.is_open() && codec != nullptr && codec->encode) {
+              writer.append(s, codec->encode(s));
+              g_ckpt_written.inc();
+            }
             ok = true;
           } catch (const std::exception& e) {
             out.error = e.what();
           } catch (...) {
             out.error = "unknown exception";
           }
+          out.attempts = attempt;
           out.elapsed_s = seconds_since(shard_t0);
-          if (ok) {
-            out.status = attempt == 1 ? ShardStatus::completed
-                                      : ShardStatus::recovered;
-            (attempt == 1 ? g_ok : g_retried).inc();
-            if (writer.is_open() && codec != nullptr && codec->encode) {
-              writer.append(s, codec->encode(s));
-              g_ckpt_written.inc();
-            }
-            const std::size_t done =
-                finished_this_run.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (config_.abort_after_shards > 0 &&
-                done >= config_.abort_after_shards)
-              aborting.store(true, std::memory_order_relaxed);
-            return;
-          }
+          if (!ok) continue;
+          out.status = attempt == 1 ? ShardStatus::completed
+                                    : ShardStatus::recovered;
+          (attempt == 1 ? g_ok : g_retried).inc();
+          const std::size_t done =
+              finished_this_run.fetch_add(1, std::memory_order_relaxed) + 1;
+          if (config_.abort_after_shards > 0 &&
+              done >= config_.abort_after_shards)
+            aborting.store(true, std::memory_order_relaxed);
+          return;
         }
         out.status = ShardStatus::quarantined;
         g_quarantined.inc();

@@ -1,16 +1,18 @@
 // Supervised campaign execution over cgn::par.
 //
-// par::run_shards is all-or-nothing: one throwing shard kills the whole
-// campaign after the barrier, and hours of simulated crawling die with it.
-// ShardSupervisor layers the recovery semantics long-running measurement
-// campaigns need (the paper's DHT crawls ran for months; Netalyzr collected
-// sessions for years) without touching the determinism contract:
+// par::run_shards only runs shards; its bodies must not throw. The
+// supervisor is the one place a failed shard is handled, with the recovery
+// semantics long-running measurement campaigns need (the paper's DHT
+// crawls ran for months; Netalyzr collected sessions for years), without
+// touching the determinism contract:
 //
-//  * Per-shard attempt budget. A failed shard is re-run up to max_attempts
-//    times. Because every campaign shard derives its randomness from a
-//    static Rng::fork(seed, shard) substream and runs on a private clock
-//    re-based at the campaign start, a retry replays the shard from scratch
-//    bit-identically — retries are idempotent by construction.
+//  * Per-shard attempt budget. An attempt fails when the shard body, an
+//    injected crash, the codec or the checkpoint write throws; a failed
+//    shard is re-run up to max_attempts times. Because every campaign
+//    shard derives its randomness from a static Rng::fork(seed, shard)
+//    substream and runs on a private clock re-based at the campaign
+//    start, a retry replays the shard from scratch bit-identically —
+//    retries are idempotent by construction.
 //  * Quarantine. A shard that exhausts its budget is *quarantined*: its
 //    results are dropped, the campaign completes with degraded coverage,
 //    and the CampaignReport says exactly which shards are missing and why.
@@ -132,7 +134,8 @@ struct SupervisorConfig {
 /// Optional per-shard serialization hooks. encode runs after a shard
 /// finishes (only when checkpointing is enabled); decode restores a shard
 /// from checkpoint bytes, returning false to force a re-run (corrupt or
-/// stale payload).
+/// stale payload). Either may throw: that fails the attempt like a
+/// throwing shard body.
 struct ShardCodec {
   std::function<std::string(std::size_t shard)> encode;
   std::function<bool(std::size_t shard, std::string_view payload)> decode;
@@ -147,7 +150,9 @@ class ShardSupervisor {
   /// supervision and returns the per-shard report. Threads semantics match
   /// par::run_shards (0 = CGN_THREADS). shard_fn must be a pure function
   /// of the shard index with respect to campaign results — that is what
-  /// makes retries idempotent and resumes exact.
+  /// makes retries idempotent and resumes exact. A shard's failures end in
+  /// its ShardOutcome, never in an exception out of run(); only the
+  /// abort_after_shards kill-switch throws (CampaignAborted).
   CampaignReport run(std::size_t shard_count,
                      const std::function<void(std::size_t)>& shard_fn,
                      const ShardCodec* codec = nullptr,

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <set>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -105,68 +104,6 @@ TEST(RunShards, NestedFanOutRunsInline) {
       },
       4);
   for (auto& h : inner_hits) EXPECT_EQ(h.load(), 4);
-}
-
-TEST(RunShards, SingleFailureRethrowsTheOriginalException) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    try {
-      par::run_shards(
-          8,
-          [&](std::size_t s) {
-            if (s == 3) throw std::invalid_argument("boom 3");
-          },
-          threads);
-      FAIL() << "expected an exception";
-    } catch (const std::invalid_argument& e) {
-      // Original type and message survive, so callers can still catch
-      // the specific exception a lone shard threw.
-      EXPECT_STREQ(e.what(), "boom 3");
-    }
-  }
-}
-
-TEST(RunShards, MultipleFailuresAggregateEveryShard) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    try {
-      par::run_shards(
-          8,
-          [&](std::size_t s) {
-            if (s == 3 || s == 6)
-              throw std::runtime_error("boom " + std::to_string(s));
-          },
-          threads);
-      FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(),
-                   "2 of 8 shards failed: shard 3: boom 3; shard 6: boom 6");
-    }
-  }
-}
-
-TEST(RunShards, ManyFailuresCapTheDetailButKeepTheCount) {
-  try {
-    par::run_shards(
-        8, [&](std::size_t s) { throw std::runtime_error("x" + std::to_string(s)); },
-        4);
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(),
-                 "8 of 8 shards failed: shard 0: x0; shard 1: x1; "
-                 "shard 2: x2; shard 3: x3; (+4 more)");
-  }
-}
-
-TEST(RunShards, RemainingShardsStillRunAfterAThrow) {
-  std::vector<std::atomic<int>> hits(8);
-  EXPECT_THROW(par::run_shards(
-                   hits.size(),
-                   [&](std::size_t s) {
-                     hits[s].fetch_add(1);
-                     if (s == 0) throw std::runtime_error("boom");
-                   },
-                   2),
-               std::runtime_error);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ConfiguredThreads, ReadsAndClampsEnvironment) {

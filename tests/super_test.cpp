@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -202,6 +204,43 @@ TEST(SuperVisor, ExhaustedBudgetQuarantinesWithoutKillingTheCampaign) {
     if (s != 1) {
       EXPECT_EQ(ran[s], 1) << "shard " << s;
     }
+  }
+}
+
+TEST(SuperVisor, ThrowingCodecIsAFailedAttempt) {
+  // The codec and the checkpoint write run inside the attempt: a throwing
+  // encode is retried like a throwing shard body and then quarantined,
+  // never an exception out of run().
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::string path =
+        temp_path("throwing_codec_" + std::to_string(threads) + ".ckpt");
+    std::vector<std::atomic<int>> ran(6);
+    ShardCodec codec;
+    codec.encode = [](std::size_t s) -> std::string {
+      if (s == 2) throw std::runtime_error("encode failed");
+      return "ok";
+    };
+    codec.decode = [](std::size_t, std::string_view) { return true; };
+    SupervisorConfig cfg;
+    cfg.max_attempts = 2;
+    cfg.checkpoint_path = path;
+    ShardSupervisor supervisor(cfg);
+    CampaignReport report;
+    ASSERT_NO_THROW(report = supervisor.run(
+                        ran.size(), [&](std::size_t s) { ran[s]++; }, &codec,
+                        threads));
+    EXPECT_EQ(report.shards[2].status, ShardStatus::quarantined)
+        << threads << " workers";
+    EXPECT_EQ(report.shards[2].attempts, 2);
+    EXPECT_EQ(report.shards[2].error, "encode failed");
+    EXPECT_EQ(ran[2].load(), 2);  // the body re-ran for the retry
+    EXPECT_EQ(report.count(ShardStatus::completed), 5u);
+    // Only the finished shards reached the checkpoint.
+    const auto records = load_checkpoint(
+        path, CheckpointKey{cfg.campaign_kind, cfg.world_seed, cfg.plan_hash,
+                            ran.size(), cfg.payload_version});
+    EXPECT_EQ(records.size(), 5u);
+    EXPECT_EQ(records.count(2), 0u);
   }
 }
 
