@@ -8,7 +8,11 @@ Usage:
 BASELINE is bench/baselines/perf_micro.json (committed); each FRESH is a
 BENCH_perf_micro.json produced by a run of build/bench/bench_perf_micro.
 Pass several fresh files (CI passes three) and the per-metric median is
-compared, which keeps one noisy run from tripping the gate.
+compared, which keeps one noisy run from tripping the gate. The exception
+is echo_roundtrip_ns, where the minimum of the fresh runs is compared:
+each run already reports a best-of-5, and on a shared VM one binary reads
+either ~300 or ~500 ns per process, so the median of three is a coin toss
+between the two modes while the minimum tracks the code.
 
 --schema-check validates that each FILE is a well-formed bench JSON
 (required keys, figure/phase shapes) without comparing anything; use it to
@@ -331,11 +335,14 @@ def phase_walls(doc):
     }
 
 
-def median_fresh(docs):
+def summarize_fresh(docs):
+    """Median of each figure and phase over the fresh runs; the minimum for
+    echo_roundtrip_ns (see the module docstring)."""
     figures = {}
     for key in docs[0].get("figures", {}):
         vals = [d["figures"][key] for d in docs if key in d.get("figures", {})]
-        figures[key] = statistics.median(vals)
+        figures[key] = (min(vals) if key == "echo_roundtrip_ns"
+                        else statistics.median(vals))
     phases = {}
     for name in phase_walls(docs[0]):
         vals = [phase_walls(d).get(name) for d in docs]
@@ -366,7 +373,7 @@ def main(argv):
         doc = load(path)
         check_schema(doc, path)
         fresh_docs.append(doc)
-    figures, phases = median_fresh(fresh_docs)
+    figures, phases = summarize_fresh(fresh_docs)
 
     # Scale-sweep files carry none of the perf_micro machinery (no
     # parallel_identical, no phase profile worth gating) — they get the
@@ -409,7 +416,7 @@ def main(argv):
     failed = failed or sp_failed
     warned = warned or sp_warned
 
-    compare("figures.echo_roundtrip_ns",
+    compare("figures.echo_roundtrip_ns (min of runs)",
             baseline.get("figures", {}).get("echo_roundtrip_ns"),
             figures.get("echo_roundtrip_ns"), gates=True)
 

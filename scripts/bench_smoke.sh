@@ -2,8 +2,9 @@
 # Bench smoke gate (scripts/check.sh bench; the ci.yml bench-smoke job):
 #
 #  1. bench_perf_micro, three runs at 1 worker -> median phase timings and
-#     echo_roundtrip_ns compared against bench/baselines/perf_micro.json
-#     via scripts/bench_compare.py (warn >10%, fail >30%);
+#     the fastest run's echo_roundtrip_ns compared against
+#     bench/baselines/perf_micro.json via scripts/bench_compare.py (warn
+#     >10%, fail >30%);
 #  2. bench_perf_micro once at 4 workers -> its parallel_identical figure
 #     asserts the 1/2/4-worker campaign fingerprints are byte-identical,
 #     and the 1/2/4-worker campaign wall timings plus speedup/CPU

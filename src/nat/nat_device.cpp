@@ -174,31 +174,37 @@ void NatDevice::reset_state(sim::SimTime now) {
 }
 
 void NatDevice::note_contact(Mapping& m, const netcore::Endpoint& dst) {
+  netcore::Endpoint contact = dst;
   switch (config_.mapping) {
-    case MappingType::address_restricted:
-      m.contacted_addresses.insert(dst.address);
-      break;
-    case MappingType::port_address_restricted:
-      m.contacted_endpoints.insert(dst);
-      break;
+    case MappingType::address_restricted: contact.port = 0; break;
+    case MappingType::port_address_restricted: break;
     case MappingType::full_cone:
     case MappingType::symmetric:
-      break;  // full cone filters nothing; symmetric pins key.remote
+      return;  // full cone filters nothing; symmetric pins key.remote
+  }
+  if (!m.contacted) {
+    m.first_contact = contact;
+    m.contacted = true;
+  } else if (contact != m.first_contact) {
+    if (!m.more_contacts)
+      m.more_contacts = std::make_unique<flat::FlatSet<netcore::Endpoint>>();
+    m.more_contacts->insert(contact);
   }
 }
 
 bool NatDevice::passes_filter(const Mapping& m,
                               const netcore::Endpoint& src) const {
   if (m.static_mapping) return true;
+  netcore::Endpoint contact = src;
   switch (config_.mapping) {
     case MappingType::full_cone: return true;
-    case MappingType::address_restricted:
-      return m.contacted_addresses.contains(src.address);
-    case MappingType::port_address_restricted:
-      return m.contacted_endpoints.contains(src);
     case MappingType::symmetric: return src == m.key.remote;
+    case MappingType::address_restricted: contact.port = 0; break;
+    case MappingType::port_address_restricted: break;
   }
-  return false;
+  return m.contacted &&
+         (contact == m.first_contact ||
+          (m.more_contacts && m.more_contacts->contains(contact)));
 }
 
 void NatDevice::erase_mapping(const OutKey& key) {
@@ -215,7 +221,7 @@ void NatDevice::erase_mapping(const OutKey& key) {
   // m.key (find_in passes it), and FlatMap::erase only reads the key during
   // the probe — while the slot still holds it.
   mappings_.erase(key);
-  slab_[h] = Mapping{};  // releases the contacted sets
+  slab_[h] = Mapping{};  // releases the spilled contact set
   free_slots_.push_back(h);
 }
 
@@ -328,6 +334,9 @@ std::optional<std::uint16_t> NatDevice::allocate_port(
 
 NatDevice::Mapping* NatDevice::create_mapping(const OutKey& key,
                                               sim::SimTime now) {
+  // A Netalyzr battery keeps ~150K mappings live: a field that pushes the
+  // record past one cache line costs a second line on each of them.
+  static_assert(sizeof(Mapping) <= 64, "Mapping must fit one cache line");
   const netcore::Ipv4Address internal_ip = key.internal.address;
   std::size_t pool_idx = 0;
   std::optional<std::uint16_t> port;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -158,17 +159,24 @@ class NatDevice final : public sim::Middlebox {
   /// Coarse TCP connection state for timeout selection (RFC 5382).
   enum class TcpState : std::uint8_t { transitory, established };
 
+  // One cache line (create_mapping asserts it); the field order packs the
+  // three flags into the padding before the first SimTime.
   struct Mapping {
     OutKey key;
     netcore::Endpoint external;
-    sim::SimTime created_at = 0;
-    sim::SimTime last_refresh = 0;
+    // Destinations contacted through this mapping, keyed the way the
+    // filtering policy compares them (port 0 under address-restricted;
+    // nothing is recorded under full cone or symmetric). The first one is
+    // stored inline, valid when `contacted` is set: 0.0.0.0:0 is a real
+    // destination, so it cannot double as "none". Every further distinct
+    // contact goes to `more_contacts`, allocated on the second one.
+    netcore::Endpoint first_contact;
     bool static_mapping = false;  ///< UPnP-style: never expires, never filters
     TcpState tcp_state = TcpState::transitory;
-    // Destinations contacted through this mapping; only the sets the
-    // filtering policy needs are populated.
-    flat::FlatSet<netcore::Ipv4Address> contacted_addresses;
-    flat::FlatSet<netcore::Endpoint> contacted_endpoints;
+    bool contacted = false;
+    sim::SimTime created_at = 0;
+    sim::SimTime last_refresh = 0;
+    std::unique_ptr<flat::FlatSet<netcore::Endpoint>> more_contacts;
   };
 
   [[nodiscard]] sim::SimTime timeout_for(const Mapping& m) const {

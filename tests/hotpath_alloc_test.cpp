@@ -85,6 +85,52 @@ TEST(HotPathAlloc, OneMappingNatStaysSmall) {
       << g_alloc_bytes.load() << " bytes";
 }
 
+TEST(HotPathAlloc, FirstContactOnAReusedSlotAllocatesNothing) {
+  // Most mappings only ever see one destination, so the first contact is
+  // stored in the mapping itself; only a second distinct destination pays
+  // for a set.
+  nat::NatConfig cfg;
+  cfg.mapping = nat::MappingType::port_address_restricted;
+  cfg.udp_timeout_s = 60.0;
+  nat::NatDevice nat(cfg, {netcore::Ipv4Address(16, 1, 0, 1)}, Rng(1));
+  const Endpoint remote{netcore::Ipv4Address(16, 9, 9, 9), 80};
+  const Endpoint other{netcore::Ipv4Address(16, 9, 9, 9), 81};
+  auto send = [&](std::uint16_t sport, const Endpoint& dst) {
+    Packet p =
+        Packet::udp({netcore::Ipv4Address(192, 168, 1, 2), sport}, dst);
+    EXPECT_EQ(nat.process_outbound(p, 100.0), Middlebox::Verdict::forward);
+  };
+  auto bytes_for = [&](auto&& step) {
+    g_alloc_bytes.store(0);
+    g_counting.store(true);
+    step();
+    g_counting.store(false);
+    return g_alloc_bytes.load();
+  };
+
+  // Warm-up: a mapping that expires and is collected leaves the slab and
+  // both lookup maps at their capacity, with its slot on the free list.
+  {
+    Packet p =
+        Packet::udp({netcore::Ipv4Address(192, 168, 1, 2), 3999}, remote);
+    ASSERT_EQ(nat.process_outbound(p, 0.0), Middlebox::Verdict::forward);
+  }
+  nat.collect_garbage(100.0);
+  ASSERT_EQ(nat.active_mappings(100.0), 0u);
+
+  EXPECT_EQ(bytes_for([&] { send(4000, remote); }), 0u)
+      << "a new flow's first packet must reuse the freed slot and store "
+         "its contact inline";
+  EXPECT_GT(bytes_for([&] { send(4000, other); }), 0u)
+      << "a second distinct destination spills to a set";
+  EXPECT_EQ(bytes_for([&] {
+              send(4000, remote);
+              send(4000, other);
+            }),
+            0u)
+      << "repeat destinations are already recorded";
+}
+
 TEST(HotPathAlloc, WarmedNat444EchoRoundTripIsAllocationFree) {
   test::MiniNet world;
   test::LineConfig cfg;

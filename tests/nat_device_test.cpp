@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "test_topology.hpp"
 
 namespace cgn::nat {
@@ -146,6 +150,97 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "unknown";
     });
+
+// A mapping's contacts against a std::set model: each mapping gets its own
+// pattern of outbound destinations (repeats, one address on many ports,
+// 0.0.0.0:0, and 1, 2 or 300 distinct contacts, as on a DHT peer's
+// mapping), then a fixed probe set must pass or be filtered exactly as the
+// model says.
+TEST(NatDevice, FilterMatchesContactSetModel) {
+  for (MappingType type : {MappingType::address_restricted,
+                           MappingType::port_address_restricted}) {
+    SCOPED_TRACE(std::string(to_string(type)));
+    auto cfg = base_config();
+    cfg.mapping = type;
+    NatDevice nat(cfg, pool(1), sim::Rng(11));
+    sim::Rng rng(12);
+    // The key the policy filters on: the address, or the whole endpoint.
+    auto key = [&](Endpoint e) {
+      if (type == MappingType::address_restricted) e.port = 0;
+      return e;
+    };
+    auto host = [](int h) { return Ipv4Address(16, 9, 9, h); };
+    const std::uint16_t kPorts[] = {0, 80, 81, 6881};
+    auto small_draw = [&] {
+      const auto h = static_cast<int>(rng.index(4));
+      return Endpoint{h == 0 ? Ipv4Address{} : host(h), kPorts[rng.index(4)]};
+    };
+    auto wide_draw = [&] {
+      return Endpoint{
+          Ipv4Address(16, 9, static_cast<std::uint8_t>(rng.index(4)),
+                      static_cast<std::uint8_t>(rng.index(256))),
+          static_cast<std::uint16_t>(rng.uniform(0, 65535))};
+    };
+    const Endpoint zero{};
+
+    std::vector<std::vector<Endpoint>> patterns = {
+        {{host(2), 80}},                 // one contact
+        {{host(2), 80}, {host(3), 80}},  // two
+        {zero},
+        {zero, zero, {host(2), 0}, zero},
+    };
+    std::vector<Endpoint> repeats(6, Endpoint{host(3), 81});
+    repeats.push_back({host(1), 81});
+    repeats.insert(repeats.end(), 4, Endpoint{host(3), 81});
+    patterns.push_back(repeats);
+    std::vector<Endpoint> many_ports;
+    for (std::uint16_t p = 0; p < 40; ++p) many_ports.push_back({host(1), p});
+    patterns.push_back(many_ports);
+    std::set<Endpoint> distinct;
+    while (distinct.size() < 300) distinct.insert(wide_draw());
+    std::vector<Endpoint> dht_peer(distinct.begin(), distinct.end());
+    patterns.push_back(dht_peer);
+    for (int i = 0; i < 8; ++i) {
+      std::vector<Endpoint> mixed(1 + rng.index(12));
+      for (auto& e : mixed) e = small_draw();
+      patterns.push_back(mixed);
+    }
+
+    std::vector<Endpoint> probes = {zero, {Ipv4Address{}, 1}, {host(1), 40}};
+    for (int h = 1; h < 4; ++h)
+      for (std::uint16_t p : kPorts) probes.push_back({host(h), p});
+    for (int i = 0; i < 20; ++i) probes.push_back(dht_peer[rng.index(300)]);
+    for (int i = 0; i < 40; ++i) probes.push_back(wide_draw());
+
+    const sim::SimTime now = 1.0;
+    for (std::size_t i = 0; i < patterns.size(); ++i) {
+      const Endpoint internal{Ipv4Address{192, 168, 1, 2},
+                              static_cast<std::uint16_t>(40000 + i)};
+      Endpoint external;
+      std::set<Endpoint> model;
+      for (const Endpoint& dst : patterns[i]) {
+        Packet out = Packet::udp(internal, dst);
+        ASSERT_EQ(nat.process_outbound(out, now),
+                  sim::Middlebox::Verdict::forward);
+        external = out.src;
+        model.insert(key(dst));
+      }
+      for (const Endpoint& probe : probes) {
+        Packet in = Packet::udp(probe, external);
+        const bool passed = nat.process_inbound(in, now) ==
+                            sim::Middlebox::Verdict::forward;
+        EXPECT_EQ(passed, model.contains(key(probe)))
+            << "mapping " << i << ", probe " << probe.to_string();
+      }
+    }
+
+    // Expire and collect every mapping, so spilled sets are freed here.
+    const sim::SimTime later = now + cfg.udp_timeout_s + 1.0;
+    nat.collect_garbage(later);
+    EXPECT_EQ(nat.active_mappings(later), 0u);
+    EXPECT_EQ(nat.stats().mappings_expired, patterns.size());
+  }
+}
 
 // --- Port allocation strategies ----------------------------------------------
 
