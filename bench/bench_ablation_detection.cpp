@@ -19,7 +19,7 @@ int main() {
   // Custom pipeline: inject dynamic-addressing churn between swarm phases,
   // so households surface under several public addresses — the very
   // confounder the 5x5 rule guards against.
-  auto internet_ptr = scenario::build_internet(bench::scaled_config());
+  auto internet_ptr = scenario::build_internet(scenario::scaled_config());
   auto& internet = *internet_ptr;
   scenario::run_bittorrent_phase(internet);
   scenario::ChurnConfig churn_cfg;

@@ -29,7 +29,7 @@ struct Cell {
 
 Cell run_cell(double loss_rate, bool retries, double restart_period_s) {
   using namespace cgn;
-  scenario::InternetConfig cfg = bench::scaled_config();
+  scenario::InternetConfig cfg = scenario::scaled_config();
   cfg.fault_plan.link.loss_rate = loss_rate;
   cfg.fault_plan.nat.restart_period_s = restart_period_s;
 

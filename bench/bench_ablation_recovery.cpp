@@ -44,7 +44,7 @@ struct Cell {
 
 Cell run_cell(double crash_rate, int attempts, bool stormy) {
   using namespace cgn;
-  scenario::InternetConfig cfg = bench::scaled_config();
+  scenario::InternetConfig cfg = scenario::scaled_config();
   cfg.fault_plan.shards.crash_rate = crash_rate;
   if (stormy) {
     cfg.fault_plan.link.loss_rate = 0.02;

@@ -71,7 +71,7 @@ double ns_per_op(Fn&& fn, int iters) {
 /// Child mode: one scale, one process. Prints a single machine-readable
 /// line ("@scale_sweep {...}") that the parent scrapes out of the output.
 int run_child() {
-  scenario::InternetConfig cfg = bench::scaled_config();
+  scenario::InternetConfig cfg = scenario::scaled_config();
   if (!std::getenv("CGN_SILENT_LINES"))
     cfg.silent_lines_per_cgn_as = kDefaultSilentLines;
 
@@ -127,7 +127,8 @@ int run_child() {
   const double materialize_s = std::chrono::duration<double>(t2 - t1).count();
   std::ostringstream os;
   os.precision(12);
-  os << "@scale_sweep {\"scale\":" << bench::env_double("CGN_BENCH_SCALE", 0.4)
+  os << "@scale_sweep {\"scale\":"
+     << scenario::env_double("CGN_BENCH_SCALE", 0.4)
      << ",\"rss_kib\":" << peak_rss_kib() << ",\"ns_per_packet\":" << echo_ns
      << ",\"build_s\":" << build_s << ",\"materialize_s\":" << materialize_s
      << ",\"subscribers\":" << lines << "}";

@@ -77,14 +77,14 @@ int main() {
                       "disconnects, resume and overload");
 
   observatory::StreamDriverConfig driver_cfg;
-  driver_cfg.world = bench::scaled_config();
-  driver_cfg.crawl.crawl.retry = bench::retry_policy_from_env();
+  driver_cfg.world = scenario::scaled_config();
+  driver_cfg.crawl.crawl.retry = scenario::retry_policy_from_env();
   driver_cfg.crawl.supervise =
-      bench::supervisor_config_from_env("crawl_ping");
-  driver_cfg.netalyzr.retry = bench::retry_policy_from_env();
+      scenario::supervisor_config_from_env("crawl_ping");
+  driver_cfg.netalyzr.retry = scenario::retry_policy_from_env();
   driver_cfg.netalyzr.transition_battery = driver_cfg.world.v6.enabled;
   driver_cfg.netalyzr.supervise =
-      bench::supervisor_config_from_env("netalyzr");
+      scenario::supervisor_config_from_env("netalyzr");
 
   observatory::StreamDriver driver(driver_cfg);
   CapturingSink capture;
@@ -110,7 +110,7 @@ int main() {
   observatory::Observatory live(driver.routes(), driver.registry());
   observatory::IngestConfig ingest_cfg;
   ingest_cfg.queue_capacity =
-      static_cast<std::size_t>(bench::env_u64("CGN_SOAK_QUEUE", 1024));
+      static_cast<std::size_t>(scenario::env_u64("CGN_SOAK_QUEUE", 1024));
   std::string error;
   if (!live.serve(0, &error) || !live.serve_ingest(0, ingest_cfg, &error)) {
     std::fprintf(stderr, "soak: cannot serve: %s\n", error.c_str());
@@ -123,9 +123,9 @@ int main() {
               static_cast<unsigned>(live.ingest_port()));
   std::fflush(stdout);
 
-  const double duration_s = bench::env_double("CGN_SOAK_DURATION_S", 10.0);
+  const double duration_s = scenario::env_double("CGN_SOAK_DURATION_S", 10.0);
   const int pace_us =
-      static_cast<int>(bench::env_u64("CGN_SOAK_PACE_US", 0));
+      static_cast<int>(scenario::env_u64("CGN_SOAK_PACE_US", 0));
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(duration_s);
 

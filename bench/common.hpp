@@ -38,20 +38,10 @@
 
 namespace cgn::bench {
 
-// The CGN_* environment parsing lives in scenario/env_config.hpp so the
-// observatory daemon reads the exact same knobs; these aliases keep the
-// historical cgn::bench spellings working.
-using scenario::env_double;
-using scenario::env_u64;
-using scenario::fault_plan_from_env;
-using scenario::retry_policy_from_env;
-using scenario::scaled_config;
-using scenario::supervisor_config_from_env;
-
 /// Lazily-run measurement campaign over one world.
 class World {
  public:
-  World() : internet_(scenario::build_internet(scaled_config())) {}
+  World() : internet_(scenario::build_internet(scenario::scaled_config())) {}
 
   [[nodiscard]] scenario::Internet& internet() { return *internet_; }
 
@@ -82,8 +72,8 @@ class World {
       cfg.enum_fraction = enum_fraction;
       cfg.stun_fraction = stun_fraction;
       cfg.transition_battery = transition_battery;
-      cfg.retry = retry_policy_from_env();
-      cfg.supervise = supervisor_config_from_env("netalyzr");
+      cfg.retry = scenario::retry_policy_from_env();
+      cfg.supervise = scenario::supervisor_config_from_env("netalyzr");
       sessions_ = scenario::run_netalyzr_campaign(*internet_, cfg, &nz_report_);
       sessions_run_ = true;
     }
@@ -126,8 +116,8 @@ class World {
     if (!crawler_) {
       scenario::run_bittorrent_phase(*internet_);
       scenario::CrawlPhaseConfig cfg;
-      cfg.crawl.retry = retry_policy_from_env();
-      cfg.supervise = supervisor_config_from_env("crawl_ping");
+      cfg.crawl.retry = scenario::retry_policy_from_env();
+      cfg.supervise = scenario::supervisor_config_from_env("crawl_ping");
       crawler_ = scenario::run_crawl_phase(*internet_, cfg, &bt_report_);
     }
   }
@@ -146,8 +136,8 @@ class World {
 inline void print_header(const std::string& experiment,
                          const std::string& title) {
   std::cout << "\n=== " << experiment << ": " << title << " ===\n"
-            << "    (scale=" << env_double("CGN_BENCH_SCALE", 0.4)
-            << ", seed=" << env_u64("CGN_BENCH_SEED", 42)
+            << "    (scale=" << scenario::env_double("CGN_BENCH_SCALE", 0.4)
+            << ", seed=" << scenario::env_u64("CGN_BENCH_SEED", 42)
             << "; paper values in [brackets]; expect shape, not absolutes)\n\n";
 }
 
@@ -171,14 +161,14 @@ inline void write_bench_json(const std::string& name, const Figures& figures) {
   os.precision(12);  // keep large counts out of scientific notation
   os << "{\"bench\":";
   obs::json_escape(os, name);
-  os << ",\"scale\":" << env_double("CGN_BENCH_SCALE", 0.4)
-     << ",\"seed\":" << env_u64("CGN_BENCH_SEED", 42)
+  os << ",\"scale\":" << scenario::env_double("CGN_BENCH_SCALE", 0.4)
+     << ",\"seed\":" << scenario::env_u64("CGN_BENCH_SEED", 42)
      << ",\"threads\":" << par::configured_threads();
   // Provenance: which impairment scenario and retransmission policy were
   // active, so trajectories can tell clean runs from ablations.
   {
-    const fault::FaultPlan plan = fault_plan_from_env();
-    const fault::RetryPolicy retry = retry_policy_from_env();
+    const fault::FaultPlan plan = scenario::fault_plan_from_env();
+    const fault::RetryPolicy retry = scenario::retry_policy_from_env();
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx",
                   static_cast<unsigned long long>(plan.hash()));

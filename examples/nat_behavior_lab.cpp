@@ -12,7 +12,6 @@
 #include "netalyzr/client.hpp"
 #include "netalyzr/server.hpp"
 #include "report/report.hpp"
-#include "sim/demux.hpp"
 #include "stun/stun.hpp"
 
 int main() {
@@ -42,7 +41,7 @@ int main() {
       netalyzr::NetalyzrServer nserver(ns_host, Ipv4Address{16, 255, 0, 10});
       nserver.install(net);
       sim::NodeId stun_host = net.add_node(rack, "stun");
-      stun::StunServer sserver(net, stun_host, Ipv4Address{16, 255, 0, 20},
+      stun::StunServer sserver(stun_host, Ipv4Address{16, 255, 0, 20},
                                Ipv4Address{16, 255, 0, 21}, 3478, 3479);
       sserver.install(net);
 
@@ -64,24 +63,21 @@ int main() {
       sim::NodeId device = net.add_node(access, "device");
       Ipv4Address dev_addr{10, 0, 0, 2};
       net.register_address(dev_addr, device, nat_node);
-      sim::PortDemux demux;
-      demux.attach(net, device);
 
       // STUN.
-      stun::StunClient stun_client(device, {dev_addr, 40000}, demux);
-      auto stun_result = stun_client.classify(net, sserver);
+      stun::StunClient stun_client(net, device, {dev_addr, 40000});
+      auto stun_result = stun_client.classify(sserver);
 
       // Port-translation test.
       netalyzr::ClientContext ctx;
       ctx.host = device;
       ctx.device_address = dev_addr;
-      netalyzr::NetalyzrClient client(ctx, demux, sim::Rng(8));
-      auto session = client.run_basic(net, nserver);
+      netalyzr::NetalyzrClient client(ctx, net, sim::Rng(8));
+      auto session = client.run_basic(nserver);
       auto strategy = analysis::classify_session_ports(session.tcp_flows);
 
       // Timeout via TTL enumeration.
-      netalyzr::TtlEnumConfig ecfg;
-      client.run_enumeration(net, clock, nserver, ecfg, session);
+      client.run_enumeration(clock, nserver, session);
       std::string measured = "-";
       for (const auto& h : session.enumeration->hops)
         if (h.stateful && h.timeout_s)

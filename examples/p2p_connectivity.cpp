@@ -63,12 +63,10 @@ int main(int argc, char** argv) {
     const Candidate& a = candidates[rng.index(candidates.size())];
     const Candidate& b = candidates[rng.index(candidates.size())];
     if (a.sub == b.sub) continue;
-    traversal::PunchPeer pa{a.sub->device,
-                            {a.sub->device_address, port}, a.sub->demux};
+    traversal::PunchPeer pa{a.sub->device, {a.sub->device_address, port}};
     traversal::PunchPeer pb{b.sub->device,
                             {b.sub->device_address,
-                             static_cast<std::uint16_t>(port + 1)},
-                            b.sub->demux};
+                             static_cast<std::uint16_t>(port + 1)}};
     auto result =
         traversal::punch(internet->net, rendezvous, pa, pb, session++);
     port = port >= 64000 ? 52000 : static_cast<std::uint16_t>(port + 2);

@@ -11,7 +11,6 @@
 #include "netalyzr/server.hpp"
 #include "netcore/ipv4.hpp"
 #include "sim/clock.hpp"
-#include "sim/demux.hpp"
 #include "sim/network.hpp"
 
 int main() {
@@ -61,17 +60,15 @@ int main() {
   sim::NodeId device = net.add_node(cpe_node, "laptop");
   Ipv4Address device_addr{192, 168, 1, 2};
   net.register_address(device_addr, device, cpe_node);
-  sim::PortDemux demux;
-  demux.attach(net, device);
 
   // --- 4. Run a Netalyzr session from the device. ------------------------
   netalyzr::ClientContext ctx;
   ctx.host = device;
   ctx.device_address = device_addr;
   ctx.upnp_cpe = &cpe;  // the CPE answers UPnP queries
-  netalyzr::NetalyzrClient client(ctx, demux, sim::Rng(3));
+  netalyzr::NetalyzrClient client(ctx, net, sim::Rng(3));
 
-  auto session = client.run_basic(net, server);
+  auto session = client.run_basic(server);
   std::cout << "Address test (Table 4 vantage points):\n"
             << "  IPdev (device):        " << session.ip_dev.to_string()
             << "\n  IPcpe (UPnP from CPE): "
@@ -87,8 +84,7 @@ int main() {
               << f.observed.to_string() << "\n";
 
   // --- 5. TTL-driven NAT enumeration (§6.3). ------------------------------
-  netalyzr::TtlEnumConfig enum_cfg;
-  client.run_enumeration(net, clock, server, enum_cfg, session);
+  client.run_enumeration(clock, server, session);
   std::cout << "\nTTL-driven NAT enumeration (" << session.enumeration->experiments
             << " reachability experiments):\n";
   for (const auto& hop : session.enumeration->hops) {

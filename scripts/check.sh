@@ -41,7 +41,6 @@
 # Usage: scripts/check.sh [stage...]
 #        scripts/check.sh                # format tier1 asan tsan (historical
 #                                        # default; bench is opt-in)
-#        scripts/check.sh --no-sanitize  # format tier1 (compat alias)
 #        scripts/check.sh tier1 bench
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -137,8 +136,6 @@ stage_soak() {
 
 if [[ $# -eq 0 ]]; then
   stages=(format tier1 asan tsan)
-elif [[ "$1" == "--no-sanitize" ]]; then
-  stages=(format tier1)
 else
   stages=("$@")
 fi

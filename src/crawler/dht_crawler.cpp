@@ -24,7 +24,7 @@ DhtCrawler::DhtCrawler(sim::NodeId host, netcore::Endpoint local,
       id_(dht::NodeId160::random(rng_)) {}
 
 void DhtCrawler::install(sim::Network& net) {
-  net.set_receiver(host_, [this](sim::Network& n, const sim::Packet& p) {
+  net.bind(host_, local_.port, [this](sim::Network& n, const sim::Packet& p) {
     handle(n, p);
   });
 }

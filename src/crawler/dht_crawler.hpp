@@ -44,7 +44,7 @@ class DhtCrawler {
   DhtCrawler(sim::NodeId host, netcore::Endpoint local, CrawlConfig config,
              sim::Rng rng);
 
-  /// Installs the crawler's receiver on its host node.
+  /// Binds the crawler's local port on its host node.
   void install(sim::Network& net);
 
   /// Clock the retry policy's backoff advances during the serial crawl walk.

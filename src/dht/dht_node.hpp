@@ -50,7 +50,8 @@ class DhtNode {
   DhtNode(NodeId160 id, netcore::Endpoint local_endpoint, sim::NodeId host,
           DhtNodeConfig config, sim::Rng rng);
 
-  /// Packet receiver; wire it (via a port demux) to the host node.
+  /// Packet receiver; bind it to the local endpoint's port on the host node
+  /// (sim::Network::bind).
   void handle(sim::Network& net, const sim::Packet& pkt);
 
   /// Contacts the bootstrap server: ping + find_nodes(own id).

@@ -6,7 +6,7 @@ namespace cgn::dht {
 
 void TrackerServer::install(sim::Network& net) {
   net.register_address(address_, host_, net.root());
-  net.set_receiver(host_, [this](sim::Network& n, const sim::Packet& p) {
+  net.bind(host_, kPort, [this](sim::Network& n, const sim::Packet& p) {
     handle(n, p);
   });
 }

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "flat/flat.hpp"
+
 namespace cgn::fault {
 
 namespace {
@@ -12,15 +14,6 @@ obs::Counter& g_injected_dup = obs::counter("fault.injected_duplication");
 obs::Counter& g_retries = obs::counter("fault.retries");
 obs::Counter& g_retry_recoveries = obs::counter("fault.retry_recoveries");
 obs::Counter& g_retry_exhausted = obs::counter("fault.retry_exhausted");
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::uint64_t mix_salt(std::uint64_t seed, std::uint64_t salt) {
   return seed ^ (0x9e3779b97f4a7c15ull * (salt + 1));
@@ -43,7 +36,11 @@ std::string FaultPlan::describe() const {
   return os.str();
 }
 
-std::uint64_t FaultPlan::hash() const { return fnv1a(describe()); }
+std::uint64_t FaultPlan::hash() const {
+  const std::string text = describe();
+  return flat::fnv1a_bytes(text.data(), text.size(),
+                           flat::kFnvRecordedOffset);
+}
 
 thread_local sim::Rng* FaultInjector::t_stream_ = nullptr;
 

@@ -120,7 +120,8 @@ class FaultInjector {
   /// True when the packet is lost on the wire into the current hop. Draws
   /// from the calling thread's substream only when loss_rate > 0.
   [[nodiscard]] bool drop_at_hop();
-  /// True when the delivered packet arrives twice (receiver re-invoked).
+  /// True when the delivered packet arrives twice (dispatched again to the
+  /// receiver bound to its port, if any).
   [[nodiscard]] bool duplicate_delivery();
 
   /// The deterministic substream for (salt, shard): a pure function of the

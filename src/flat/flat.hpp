@@ -32,11 +32,18 @@ namespace cgn::flat {
 inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
-/// FNV-1a over a byte range — the same digest the repo already uses for
-/// fault-plan hashes and session fingerprints.
-inline std::uint64_t fnv1a_bytes(const void* data, std::size_t n) noexcept {
+/// The offset basis with its last decimal digit dropped (1469598103934665603
+/// where FNV-1a has 14695981039346656037). The fault-plan hash and the
+/// checkpoint record checksum were recorded with it, and checkpoint keys
+/// and baselines depend on those, so both keep it.
+inline constexpr std::uint64_t kFnvRecordedOffset = 1469598103934665603ull;
+
+/// FNV-1a over a byte range, continuing from `h` — the digest behind the
+/// integral-key hash below, the session fingerprints, the fault-plan hash
+/// and the checkpoint checksum.
+inline std::uint64_t fnv1a_bytes(const void* data, std::size_t n,
+                                 std::uint64_t h = kFnvOffset) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = kFnvOffset;
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
     h *= kFnvPrime;

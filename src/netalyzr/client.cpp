@@ -19,6 +19,8 @@ constexpr std::uint16_t kEphemeralHi = 60999;
 constexpr double kMaxIdleS = 200.0;
 /// Keepalive cadence (also the timeout measurement granularity).
 constexpr double kKeepaliveIntervalS = 10.0;
+/// Upper bound of the path-length search.
+constexpr int kMaxEnumHops = 24;
 
 // Big-NAT transition battery (run_transition).
 /// Idle-sweep step — also the timeout measurement granularity. Coarser than
@@ -35,19 +37,19 @@ obs::Counter& g_enum_experiments = obs::counter("netalyzr.enum_experiments");
 obs::Counter& g_transition_tests = obs::counter("netalyzr.transition_tests");
 }  // namespace
 
-NetalyzrClient::NetalyzrClient(ClientContext context, sim::PortDemux& demux,
+NetalyzrClient::NetalyzrClient(ClientContext context, sim::Network& net,
                                sim::Rng rng, fault::RetryPolicy retry)
-    : ctx_(context), demux_(&demux), rng_(std::move(rng)), retry_(retry) {
+    : ctx_(context), net_(&net), rng_(std::move(rng)), retry_(retry) {
   ephemeral_cursor_ = static_cast<std::uint16_t>(
       rng_.uniform(kEphemeralLo, kEphemeralHi));
 }
 
 NetalyzrClient::~NetalyzrClient() {
-  for (std::uint16_t port : bound_ports_) demux_->unbind(port);
+  for (std::uint16_t port : bound_ports_) net_->unbind(ctx_.host, port);
 }
 
 void NetalyzrClient::bind(std::uint16_t port) {
-  demux_->bind(port, [this](sim::Network& n, const sim::Packet& p) {
+  net_->bind(ctx_.host, port, [this](sim::Network& n, const sim::Packet& p) {
     handle(n, p);
   });
   bound_ports_.push_back(port);
@@ -83,8 +85,7 @@ void NetalyzrClient::resolve_for_v6(netcore::Ipv4Address name) {
   ctx_.v6stack->note_resolved(name, ctx_.dns64->resolve_aaaa(name).aaaa);
 }
 
-bool NetalyzrClient::echo_flow(sim::Network& net, sim::Clock* clock,
-                               netcore::Endpoint dst,
+bool NetalyzrClient::echo_flow(sim::Clock* clock, netcore::Endpoint dst,
                                std::vector<FlowObservation>* flows,
                                SessionResult* result) {
   std::uint16_t port = next_ephemeral_port();
@@ -94,7 +95,7 @@ bool NetalyzrClient::echo_flow(sim::Network& net, sim::Clock* clock,
     last_echo_.reset();
     sim::Packet pkt = sim::Packet::tcp({ctx_.device_address, port}, dst);
     pkt.payload = NetalyzrMessage{EchoRequest{tx}};
-    net.send(std::move(pkt), ctx_.host);
+    net_->send(std::move(pkt), ctx_.host);
     if (!(last_echo_ && last_echo_->tx == tx)) return false;
     if (flows)
       flows->push_back(FlowObservation{port, last_echo_->observed});
@@ -104,8 +105,7 @@ bool NetalyzrClient::echo_flow(sim::Network& net, sim::Clock* clock,
   });
 }
 
-SessionResult NetalyzrClient::run_basic(sim::Network& net,
-                                        NetalyzrServer& server,
+SessionResult NetalyzrClient::run_basic(NetalyzrServer& server,
                                         sim::Clock* clock) {
   g_sessions.inc();
   SessionResult result;
@@ -126,23 +126,22 @@ SessionResult NetalyzrClient::run_basic(sim::Network& net,
   // is lost retransmits from the same local port (same socket, new tx),
   // paying backoff on the session clock.
   for (int i = 0; i < 10; ++i)
-    echo_flow(net, clock, server.echo_endpoint(), &result.tcp_flows, &result);
+    echo_flow(clock, server.echo_endpoint(), &result.tcp_flows, &result);
   return result;
 }
 
-void NetalyzrClient::run_stun(sim::Network& net,
-                              const stun::StunServer& server,
+void NetalyzrClient::run_stun(const stun::StunServer& server,
                               SessionResult& result) {
   g_stun_tests.inc();
   resolve_for_v6(server.primary().address);
   resolve_for_v6(server.alternate_address().address);
   std::uint16_t port = next_ephemeral_port();
-  stun::StunClient client(ctx_.host, {ctx_.device_address, port}, *demux_);
-  result.stun = client.classify(net, server);
+  stun::StunClient client(*net_, ctx_.host, {ctx_.device_address, port});
+  result.stun = client.classify(server);
 }
 
 std::optional<NetalyzrClient::UdpFlow> NetalyzrClient::open_udp_flow(
-    sim::Network& net, NetalyzrServer& server, int ttl) {
+    NetalyzrServer& server, int ttl) {
   const std::uint64_t flow = rng_.uniform(1, ~std::uint64_t{0} - 1);
   const std::uint16_t port = next_ephemeral_port();
   bind(port);
@@ -155,14 +154,14 @@ std::optional<NetalyzrClient::UdpFlow> NetalyzrClient::open_udp_flow(
     last_ack_.reset();
     sim::Packet init = sim::Packet::udp(local, server.udp_endpoint(), ttl);
     init.payload = NetalyzrMessage{UdpInit{flow}};
-    net.send(std::move(init), ctx_.host);
+    net_->send(std::move(init), ctx_.host);
     return last_ack_ && last_ack_->flow == flow;
   });
   if (!acked) return std::nullopt;
   return UdpFlow{flow, local, last_ack_->observed};
 }
 
-bool NetalyzrClient::probe_reaches(sim::Network& net, NetalyzrServer& server,
+bool NetalyzrClient::probe_reaches(NetalyzrServer& server,
                                    const UdpFlow& udp) {
   // Full-TTL probe from the server, re-issued with a fresh sequence number
   // if lost in transit. An expired mapping stays expired on re-probe, so
@@ -170,18 +169,18 @@ bool NetalyzrClient::probe_reaches(sim::Network& net, NetalyzrServer& server,
   return fault::retry_loop(retry_, nullptr, [&] {
     const std::uint64_t seq = next_tx_++;
     last_probe_.reset();
-    server.send_probe(net, udp.mapped, udp.flow, seq);
+    server.send_probe(*net_, udp.mapped, udp.flow, seq);
     return last_probe_ && last_probe_->flow == udp.flow &&
            last_probe_->seq == seq;
   });
 }
 
 std::optional<bool> NetalyzrClient::reachability_experiment(
-    sim::Network& net, sim::Clock& clock, NetalyzrServer& server,
-    int path_hops, int hop, double tidle) {
+    sim::Clock& clock, NetalyzrServer& server, int path_hops, int hop,
+    double tidle) {
   g_enum_experiments.inc();
   // (a) Initialization packet: creates NAT state on every hop.
-  const std::optional<UdpFlow> udp = open_udp_flow(net, server);
+  const std::optional<UdpFlow> udp = open_udp_flow(server);
   if (!udp) return std::nullopt;
 
   // (b) TTL-limited keepalives from both ends during the idle period.
@@ -196,18 +195,17 @@ std::optional<bool> NetalyzrClient::reachability_experiment(
     elapsed += kKeepaliveIntervalS;
     sim::Packet ka = sim::Packet::udp(udp->local, server.udp_endpoint(), ttl_c);
     ka.payload = NetalyzrMessage{UdpKeepalive{udp->flow}};
-    net.send(std::move(ka), ctx_.host);
-    server.send_keepalive(net, udp->mapped, udp->flow, ttl_s);
+    net_->send(std::move(ka), ctx_.host);
+    server.send_keepalive(*net_, udp->mapped, udp->flow, ttl_s);
   }
   clock.advance(tidle - elapsed);
 
   // (c) Did the server's probe reach the client?
-  return probe_reaches(net, server, *udp);
+  return probe_reaches(server, *udp);
 }
 
-void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
+void NetalyzrClient::run_enumeration(sim::Clock& clock,
                                      NetalyzrServer& server,
-                                     const TtlEnumConfig& config,
                                      SessionResult& result) {
   g_enum_tests.inc();
   TtlEnumResult out;
@@ -215,8 +213,8 @@ void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
   // Path length discovery: the shortest TTL whose init gets acknowledged has
   // crossed every intermediate hop.
   int path_hops = -1;
-  for (int ttl = 1; ttl <= config.max_hops + 1; ++ttl) {
-    const bool acked = open_udp_flow(net, server, ttl).has_value();
+  for (int ttl = 1; ttl <= kMaxEnumHops + 1; ++ttl) {
+    const bool acked = open_udp_flow(server, ttl).has_value();
     ++out.experiments;
     if (acked) {
       path_hops = ttl - 1;
@@ -232,8 +230,8 @@ void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
   // Pass 1: statefulness of every hop at the maximum idle period.
   std::vector<int> stateful_hops;
   for (int hop = 1; hop <= path_hops; ++hop) {
-    auto reachable = reachability_experiment(net, clock, server, path_hops,
-                                             hop, kMaxIdleS);
+    auto reachable =
+        reachability_experiment(clock, server, path_hops, hop, kMaxIdleS);
     ++out.experiments;
     NatHopObservation obs;
     obs.hop = hop;
@@ -246,8 +244,8 @@ void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
   for (int hop : stateful_hops) {
     for (double tidle = kKeepaliveIntervalS; tidle <= kMaxIdleS;
          tidle += kKeepaliveIntervalS) {
-      auto reachable = reachability_experiment(net, clock, server, path_hops,
-                                               hop, tidle);
+      auto reachable =
+          reachability_experiment(clock, server, path_hops, hop, tidle);
       ++out.experiments;
       if (reachable.has_value() && !*reachable) {
         out.hops[static_cast<std::size_t>(hop - 1)].timeout_s = tidle;
@@ -259,8 +257,7 @@ void NetalyzrClient::run_enumeration(sim::Network& net, sim::Clock& clock,
   result.enumeration = out;
 }
 
-void NetalyzrClient::run_transition(sim::Network& net, sim::Clock& clock,
-                                    NetalyzrServer& server,
+void NetalyzrClient::run_transition(sim::Clock& clock, NetalyzrServer& server,
                                     SessionResult& result) {
   g_transition_tests.inc();
   TransitionObservation obs;
@@ -280,8 +277,8 @@ void NetalyzrClient::run_transition(sim::Network& net, sim::Clock& clock,
   // (CLAT translates literals statelessly); dies on a v6-only NAT64 line.
   // Together with (a) this separates NAT64-only from 464XLAT.
   if (server.has_literal_address())
-    obs.literal_v4_ok = echo_flow(net, &clock, server.literal_echo_endpoint(),
-                                  nullptr, nullptr);
+    obs.literal_v4_ok =
+        echo_flow(&clock, server.literal_echo_endpoint(), nullptr, nullptr);
 
   // (c) Translator-timeout sweep: open a UDP flow, starve the whole path
   // for tidle, then have the server probe the mapped endpoint. The first
@@ -289,10 +286,10 @@ void NetalyzrClient::run_transition(sim::Network& net, sim::Clock& clock,
   // — the per-carrier number the Big-NAT study tabulates.
   for (double tidle = kTimeoutGranularityS; tidle <= kTimeoutMaxS + 1e-9;
        tidle += kTimeoutGranularityS) {
-    const std::optional<UdpFlow> udp = open_udp_flow(net, server);
+    const std::optional<UdpFlow> udp = open_udp_flow(server);
     if (!udp) break;
     clock.advance(tidle);
-    if (!probe_reaches(net, server, *udp)) {
+    if (!probe_reaches(server, *udp)) {
       obs.translator_timeout_s = tidle;
       break;
     }

@@ -21,7 +21,6 @@
 #include "netalyzr/messages.hpp"
 #include "netalyzr/server.hpp"
 #include "netalyzr/session.hpp"
-#include "sim/demux.hpp"
 #include "sim/rng.hpp"
 #include "stun/stun.hpp"
 #include "v6/dns64.hpp"
@@ -47,16 +46,13 @@ struct ClientContext {
   v6::HostV6Stack* v6stack = nullptr;
 };
 
-struct TtlEnumConfig {
-  /// Hop-search upper bound.
-  int max_hops = 24;
-};
-
 class NetalyzrClient {
  public:
-  /// `retry` is the probe retransmission policy; the default (attempts = 1)
-  /// reproduces the original fire-once client exactly.
-  NetalyzrClient(ClientContext context, sim::PortDemux& demux, sim::Rng rng,
+  /// The client binds its ports on `context.host` in `net` and unbinds them
+  /// on destruction. `retry` is the probe retransmission policy; the
+  /// default (attempts = 1) reproduces the original fire-once client
+  /// exactly.
+  NetalyzrClient(ClientContext context, sim::Network& net, sim::Rng rng,
                  fault::RetryPolicy retry = {});
   ~NetalyzrClient();
 
@@ -66,18 +62,15 @@ class NetalyzrClient {
   /// Address + port-translation tests. Always the first call of a session.
   /// `clock` (may be null) absorbs the retry policy's backoff when an echo
   /// flow needs retransmitting; pass the session's per-shard clock.
-  [[nodiscard]] SessionResult run_basic(sim::Network& net,
-                                        NetalyzrServer& server,
+  [[nodiscard]] SessionResult run_basic(NetalyzrServer& server,
                                         sim::Clock* clock = nullptr);
 
   /// STUN classification; stores the outcome into `result`.
-  void run_stun(sim::Network& net, const stun::StunServer& server,
-                SessionResult& result);
+  void run_stun(const stun::StunServer& server, SessionResult& result);
 
   /// TTL-driven NAT enumeration; advances `clock` through the idle periods
   /// and stores the outcome into `result`.
-  void run_enumeration(sim::Network& net, sim::Clock& clock,
-                       NetalyzrServer& server, const TtlEnumConfig& config,
+  void run_enumeration(sim::Clock& clock, NetalyzrServer& server,
                        SessionResult& result);
 
   /// Big-NAT transition battery ("Tracking the Big NAT"): pref64 discovery
@@ -85,8 +78,8 @@ class NetalyzrClient {
   /// against the server's never-resolved second address, and a coarse
   /// full-path idle sweep measuring the translator's mapping timeout.
   /// Stores a TransitionObservation into `result`.
-  void run_transition(sim::Network& net, sim::Clock& clock,
-                      NetalyzrServer& server, SessionResult& result);
+  void run_transition(sim::Clock& clock, NetalyzrServer& server,
+                      SessionResult& result);
 
  private:
   /// An acknowledged UDP flow: the server's ack carries `mapped`, the
@@ -106,28 +99,25 @@ class NetalyzrClient {
   /// connect(). No-op on lines with a v4 path (CLAT, DS-Lite, NAT444).
   void resolve_for_v6(netcore::Ipv4Address name);
   /// One TCP echo flow to `dst`; true when the echo came back.
-  bool echo_flow(sim::Network& net, sim::Clock* clock, netcore::Endpoint dst,
+  bool echo_flow(sim::Clock* clock, netcore::Endpoint dst,
                  std::vector<FlowObservation>* flows, SessionResult* result);
   /// Draws a flow id, binds a fresh ephemeral port and sends UdpInit with
   /// `ttl` until acked; nullopt when every attempt went unanswered.
-  std::optional<UdpFlow> open_udp_flow(sim::Network& net,
-                                       NetalyzrServer& server,
+  std::optional<UdpFlow> open_udp_flow(NetalyzrServer& server,
                                        int ttl = sim::kDefaultTtl);
   /// Has the server probe `udp`'s mapped endpoint; true when a probe
   /// arrived.
-  bool probe_reaches(sim::Network& net, NetalyzrServer& server,
-                     const UdpFlow& udp);
+  bool probe_reaches(NetalyzrServer& server, const UdpFlow& udp);
   /// One §6.3 reachability experiment for hop `h` with idle period `tidle`.
   /// Returns true when the final server probe reached the client, nullopt
   /// when the experiment could not be set up (init never acked).
-  std::optional<bool> reachability_experiment(sim::Network& net,
-                                              sim::Clock& clock,
+  std::optional<bool> reachability_experiment(sim::Clock& clock,
                                               NetalyzrServer& server,
                                               int path_hops, int hop,
                                               double tidle);
 
   ClientContext ctx_;
-  sim::PortDemux* demux_;
+  sim::Network* net_;
   sim::Rng rng_;
   fault::RetryPolicy retry_;
   std::vector<std::uint16_t> bound_ports_;

@@ -4,9 +4,10 @@ namespace cgn::netalyzr {
 
 void NetalyzrServer::install(sim::Network& net) {
   net.register_address(address_, host_, net.root());
-  net.set_receiver(host_, [this](sim::Network& n, const sim::Packet& p) {
-    handle(n, p);
-  });
+  for (std::uint16_t port : {kEchoPort, kUdpPort})
+    net.bind(host_, port, [this](sim::Network& n, const sim::Packet& p) {
+      handle(n, p);
+    });
 }
 
 void NetalyzrServer::install_literal_address(sim::Network& net,

@@ -25,7 +25,8 @@ class NetalyzrServer {
   NetalyzrServer(sim::NodeId host, netcore::Ipv4Address address)
       : host_(host), address_(address) {}
 
-  /// Registers address and receiver; the host node must hang off the core.
+  /// Registers the address and binds the echo and UDP ports; the host node
+  /// must hang off the core.
   void install(sim::Network& net);
 
   /// Registers a second public address for the same host, reachable only by

@@ -1,16 +1,15 @@
 #include "netalyzr/session.hpp"
 
+#include "flat/flat.hpp"
+
 namespace cgn::netalyzr {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
 void mix(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
+    h *= flat::kFnvPrime;
   }
 }
 
@@ -31,7 +30,7 @@ void mix(std::uint64_t& h, const netcore::Endpoint& e) {
 }  // namespace
 
 std::uint64_t fingerprint(const SessionResult& r) noexcept {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = flat::kFnvOffset;
   mix(h, std::uint64_t{r.asn});
   mix(h, std::uint64_t{r.cellular});
   mix(h, std::uint64_t{r.ip_dev.value()});
@@ -69,7 +68,7 @@ std::uint64_t fingerprint(const SessionResult& r) noexcept {
 
 std::uint64_t fingerprint(
     const std::vector<SessionResult>& sessions) noexcept {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = flat::kFnvOffset;
   mix(h, std::uint64_t{sessions.size()});
   for (const SessionResult& s : sessions) mix(h, fingerprint(s));
   return h;

@@ -307,21 +307,18 @@ std::vector<netalyzr::SessionResult> run_netalyzr_campaign(
             ctx.v6stack = sub.v6stack;
           }
 
-          netalyzr::NetalyzrClient client(ctx, *sub.demux, rng.fork(),
+          netalyzr::NetalyzrClient client(ctx, internet.net, rng.fork(),
                                           config.retry);
-          netalyzr::SessionResult session = client.run_basic(
-              internet.net, *internet.servers.netalyzr, &clock);
+          netalyzr::SessionResult session =
+              client.run_basic(*internet.servers.netalyzr, &clock);
           session.line_mode = sub.v6_mode;
           session.line_clat = sub.has_clat;
           if (rng.chance(config.stun_fraction))
-            client.run_stun(internet.net, *internet.servers.stun, session);
+            client.run_stun(*internet.servers.stun, session);
           if (rng.chance(config.enum_fraction))
-            client.run_enumeration(internet.net, clock,
-                                   *internet.servers.netalyzr,
-                                   netalyzr::TtlEnumConfig{}, session);
+            client.run_enumeration(clock, *internet.servers.netalyzr, session);
           if (config.transition_battery)
-            client.run_transition(internet.net, clock,
-                                  *internet.servers.netalyzr, session);
+            client.run_transition(clock, *internet.servers.netalyzr, session);
           results.push_back(std::move(session));
           clock.advance(kInterSessionGapS);
         }

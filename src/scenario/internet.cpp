@@ -165,13 +165,6 @@ class InternetBuilder {
     sim::NodeId public_chain;  ///< lines outside the CGN
   };
 
-  void attach_demux(Subscriber& sub) {
-    auto demux = std::make_unique<sim::PortDemux>();
-    sub.demux = demux.get();
-    demux->attach(I_.net, sub.device);
-    I_.demuxes_.push_back(std::move(demux));
-  }
-
   void build_v4_line(const IspSite& site, const LinePlan& lp,
                      Subscriber& sub) {
     const std::string home = std::to_string(lp.index);
@@ -211,7 +204,6 @@ class InternetBuilder {
       I_.net.register_address(sub.device_address, sub.device, cpe_node);
       sub.cpe_node = cpe_node;
     }
-    attach_demux(sub);
   }
 
   void build_v6_line(const IspSite& site, const LinePlan& lp,
@@ -259,7 +251,6 @@ class InternetBuilder {
 
     sub.device = I_.net.add_node(elem_node, site.as_name + "-dev" + home);
     I_.net.register_address(sub.device_address, sub.device, elem_node);
-    attach_demux(sub);
   }
 
   Subscriber build_lan_device(const IspSite& site, const Subscriber& first) {
@@ -275,7 +266,6 @@ class InternetBuilder {
     sub.device_address =
         netcore::Ipv4Address(first.device_address.value() + 1);
     I_.net.register_address(sub.device_address, sub.device, first.cpe_node);
-    attach_demux(sub);
     return sub;
   }
 
@@ -288,10 +278,10 @@ class InternetBuilder {
     auto node = std::make_unique<dht::DhtNode>(bp.dht_id, local, sub.device,
                                                cfg, sim::Rng(bp.dht_seed));
     sub.bt_client = node.get();
-    sub.demux->bind(6881, [ptr = node.get()](sim::Network& n,
-                                             const sim::Packet& p) {
-      ptr->handle(n, p);
-    });
+    I_.net.bind(sub.device, local.port,
+                [ptr = node.get()](sim::Network& n, const sim::Packet& p) {
+                  ptr->handle(n, p);
+                });
     if (bp.upnp_map)
       sub.cpe->add_static_mapping(netcore::Protocol::udp, local, 0.0);
     I_.bt_peer_ptrs_.push_back(node.get());
@@ -419,9 +409,8 @@ class InternetBuilder {
       s.netalyzr->install_literal_address(I_.net, prefix.at(11));
 
     s.stun_host = I_.net.add_node(rack, "stun-server");
-    s.stun = std::make_unique<stun::StunServer>(I_.net, s.stun_host,
-                                                prefix.at(20), prefix.at(21),
-                                                3478, 3479);
+    s.stun = std::make_unique<stun::StunServer>(
+        s.stun_host, prefix.at(20), prefix.at(21), 3478, 3479);
     s.stun->install(I_.net);
 
     s.bootstrap_host = I_.net.add_node(rack, "dht-bootstrap");
@@ -434,13 +423,11 @@ class InternetBuilder {
         dht::NodeId160::random(rng_), netcore::Endpoint{boot_addr, 6881},
         s.bootstrap_host, boot_cfg, rng_.fork());
     s.bootstrap_endpoint = {boot_addr, 6881};
-    {
-      dht::DhtNode* boot = s.bootstrap.get();
-      I_.net.set_receiver(s.bootstrap_host,
-                          [boot](sim::Network& n, const sim::Packet& p) {
-                            boot->handle(n, p);
-                          });
-    }
+    I_.net.bind(s.bootstrap_host, s.bootstrap_endpoint.port,
+                [boot = s.bootstrap.get()](sim::Network& n,
+                                           const sim::Packet& p) {
+                  boot->handle(n, p);
+                });
 
     s.tracker_host = I_.net.add_node(rack, "tracker");
     s.tracker = std::make_unique<dht::TrackerServer>(s.tracker_host,
@@ -747,9 +734,6 @@ std::size_t Internet::materialize_silent_lines(IspInstance& isp) {
     sim::NodeId dev = net.add_node(
         pool.direct_chain, pool.as_name + "-sln" + std::to_string(pool.built));
     net.register_address(addr, dev, isp.cgn_node);
-    auto demux = std::make_unique<sim::PortDemux>();
-    demux->attach(net, dev);
-    demuxes_.push_back(std::move(demux));
   }
   return pool.built;
 }

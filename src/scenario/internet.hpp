@@ -25,7 +25,6 @@
 #include "netcore/routing_table.hpp"
 #include "scenario/profiles.hpp"
 #include "sim/clock.hpp"
-#include "sim/demux.hpp"
 #include "sim/network.hpp"
 #include "sim/rng.hpp"
 #include "stun/stun.hpp"
@@ -81,7 +80,6 @@ struct Subscriber {
   sim::NodeId cpe_node = sim::kNoNode;
   bool cpe_upnp = false;
   bool behind_cgn = false;
-  sim::PortDemux* demux = nullptr;
   dht::DhtNode* bt_client = nullptr;  ///< null when not a BitTorrent host
 
   // --- IPv6 transition (populated only on v6 lines; DESIGN.md §14) --------
@@ -194,7 +192,6 @@ class Internet {
   // Ownership of everything wired into the network by raw pointer.
   std::vector<std::unique_ptr<nat::NatDevice>> nats_;
   std::vector<std::unique_ptr<dht::DhtNode>> dht_nodes_;
-  std::vector<std::unique_ptr<sim::PortDemux>> demuxes_;
   // v6-transition elements (all empty in a v4-only world).
   std::vector<std::unique_ptr<v6::Nat64Device>> nat64s_;
   std::vector<std::unique_ptr<v6::DsLiteAftr>> aftrs_;

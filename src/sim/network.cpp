@@ -98,8 +98,12 @@ void Network::set_middlebox(NodeId node, Middlebox* box) {
   nodes_.at(node).middlebox = box;
 }
 
-void Network::set_receiver(NodeId node, Receiver receiver) {
-  nodes_.at(node).receiver = std::move(receiver);
+void Network::bind(NodeId host, std::uint16_t port, Receiver receiver) {
+  nodes_.at(host).ports.insert_or_assign(port, std::move(receiver));
+}
+
+void Network::unbind(NodeId host, std::uint16_t port) {
+  nodes_.at(host).ports.erase(port);
 }
 
 void Network::register_address(netcore::Ipv4Address address, NodeId owner,
@@ -262,19 +266,24 @@ DeliveryResult Network::deliver_at(NodeId node, Packet& pkt, int hops) {
     return finish({.reason = DropReason::fault_unresponsive,
                    .hops = hops,
                    .final_node = node});
-  if (nodes_[node].receiver) {
-    nodes_[node].receiver(*this, pkt);
-    // Injected duplication: the receiver sees the same datagram twice, as
-    // after a spurious link-layer retransmission.
-    if (faults_ && faults_->duplicate_delivery()) {
-      obs_.duplicated.inc();
-      nodes_[node].receiver(*this, pkt);
-    }
+  dispatch(node, pkt);
+  // Injected duplication: the host gets the same datagram twice, as after a
+  // spurious link-layer retransmission. A link event, so it is drawn for
+  // every delivery, bound port or not.
+  if (faults_ && faults_->duplicate_delivery()) {
+    obs_.duplicated.inc();
+    dispatch(node, pkt);
   }
   return finish({.delivered = true,
                  .reason = DropReason::none,
                  .hops = hops,
                  .final_node = node});
+}
+
+void Network::dispatch(NodeId node, const Packet& pkt) {
+  auto& ports = nodes_[node].ports;
+  auto it = ports.find(pkt.dst.port);
+  if (it != ports.end()) it->second(*this, pkt);
 }
 
 DeliveryResult Network::send(Packet pkt, NodeId from) {

@@ -102,9 +102,9 @@ struct NetworkStats {
 
 class Network {
  public:
-  /// Handler invoked when a packet is delivered to a host node. The packet's
-  /// dst is the host-local (post-translation) endpoint. Handlers may call
-  /// Network::send to respond.
+  /// Handler invoked when a packet is delivered to the host and port it is
+  /// bound to. The packet's dst is the host-local (post-translation)
+  /// endpoint. Handlers may call Network::send to respond.
   using Receiver = std::function<void(Network&, const Packet&)>;
 
   explicit Network(Clock& clock);
@@ -112,8 +112,9 @@ class Network {
   /// The root ("core") node, created by the constructor.
   [[nodiscard]] NodeId root() const noexcept { return 0; }
 
-  /// Adds a plain node beneath `parent`. Middlebox/receiver/addresses can be
-  /// attached afterwards. Throws std::out_of_range on bad parent.
+  /// Adds a plain node beneath `parent`. Middlebox, bound ports and
+  /// addresses can be attached afterwards. Throws std::out_of_range on bad
+  /// parent.
   NodeId add_node(NodeId parent, std::string name);
 
   /// Convenience: adds a chain of `count` plain router nodes under `parent`
@@ -124,8 +125,14 @@ class Network {
   /// outlive the network.
   void set_middlebox(NodeId node, Middlebox* box);
 
-  /// Marks a node as a host with a delivery callback.
-  void set_receiver(NodeId node, Receiver receiver);
+  /// Binds `port` on `host`: packets delivered there to that destination
+  /// port go to `receiver`, replacing any earlier binding. A packet to an
+  /// unbound port still counts as delivered and reaches no application,
+  /// like an OS with no listening socket. Each node keeps its own port
+  /// table, so threads may bind on different hosts at once.
+  void bind(NodeId host, std::uint16_t port, Receiver receiver);
+  /// Removes `host`'s binding of `port`; an unbound port is ignored.
+  void unbind(NodeId host, std::uint16_t port);
 
   /// Declares that `owner` owns `address` within the subtree of `scope`:
   /// a host's interface address, or a middlebox's external address. Packets
@@ -156,9 +163,9 @@ class Network {
   /// distance through the tree.
   [[nodiscard]] int path_hops(NodeId from, NodeId to) const;
 
-  /// Sends `pkt` from host node `from`. Delivery is synchronous: the
-  /// receiver callback (and any packets it sends in response) runs before
-  /// send returns.
+  /// Sends `pkt` from host node `from`. Delivery is synchronous: the bound
+  /// receiver (and any packets it sends in response) runs before send
+  /// returns.
   DeliveryResult send(Packet pkt, NodeId from);
 
   /// Delivery outcomes since construction or the last reset_stats(): the
@@ -222,7 +229,7 @@ class Network {
     NodeId parent = kNoNode;
     int depth = 0;  ///< hops below the root
     Middlebox* middlebox = nullptr;
-    Receiver receiver;
+    flat::FlatMap<std::uint16_t, Receiver> ports;  ///< bound receivers
   };
 
   static constexpr int kMaxHops = 64;
@@ -280,6 +287,10 @@ class Network {
   [[nodiscard]] Target resolve(NodeId node, netcore::Ipv4Address a) const;
 
   DeliveryResult deliver_at(NodeId node, Packet& pkt, int hops);
+  /// Hands `pkt` to the receiver bound to its destination port on `node`,
+  /// if any. The table is read afresh on each call: the receiver may bind
+  /// or unbind while deliveries nest under it.
+  void dispatch(NodeId node, const Packet& pkt);
   DeliveryResult finish(DeliveryResult r);
   static DropReason to_drop_reason(Middlebox::Verdict v) noexcept;
 

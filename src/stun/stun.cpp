@@ -26,22 +26,13 @@ std::optional<int> permissiveness(StunType t) noexcept {
   }
 }
 
-StunServer::StunServer(sim::Network& net, sim::NodeId host,
-                       netcore::Ipv4Address primary_ip,
-                       netcore::Ipv4Address alternate_ip,
-                       std::uint16_t primary_port,
-                       std::uint16_t alternate_port)
-    : host_(host), primary_ip_(primary_ip), alternate_ip_(alternate_ip),
-      primary_port_(primary_port), alternate_port_(alternate_port) {
-  (void)net;
-}
-
 void StunServer::install(sim::Network& net) {
   net.register_address(primary_ip_, host_, net.root());
   net.register_address(alternate_ip_, host_, net.root());
-  net.set_receiver(host_, [this](sim::Network& n, const sim::Packet& p) {
-    handle(n, p);
-  });
+  for (std::uint16_t port : {primary_port_, alternate_port_})
+    net.bind(host_, port, [this](sim::Network& n, const sim::Packet& p) {
+      handle(n, p);
+    });
 }
 
 void StunServer::handle(sim::Network& net, const sim::Packet& pkt) {
@@ -60,24 +51,24 @@ void StunServer::handle(sim::Network& net, const sim::Packet& pkt) {
   net.send(std::move(reply), host_);
 }
 
-StunClient::StunClient(sim::NodeId host, netcore::Endpoint local,
-                       sim::PortDemux& demux)
-    : host_(host), local_(local), demux_(&demux) {
-  demux_->bind(local_.port, [this](sim::Network&, const sim::Packet& pkt) {
+StunClient::StunClient(sim::Network& net, sim::NodeId host,
+                       netcore::Endpoint local)
+    : net_(&net), host_(host), local_(local) {
+  net_->bind(host_, local_.port, [this](sim::Network&, const sim::Packet& pkt) {
     if (const auto* resp = std::any_cast<BindingResponse>(&pkt.payload))
       last_response_ = *resp;
   });
 }
 
-StunClient::~StunClient() { demux_->unbind(local_.port); }
+StunClient::~StunClient() { net_->unbind(host_, local_.port); }
 
 std::optional<BindingResponse> StunClient::request(
-    sim::Network& net, const netcore::Endpoint& server, ChangeRequest change) {
+    const netcore::Endpoint& server, ChangeRequest change) {
   std::uint64_t tx = next_tx_++;
   last_response_.reset();
   sim::Packet pkt = sim::Packet::udp(local_, server);
   pkt.payload = BindingRequest{tx, change};
-  net.send(std::move(pkt), host_);
+  net_->send(std::move(pkt), host_);
   if (last_response_ && last_response_->tx == tx) return last_response_;
   return std::nullopt;
 }
@@ -104,10 +95,9 @@ std::string_view to_string(FilteringBehavior b) noexcept {
   return "?";
 }
 
-BehaviorDiscovery StunClient::discover(sim::Network& net,
-                                       const StunServer& server) {
+BehaviorDiscovery StunClient::discover(const StunServer& server) {
   BehaviorDiscovery out;
-  auto r1 = request(net, server.primary(), {});
+  auto r1 = request(server.primary(), {});
   if (!r1) return out;
   out.responded = true;
   out.natted = r1->mapped != local_;
@@ -115,25 +105,25 @@ BehaviorDiscovery StunClient::discover(sim::Network& net,
   // Filtering dimension first: these probes must run while the alternate
   // address is still *uncontacted*, or the mapping-dimension request below
   // would whitelist it on address-restricted NATs (RFC 5780 §4.4 ordering).
-  if (request(net, server.primary(), {.change_ip = true, .change_port = true}))
+  if (request(server.primary(), {.change_ip = true, .change_port = true}))
     out.filtering = FilteringBehavior::endpoint_independent;
-  else if (request(net, server.primary(), {.change_port = true}))
+  else if (request(server.primary(), {.change_port = true}))
     out.filtering = FilteringBehavior::address_dependent;
   else
     out.filtering = FilteringBehavior::address_and_port_dependent;
 
   // Mapping dimension: compare the mapped endpoint across destinations.
-  auto r2 = request(net, server.alternate_address(), {});
+  auto r2 = request(server.alternate_address(), {});
   out.mapping = (r2 && r2->mapped == r1->mapped)
                     ? MappingBehavior::endpoint_independent
                     : MappingBehavior::address_and_port_dependent;
   return out;
 }
 
-StunOutcome StunClient::classify(sim::Network& net, const StunServer& server) {
+StunOutcome StunClient::classify(const StunServer& server) {
   // RFC 3489 decision tree.
   // Test I: plain binding request to the primary endpoint.
-  auto r1 = request(net, server.primary(), {});
+  auto r1 = request(server.primary(), {});
   if (!r1) return {StunType::blocked, std::nullopt};
   StunOutcome out;
   out.mapped = r1->mapped;
@@ -143,13 +133,13 @@ StunOutcome StunClient::classify(sim::Network& net, const StunServer& server) {
   }
   // Test II: ask for a reply from the alternate IP *and* port. Only a
   // full-cone mapping lets a never-contacted endpoint through.
-  if (request(net, server.primary(), {.change_ip = true, .change_port = true})) {
+  if (request(server.primary(), {.change_ip = true, .change_port = true})) {
     out.type = StunType::full_cone;
     return out;
   }
   // Test I': binding request to the alternate address; a different mapped
   // endpoint means per-destination mappings, i.e. a symmetric NAT.
-  auto r2 = request(net, server.alternate_address(), {});
+  auto r2 = request(server.alternate_address(), {});
   if (!r2) {
     // Inconsistent: the alternate address should answer directly.
     out.type = StunType::blocked;
@@ -160,7 +150,7 @@ StunOutcome StunClient::classify(sim::Network& net, const StunServer& server) {
     return out;
   }
   // Test III: reply from the alternate port of a contacted IP.
-  if (request(net, server.alternate_address(), {.change_port = true}))
+  if (request(server.alternate_address(), {.change_port = true}))
     out.type = StunType::address_restricted;
   else
     out.type = StunType::port_address_restricted;

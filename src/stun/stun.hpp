@@ -11,7 +11,6 @@
 #include <string_view>
 
 #include "netcore/ipv4.hpp"
-#include "sim/demux.hpp"
 #include "sim/network.hpp"
 
 namespace cgn::stun {
@@ -60,10 +59,11 @@ enum class StunType : std::uint8_t {
 /// listening on two ports.
 class StunServer {
  public:
-  StunServer(sim::Network& net, sim::NodeId host,
-             netcore::Ipv4Address primary_ip,
+  StunServer(sim::NodeId host, netcore::Ipv4Address primary_ip,
              netcore::Ipv4Address alternate_ip, std::uint16_t primary_port,
-             std::uint16_t alternate_port);
+             std::uint16_t alternate_port)
+      : host_(host), primary_ip_(primary_ip), alternate_ip_(alternate_ip),
+        primary_port_(primary_port), alternate_port_(alternate_port) {}
 
   [[nodiscard]] netcore::Endpoint primary() const noexcept {
     return {primary_ip_, primary_port_};
@@ -72,7 +72,7 @@ class StunServer {
     return {alternate_ip_, primary_port_};
   }
 
-  /// Registers the server's addresses/receiver with the network; call once
+  /// Registers the server's addresses and binds its two ports; call once
   /// after construction (the host node must be attached under the core).
   void install(sim::Network& net);
 
@@ -122,31 +122,28 @@ struct BehaviorDiscovery {
 /// returns, or never will.
 class StunClient {
  public:
-  /// `demux` is the host's port dispatcher; the client binds `local.port`.
-  StunClient(sim::NodeId host, netcore::Endpoint local, sim::PortDemux& demux);
+  /// Binds `local.port` on `host` in `net` until destruction.
+  StunClient(sim::Network& net, sim::NodeId host, netcore::Endpoint local);
   ~StunClient();
 
   StunClient(const StunClient&) = delete;
   StunClient& operator=(const StunClient&) = delete;
 
   /// Runs the classification against a server.
-  [[nodiscard]] StunOutcome classify(sim::Network& net,
-                                     const StunServer& server);
+  [[nodiscard]] StunOutcome classify(const StunServer& server);
 
   /// Runs RFC 5780 behaviour discovery: probes the server's alternate
   /// address to separate the *mapping* dimension from the *filtering*
   /// dimension.
-  [[nodiscard]] BehaviorDiscovery discover(sim::Network& net,
-                                           const StunServer& server);
+  [[nodiscard]] BehaviorDiscovery discover(const StunServer& server);
 
  private:
-  std::optional<BindingResponse> request(sim::Network& net,
-                                         const netcore::Endpoint& server,
+  std::optional<BindingResponse> request(const netcore::Endpoint& server,
                                          ChangeRequest change);
 
+  sim::Network* net_;
   sim::NodeId host_;
   netcore::Endpoint local_;
-  sim::PortDemux* demux_;
   std::uint64_t next_tx_ = 1;
   std::optional<BindingResponse> last_response_;
 };

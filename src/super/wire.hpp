@@ -14,6 +14,8 @@
 #include <string>
 #include <string_view>
 
+#include "flat/flat.hpp"
+
 namespace cgn::super::wire {
 
 /// Appends fixed-width little-endian fields to a byte buffer.
@@ -100,12 +102,8 @@ class Reader {
 
 /// FNV-1a over a byte string — the per-record checkpoint checksum.
 [[nodiscard]] inline std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+  return flat::fnv1a_bytes(s.data(), s.size(),
+                           flat::kFnvRecordedOffset);
 }
 
 }  // namespace cgn::super::wire

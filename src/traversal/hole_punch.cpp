@@ -13,7 +13,7 @@ std::string_view to_string(PunchResult r) noexcept {
 
 void RendezvousServer::install(sim::Network& net) {
   net.register_address(address_, host_, net.root());
-  net.set_receiver(host_, [this](sim::Network& n, const sim::Packet& p) {
+  net.bind(host_, kPort, [this](sim::Network& n, const sim::Packet& p) {
     handle(n, p);
   });
 }
@@ -50,8 +50,8 @@ PunchResult punch(sim::Network& net, RendezvousServer& server, PunchPeer a,
   PunchPeer peers[2] = {a, b};
 
   for (int i = 0; i < 2; ++i) {
-    peers[i].demux->bind(
-        peers[i].local.port,
+    net.bind(
+        peers[i].host, peers[i].local.port,
         [&state, &net, &peers, i, session](sim::Network&,
                                            const sim::Packet& pkt) {
           const auto* msg = std::any_cast<TraversalMessage>(&pkt.payload);
@@ -93,7 +93,7 @@ PunchResult punch(sim::Network& net, RendezvousServer& server, PunchPeer a,
     }
   }
 
-  for (int i = 0; i < 2; ++i) peers[i].demux->unbind(peers[i].local.port);
+  for (int i = 0; i < 2; ++i) net.unbind(peers[i].host, peers[i].local.port);
 
   if (state[0].got_probe && state[1].got_probe) return PunchResult::direct_both;
   if (state[0].got_probe || state[1].got_probe)

@@ -17,7 +17,6 @@
 #include <variant>
 
 #include "netcore/ipv4.hpp"
-#include "sim/demux.hpp"
 #include "sim/network.hpp"
 
 namespace cgn::traversal {
@@ -86,11 +85,11 @@ enum class PunchResult : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(PunchResult r) noexcept;
 
-/// One endpoint of a punching attempt: a socket on a device.
+/// One endpoint of a punching attempt: a socket on a device. punch() binds
+/// `local.port` on `host` for the attempt's duration.
 struct PunchPeer {
   sim::NodeId host = sim::kNoNode;
   netcore::Endpoint local;
-  sim::PortDemux* demux = nullptr;
 };
 
 /// Runs the RFC 5128 sequence for two peers: (1) both register with the

@@ -57,7 +57,8 @@ TEST(Renumbering, NetworkRoutesFollowTheNewAddress) {
   lc.cpe.name = "cpe";
   auto line = mini.add_line(lc);
   int received = 0;
-  line.demux->bind(5000, [&](sim::Network&, const Packet&) { ++received; });
+  mini.net.bind(line.device, 5000,
+                [&](sim::Network&, const Packet&) { ++received; });
 
   // Establish reachability via a static mapping on the old address.
   auto ext = line.cpe->add_static_mapping(netcore::Protocol::udp,

@@ -21,7 +21,6 @@ struct CrawlWorld {
   std::unique_ptr<dht::DhtNode> bootstrap;
   std::unique_ptr<DhtCrawler> crawler;
   std::vector<std::unique_ptr<dht::DhtNode>> peers;
-  std::vector<std::unique_ptr<sim::PortDemux>> demuxes;
   nat::NatDevice* cgn = nullptr;
   netcore::RoutingTable routes;
 
@@ -45,10 +44,10 @@ struct CrawlWorld {
     bootstrap = std::make_unique<dht::DhtNode>(
         dht::NodeId160::random(rng), Endpoint{boot_addr, 6881}, boot_host,
         boot_cfg, rng.fork());
-    mini.net.set_receiver(boot_host,
-                          [this](sim::Network& net, const sim::Packet& p) {
-                            bootstrap->handle(net, p);
-                          });
+    mini.net.bind(boot_host, 6881,
+                  [this](sim::Network& net, const sim::Packet& p) {
+                    bootstrap->handle(net, p);
+                  });
 
     sim::NodeId crawl_host = mini.net.add_node(mini.net.root(), "crawler");
     Ipv4Address crawl_addr{16, 255, 0, 70};
@@ -73,30 +72,26 @@ struct CrawlWorld {
     lc.line_internal = Ipv4Address{10, 0, 1, 2};
     auto first = mini.add_line(lc, 1);
     cgn = first.cgn;
-    add_peer(first.device, first.device_address, first.demux, rng);
+    add_peer(first.device, first.device_address, rng);
 
     for (int i = 1; i < n; ++i) {
       sim::NodeId acc = mini.net.add_router_chain(first.cgn_node, 2, "acc");
       sim::NodeId dev = mini.net.add_node(acc, "dev");
       Ipv4Address addr(10, 0, static_cast<std::uint8_t>(1 + i), 2);
       mini.net.register_address(addr, dev, first.cgn_node);
-      auto demux = std::make_unique<sim::PortDemux>();
-      demux->attach(mini.net, dev);
-      add_peer(dev, addr, demux.get(), rng);
-      demuxes.push_back(std::move(demux));
+      add_peer(dev, addr, rng);
     }
   }
 
-  void add_peer(sim::NodeId dev, Ipv4Address addr, sim::PortDemux* demux,
-                sim::Rng& rng) {
+  void add_peer(sim::NodeId dev, Ipv4Address addr, sim::Rng& rng) {
     auto node = std::make_unique<dht::DhtNode>(dht::NodeId160::random(rng),
                                                Endpoint{addr, 6881}, dev,
                                                dht::DhtNodeConfig{},
                                                rng.fork());
-    demux->bind(6881, [ptr = node.get()](sim::Network& n,
-                                         const sim::Packet& p) {
-      ptr->handle(n, p);
-    });
+    mini.net.bind(dev, 6881,
+                  [ptr = node.get()](sim::Network& n, const sim::Packet& p) {
+                    ptr->handle(n, p);
+                  });
     peers.push_back(std::move(node));
   }
 

@@ -36,9 +36,10 @@ struct Swarm {
         NodeId160::random(rng), Endpoint{peer->line.device_address, 6881},
         peer->line.device, cfg, rng.fork());
     DhtNode* raw = peer->node.get();
-    peer->line.demux->bind(6881, [raw](sim::Network& n, const sim::Packet& p) {
-      raw->handle(n, p);
-    });
+    mini.net.bind(peer->line.device, 6881,
+                  [raw](sim::Network& n, const sim::Packet& p) {
+                    raw->handle(n, p);
+                  });
     peers.push_back(std::move(peer));
     return *peers.back()->node;
   }
@@ -61,8 +62,9 @@ TEST(DhtCalibration, ConformantPeersValidateBeforePropagating) {
   crawler_node.run_maintenance(swarm.mini.net);  // validate the peer
   // Issue a find_nodes for the ghost id.
   bool ghost_propagated = false;
-  swarm.peers[1]->line.demux->bind(
-      7000, [&](sim::Network&, const sim::Packet& p) {
+  swarm.mini.net.bind(
+      swarm.peers[1]->line.device, 7000,
+      [&](sim::Network&, const sim::Packet& p) {
         if (const auto* m = std::any_cast<Message>(&p.payload))
           if (const auto* nodes = std::get_if<NodesMsg>(m))
             for (const auto& c : nodes->contacts)
@@ -87,8 +89,9 @@ TEST(DhtCalibration, SloppyPeersPropagateUnvalidated) {
 
   DhtNode& other = swarm.add();
   bool ghost_propagated = false;
-  swarm.peers[1]->line.demux->bind(
-      7000, [&](sim::Network&, const sim::Packet& p) {
+  swarm.mini.net.bind(
+      swarm.peers[1]->line.device, 7000,
+      [&](sim::Network&, const sim::Packet& p) {
         if (const auto* m = std::any_cast<Message>(&p.payload))
           if (const auto* nodes = std::get_if<NodesMsg>(m))
             for (const auto& c : nodes->contacts)

@@ -68,12 +68,14 @@ struct DhtPair {
     b = std::make_unique<DhtNode>(NodeId160::random(rng),
                                   Endpoint{line_b.device_address, 6881},
                                   line_b.device, cfg, rng.fork());
-    line_a.demux->bind(6881, [this](sim::Network& n, const sim::Packet& p) {
-      a->handle(n, p);
-    });
-    line_b.demux->bind(6881, [this](sim::Network& n, const sim::Packet& p) {
-      b->handle(n, p);
-    });
+    mini.net.bind(line_a.device, 6881,
+                  [this](sim::Network& n, const sim::Packet& p) {
+                    a->handle(n, p);
+                  });
+    mini.net.bind(line_b.device, 6881,
+                  [this](sim::Network& n, const sim::Packet& p) {
+                    b->handle(n, p);
+                  });
   }
 };
 
@@ -103,11 +105,12 @@ TEST(DhtNode, FindNodesReturnsOnlyValidatedContacts) {
 
   // B queries A.
   std::uint64_t got = 0;
-  pair.line_b.demux->bind(7000, [&](sim::Network&, const sim::Packet& p) {
-    if (const auto* m = std::any_cast<Message>(&p.payload))
-      if (const auto* nodes = std::get_if<NodesMsg>(m))
-        got = nodes->contacts.size();
-  });
+  pair.mini.net.bind(pair.line_b.device, 7000,
+                     [&](sim::Network&, const sim::Packet& p) {
+                       if (const auto* m = std::any_cast<Message>(&p.payload))
+                         if (const auto* nodes = std::get_if<NodesMsg>(m))
+                           got = nodes->contacts.size();
+                     });
   sim::Packet query = sim::Packet::udp({pair.line_b.device_address, 7000},
                                        pair.a->local_endpoint());
   query.payload = Message{FindNodesMsg{77, pair.b->id(), pair.b->id()}};
@@ -128,11 +131,12 @@ TEST(DhtNode, SloppyNodePropagatesUnvalidated) {
     pair.a->learn_contact(
         {NodeId160::random(rng), Endpoint{Ipv4Address{16, 5, 0, 1}, 1000}});
   std::uint64_t got = 0;
-  pair.line_b.demux->bind(7000, [&](sim::Network&, const sim::Packet& p) {
-    if (const auto* m = std::any_cast<Message>(&p.payload))
-      if (const auto* nodes = std::get_if<NodesMsg>(m))
-        got = nodes->contacts.size();
-  });
+  pair.mini.net.bind(pair.line_b.device, 7000,
+                     [&](sim::Network&, const sim::Packet& p) {
+                       if (const auto* m = std::any_cast<Message>(&p.payload))
+                         if (const auto* nodes = std::get_if<NodesMsg>(m))
+                           got = nodes->contacts.size();
+                     });
   sim::Packet query = sim::Packet::udp({pair.line_b.device_address, 7000},
                                        pair.a->local_endpoint());
   query.payload = Message{FindNodesMsg{78, pair.b->id(), pair.b->id()}};
@@ -261,9 +265,10 @@ class DhtTableDifferential {
     const NodeId160 self = NodeId160::random(rng_);
     a_ = std::make_unique<DhtNode>(self, Endpoint{line_a_.device_address, 6881},
                                    line_a_.device, cfg_, sim::Rng(seed + 1));
-    line_a_.demux->bind(6881, [this](sim::Network& n, const sim::Packet& p) {
-      a_->handle(n, p);
-    });
+    mini_.net.bind(line_a_.device, 6881,
+                   [this](sim::Network& n, const sim::Packet& p) {
+                     a_->handle(n, p);
+                   });
     model_.self = self;
     model_.capacity = cfg_.table_capacity;
     // Ids repeat across endpoints and endpoints across ids; A's own id is
@@ -273,10 +278,10 @@ class DhtTableDifferential {
     for (int p = 0; p < kPorts; ++p) {
       alive_[p] = rng_.index(3) != 0;
       const auto port = static_cast<std::uint16_t>(kPort0 + p);
-      line_p_.demux->bind(port, [this, port](sim::Network& n,
-                                             const sim::Packet& pkt) {
-        respond(n, pkt, port);
-      });
+      mini_.net.bind(line_p_.device, port,
+                     [this, port](sim::Network& n, const sim::Packet& pkt) {
+                       respond(n, pkt, port);
+                     });
     }
   }
 
@@ -474,7 +479,7 @@ TEST(Tracker, RecordsObservedEndpointsAndSamplesPeers) {
   sim::Rng rng(4);
   DhtNode peer(NodeId160::random(rng), Endpoint{line.device_address, 6881},
                line.device, {}, rng.fork());
-  line.demux->bind(6881, [&](sim::Network& n, const sim::Packet& p) {
+  mini.net.bind(line.device, 6881, [&](sim::Network& n, const sim::Packet& p) {
     peer.handle(n, p);
   });
   peer.announce(mini.net, tracker.endpoint(), 42);
@@ -488,7 +493,7 @@ TEST(Tracker, RecordsObservedEndpointsAndSamplesPeers) {
   auto line2 = mini.add_line(pub, 77);
   DhtNode peer2(NodeId160::random(rng), Endpoint{line2.device_address, 6881},
                 line2.device, {}, rng.fork());
-  line2.demux->bind(6881, [&](sim::Network& n, const sim::Packet& p) {
+  mini.net.bind(line2.device, 6881, [&](sim::Network& n, const sim::Packet& p) {
     peer2.handle(n, p);
   });
   peer2.announce(mini.net, tracker.endpoint(), 42);
@@ -530,8 +535,6 @@ TEST(DhtLeakChain, HairpinPreservingCgnLeaksInternalEndpoints) {
   sim::NodeId dev_b = mini.net.add_node(acc, "dev-b");
   Ipv4Address addr_b{100, 64, 2, 2};
   mini.net.register_address(addr_b, dev_b, line_a.cgn_node);
-  sim::PortDemux demux_b;
-  demux_b.attach(mini.net, dev_b);
 
   sim::Rng rng(6);
   DhtNode peer_a(NodeId160::random(rng),
@@ -539,10 +542,11 @@ TEST(DhtLeakChain, HairpinPreservingCgnLeaksInternalEndpoints) {
                  rng.fork());
   DhtNode peer_b(NodeId160::random(rng), Endpoint{addr_b, 6881}, dev_b, {},
                  rng.fork());
-  line_a.demux->bind(6881, [&](sim::Network& n, const sim::Packet& p) {
-    peer_a.handle(n, p);
-  });
-  demux_b.bind(6881, [&](sim::Network& n, const sim::Packet& p) {
+  mini.net.bind(line_a.device, 6881,
+                [&](sim::Network& n, const sim::Packet& p) {
+                  peer_a.handle(n, p);
+                });
+  mini.net.bind(dev_b, 6881, [&](sim::Network& n, const sim::Packet& p) {
     peer_b.handle(n, p);
   });
 
@@ -594,8 +598,6 @@ TEST(DhtLeakChain, ConformantHairpinDoesNotLeak) {
       mini.net.add_router_chain(line_a.cgn_node, 2, "acc2"), "dev-b");
   Ipv4Address addr_b{10, 0, 2, 2};
   mini.net.register_address(addr_b, dev_b, line_a.cgn_node);
-  sim::PortDemux demux_b;
-  demux_b.attach(mini.net, dev_b);
 
   sim::Rng rng(6);
   DhtNode peer_a(NodeId160::random(rng),
@@ -603,10 +605,11 @@ TEST(DhtLeakChain, ConformantHairpinDoesNotLeak) {
                  rng.fork());
   DhtNode peer_b(NodeId160::random(rng), Endpoint{addr_b, 6881}, dev_b, {},
                  rng.fork());
-  line_a.demux->bind(6881, [&](sim::Network& n, const sim::Packet& p) {
-    peer_a.handle(n, p);
-  });
-  demux_b.bind(6881, [&](sim::Network& n, const sim::Packet& p) {
+  mini.net.bind(line_a.device, 6881,
+                [&](sim::Network& n, const sim::Packet& p) {
+                  peer_a.handle(n, p);
+                });
+  mini.net.bind(dev_b, 6881, [&](sim::Network& n, const sim::Packet& p) {
     peer_b.handle(n, p);
   });
 

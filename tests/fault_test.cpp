@@ -185,8 +185,7 @@ struct FaultyPair {
     b = net.add_node(rb, "host-b");
     net.register_address(addr_a, a, net.root());
     net.register_address(addr_b, b, net.root());
-    net.set_receiver(a, [](sim::Network&, const sim::Packet&) {});
-    net.set_receiver(b, [this](sim::Network&, const sim::Packet&) {
+    net.bind(b, 2000, [this](sim::Network&, const sim::Packet&) {
       ++received_b;
     });
   }
@@ -254,6 +253,24 @@ TEST(NetworkFaults, CertainDuplicationInvokesReceiverTwice) {
     EXPECT_EQ(w.net.stats().delivered, 1u);
     EXPECT_EQ(w.net.stats().duplicated, 1u);
     EXPECT_EQ(duplicated.value() - duplicated_before, 1u);
+  }
+}
+
+TEST(NetworkFaults, DuplicationIgnoresBindings) {
+  FaultyPair w;
+  FaultPlan plan;
+  plan.link.duplication_rate = 1.0;
+  FaultInjector inj(plan);
+  w.net.set_fault_injector(&inj);
+  // A duplicated datagram is a link event: a delivery to a port no
+  // application has bound is still duplicated and counted.
+  auto r = w.net.send(
+      sim::Packet::udp({w.addr_a, 1000}, {w.addr_b, 2001}), w.a);
+  EXPECT_TRUE(r.delivered);
+  EXPECT_EQ(w.received_b, 0);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(w.net.stats().delivered, 1u);
+    EXPECT_EQ(w.net.stats().duplicated, 1u);
   }
 }
 

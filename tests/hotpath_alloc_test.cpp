@@ -141,13 +141,12 @@ TEST(HotPathAlloc, WarmedNat444EchoRoundTripIsAllocationFree) {
   Endpoint device_ep{line.device_address, 4000};
   Endpoint server_ep{world.server_address, 5000};
   std::uint64_t echoed = 0;
-  world.net.set_receiver(world.server_host,
-                         [&](Network& net, const Packet& p) {
-                           net.send(Packet::udp(server_ep, p.src),
-                                    world.server_host);
-                         });
-  line.demux->bind(device_ep.port,
-                   [&](Network&, const Packet&) { ++echoed; });
+  world.net.bind(world.server_host, server_ep.port,
+                 [&](Network& net, const Packet& p) {
+                   net.send(Packet::udp(server_ep, p.src), world.server_host);
+                 });
+  world.net.bind(line.device, device_ep.port,
+                 [&](Network&, const Packet&) { ++echoed; });
 
   // Warm-up: establish the NAT mappings and grow every table past its
   // final size.
@@ -178,13 +177,12 @@ TEST(HotPathAlloc, WarmedNat64EchoRoundTripIsAllocationFree) {
   Endpoint device_ep{line.device_address, 4000};
   Endpoint server_ep{world.server_address, 5000};
   std::uint64_t echoed = 0;
-  world.net.set_receiver(world.server_host,
-                         [&](Network& net, const Packet& p) {
-                           net.send(Packet::udp(server_ep, p.src),
-                                    world.server_host);
-                         });
-  line.demux->bind(device_ep.port,
-                   [&](Network&, const Packet&) { ++echoed; });
+  world.net.bind(world.server_host, server_ep.port,
+                 [&](Network& net, const Packet& p) {
+                   net.send(Packet::udp(server_ep, p.src), world.server_host);
+                 });
+  world.net.bind(line.device, device_ep.port,
+                 [&](Network&, const Packet&) { ++echoed; });
 
   for (int i = 0; i < 64; ++i)
     world.net.send(Packet::udp(device_ep, server_ep), line.device);

@@ -31,8 +31,8 @@ TEST(NetalyzrEdge, SessionWithoutUpnpHasNoCpeAddress) {
   ctx.host = line.device;
   ctx.device_address = line.device_address;
   ctx.upnp_cpe = nullptr;  // UPnP disabled or unanswered (60% of sessions)
-  netalyzr::NetalyzrClient client(ctx, *line.demux, sim::Rng(1));
-  auto session = client.run_basic(mini.net, server);
+  netalyzr::NetalyzrClient client(ctx, mini.net, sim::Rng(1));
+  auto session = client.run_basic(server);
   EXPECT_FALSE(session.ip_cpe.has_value());
   EXPECT_FALSE(session.cpe_model.has_value());
   EXPECT_TRUE(session.ip_pub.has_value());
@@ -50,15 +50,13 @@ TEST(NetalyzrEdge, UnreachableServerYieldsEmptySession) {
   netalyzr::ClientContext ctx;
   ctx.host = line.device;
   ctx.device_address = line.device_address;
-  netalyzr::NetalyzrClient client(ctx, *line.demux, sim::Rng(1));
-  auto session = client.run_basic(mini.net, server);
+  netalyzr::NetalyzrClient client(ctx, mini.net, sim::Rng(1));
+  auto session = client.run_basic(server);
   EXPECT_TRUE(session.tcp_flows.empty());
   EXPECT_FALSE(session.ip_pub.has_value());
 
   netalyzr::SessionResult result = session;
-  netalyzr::TtlEnumConfig cfg;
-  cfg.max_hops = 6;  // keep the futile path search short
-  client.run_enumeration(mini.net, mini.clock, server, cfg, result);
+  client.run_enumeration(mini.clock, server, result);
   ASSERT_TRUE(result.enumeration.has_value());
   EXPECT_EQ(result.enumeration->path_hops, 0);
   EXPECT_FALSE(result.enumeration->found_stateful());

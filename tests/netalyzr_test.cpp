@@ -41,8 +41,8 @@ TEST(NetalyzrClient, BasicSessionNoNat) {
   LineConfig lc;
   lc.with_cpe = false;
   auto line = w.mini.add_line(lc);
-  NetalyzrClient client(w.context_for(line, false), *line.demux, sim::Rng(1));
-  auto session = client.run_basic(w.mini.net, *w.server);
+  NetalyzrClient client(w.context_for(line, false), w.mini.net, sim::Rng(1));
+  auto session = client.run_basic(*w.server);
   EXPECT_EQ(session.ip_dev, line.device_address);
   ASSERT_TRUE(session.ip_pub.has_value());
   EXPECT_EQ(*session.ip_pub, line.device_address) << "no translation";
@@ -59,8 +59,8 @@ TEST(NetalyzrClient, BasicSessionBehindCpe) {
   lc.cpe.name = "HomeBox 3000";
   lc.cpe.mapping = nat::MappingType::address_restricted;
   auto line = w.mini.add_line(lc);
-  NetalyzrClient client(w.context_for(line, true), *line.demux, sim::Rng(2));
-  auto session = client.run_basic(w.mini.net, *w.server);
+  NetalyzrClient client(w.context_for(line, true), w.mini.net, sim::Rng(2));
+  auto session = client.run_basic(*w.server);
   EXPECT_EQ(session.ip_dev, Ipv4Address(192, 168, 1, 2));
   ASSERT_TRUE(session.ip_cpe.has_value());
   EXPECT_EQ(*session.ip_cpe, Ipv4Address(16, 0, 1, 2));
@@ -79,8 +79,8 @@ TEST(NetalyzrClient, Nat444SessionShowsLayeredAddresses) {
   lc.cgn.name = "cgn";
   lc.line_internal = Ipv4Address{100, 64, 9, 2};
   auto line = w.mini.add_line(lc);
-  NetalyzrClient client(w.context_for(line, true), *line.demux, sim::Rng(3));
-  auto session = client.run_basic(w.mini.net, *w.server);
+  NetalyzrClient client(w.context_for(line, true), w.mini.net, sim::Rng(3));
+  auto session = client.run_basic(*w.server);
   ASSERT_TRUE(session.ip_cpe.has_value());
   EXPECT_EQ(netcore::classify_reserved(*session.ip_cpe),
             netcore::ReservedRange::r100)
@@ -99,8 +99,8 @@ TEST(NetalyzrClient, PortTranslationVisibleThroughRandomCgn) {
   lc.cgn.port_allocation = nat::PortAllocation::random;
   lc.cgn.port_min = 1024;
   auto line = w.mini.add_line(lc);
-  NetalyzrClient client(w.context_for(line, false), *line.demux, sim::Rng(4));
-  auto session = client.run_basic(w.mini.net, *w.server);
+  NetalyzrClient client(w.context_for(line, false), w.mini.net, sim::Rng(4));
+  auto session = client.run_basic(*w.server);
   ASSERT_EQ(session.tcp_flows.size(), 10u);
   int translated = 0;
   for (const auto& f : session.tcp_flows)
@@ -140,11 +140,10 @@ TEST_P(TtlEnumeration, FindsStatefulHopsAndTimeouts) {
   lc.cgn.udp_timeout_s = c.cgn_timeout;
   auto line = w.mini.add_line(lc);
 
-  NetalyzrClient client(w.context_for(line, false), *line.demux, sim::Rng(5));
+  NetalyzrClient client(w.context_for(line, false), w.mini.net, sim::Rng(5));
   SessionResult session;
   session.ip_dev = line.device_address;
-  TtlEnumConfig cfg;
-  client.run_enumeration(w.mini.net, w.mini.clock, *w.server, cfg, session);
+  client.run_enumeration(w.mini.clock, *w.server, session);
 
   ASSERT_TRUE(session.enumeration.has_value());
   const auto& e = *session.enumeration;
@@ -200,10 +199,9 @@ TEST(TtlEnumerationLimits, LongTimeoutGoesUnnoticed) {
   lc.cpe.name = "cpe";
   lc.cpe.udp_timeout_s = 600.0;
   auto line = w.mini.add_line(lc);
-  NetalyzrClient client(w.context_for(line, false), *line.demux, sim::Rng(6));
+  NetalyzrClient client(w.context_for(line, false), w.mini.net, sim::Rng(6));
   SessionResult session;
-  TtlEnumConfig cfg;
-  client.run_enumeration(w.mini.net, w.mini.clock, *w.server, cfg, session);
+  client.run_enumeration(w.mini.clock, *w.server, session);
   ASSERT_TRUE(session.enumeration.has_value());
   EXPECT_FALSE(session.enumeration->found_stateful());
 }
@@ -216,10 +214,12 @@ TEST(NetalyzrServer, ObservedEndpointsPerFlow) {
   lc.with_cpe = true;
   auto line = w.mini.add_line(lc);
   std::vector<NetalyzrMessage> got;
-  line.demux->bind(9999, [&](sim::Network&, const sim::Packet& p) {
-    if (const auto* m = std::any_cast<NetalyzrMessage>(&p.payload))
-      got.push_back(*m);
-  });
+  w.mini.net.bind(line.device, 9999,
+                  [&](sim::Network&, const sim::Packet& p) {
+                    if (const auto* m =
+                            std::any_cast<NetalyzrMessage>(&p.payload))
+                      got.push_back(*m);
+                  });
   sim::Packet init = sim::Packet::udp({line.device_address, 9999},
                                       w.server->udp_endpoint());
   init.payload = NetalyzrMessage{UdpInit{42}};

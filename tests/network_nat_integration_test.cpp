@@ -16,8 +16,8 @@ using sim::Packet;
 
 struct Catcher {
   std::vector<Packet> packets;
-  void attach(sim::Network& net, sim::NodeId host) {
-    net.set_receiver(host, [this](sim::Network&, const Packet& p) {
+  void attach(sim::Network& net, sim::NodeId host, std::uint16_t port) {
+    net.bind(host, port, [this](sim::Network&, const Packet& p) {
       packets.push_back(p);
     });
   }
@@ -30,7 +30,7 @@ TEST(NetworkNat, OutboundTranslationAppliedOnAscent) {
   lc.cpe.name = "cpe";
   auto line = mini.add_line(lc);
   Catcher catcher;
-  catcher.attach(mini.net, mini.server_host);
+  catcher.attach(mini.net, mini.server_host, 80);
 
   auto r = mini.net.send(
       Packet::udp({line.device_address, 5000}, {mini.server_address, 80}),
@@ -51,7 +51,7 @@ TEST(NetworkNat, Nat444TranslatesTwice) {
   lc.cgn.name = "cgn";
   auto line = mini.add_line(lc);
   Catcher catcher;
-  catcher.attach(mini.net, mini.server_host);
+  catcher.attach(mini.net, mini.server_host, 80);
 
   auto r = mini.net.send(
       Packet::udp({line.device_address, 5000}, {mini.server_address, 80}),
@@ -62,9 +62,7 @@ TEST(NetworkNat, Nat444TranslatesTwice) {
       << "the server-visible source is the CGN pool, not the CPE WAN";
   // And the reply threads back through both translations.
   Catcher device_catcher;
-  line.demux->bind(5000, [&](sim::Network&, const Packet& p) {
-    device_catcher.packets.push_back(p);
-  });
+  device_catcher.attach(mini.net, line.device, 5000);
   auto back = mini.net.send(
       Packet::udp({mini.server_address, 80}, catcher.packets[0].src),
       mini.server_host);
@@ -82,7 +80,7 @@ TEST(NetworkNat, RepliesBlockedAfterVirtualTimeExpiry) {
   lc.cpe.udp_timeout_s = 30.0;
   auto line = mini.add_line(lc);
   Catcher catcher;
-  catcher.attach(mini.net, mini.server_host);
+  catcher.attach(mini.net, mini.server_host, 80);
   (void)mini.net.send(
       Packet::udp({line.device_address, 5000}, {mini.server_address, 80}),
       line.device);
@@ -120,7 +118,7 @@ TEST(NetworkNat, TtlLimitedPacketDiesWithoutRefreshingNat) {
   lc.cpe.udp_timeout_s = 30.0;
   auto line = mini.add_line(lc);
   Catcher catcher;
-  catcher.attach(mini.net, mini.server_host);
+  catcher.attach(mini.net, mini.server_host, 80);
   (void)mini.net.send(
       Packet::udp({line.device_address, 5000}, {mini.server_address, 80}),
       line.device);
@@ -140,7 +138,7 @@ TEST(NetworkNat, TtlLimitedPacketDiesWithoutRefreshingNat) {
 
   // Control: a ttl=2 keepalive crosses (and refreshes) the CPE.
   Catcher c2;
-  c2.attach(mini.net, mini.server_host);
+  c2.attach(mini.net, mini.server_host, 80);
   (void)mini.net.send(
       Packet::udp({line.device_address, 6000}, {mini.server_address, 80}),
       line.device);
@@ -173,11 +171,11 @@ TEST(NetworkNat, HairpinRoutesBetweenTwoLinesOfOneCgn) {
   Ipv4Address addr_b{10, 0, 9, 9};
   mini.net.register_address(addr_b, dev_b, line_a.cgn_node);
   Catcher catch_b;
-  catch_b.attach(mini.net, dev_b);
+  catch_b.attach(mini.net, dev_b, 7000);
 
   // B opens a mapping toward the server.
   Catcher server_catch;
-  server_catch.attach(mini.net, mini.server_host);
+  server_catch.attach(mini.net, mini.server_host, 80);
   (void)mini.net.send(Packet::udp({addr_b, 7000}, {mini.server_address, 80}),
                       dev_b);
   Endpoint b_ext = server_catch.packets.at(0).src;
@@ -204,7 +202,7 @@ TEST(NetworkNat, HairpinDisabledDropsInsideToExternalTraffic) {
   lc.cgn = cgn_cfg;
   auto line = mini.add_line(lc);
   Catcher server_catch;
-  server_catch.attach(mini.net, mini.server_host);
+  server_catch.attach(mini.net, mini.server_host, 80);
   (void)mini.net.send(
       Packet::udp({line.device_address, 7000}, {mini.server_address, 80}),
       line.device);

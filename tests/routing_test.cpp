@@ -43,10 +43,10 @@ struct ThreeHosts {
     net.register_address(addr_s, sender, net.root());
     net.register_address(addr_a, a, net.root());
     net.register_address(addr_b, b, net.root());
-    net.set_receiver(a, [this](Network&, const Packet& p) {
+    net.bind(a, 2, [this](Network&, const Packet& p) {
       received_a.push_back(p);
     });
-    net.set_receiver(b, [this](Network&, const Packet& p) {
+    net.bind(b, 2, [this](Network&, const Packet& p) {
       received_b.push_back(p);
     });
   }
@@ -100,13 +100,10 @@ TEST(Routing, NatRestartKeepsTranslationCorrect) {
   cfg.with_cgn = true;
   auto line = world.add_line(cfg);
   std::vector<Packet> at_server;
-  world.net.set_receiver(world.server_host,
-                         [&](Network&, const Packet& p) {
-                           at_server.push_back(p);
-                         });
-
   Endpoint device_ep{line.device_address, 4000};
   Endpoint server_ep{world.server_address, 5000};
+  world.net.bind(world.server_host, server_ep.port,
+                 [&](Network&, const Packet& p) { at_server.push_back(p); });
   ASSERT_TRUE(world.net.send(Packet::udp(device_ep, server_ep), line.device)
                   .delivered);
   ASSERT_TRUE(world.net.send(Packet::udp(device_ep, server_ep), line.device)
@@ -175,8 +172,8 @@ class ReferenceNet : public Network {
                       return claims_.contains({node, a});
                     }};
   }
-  void set_receiver(NodeId node, Receiver receiver) {
-    receivers_[node] = std::move(receiver);
+  void bind(NodeId host, std::uint16_t port, Receiver receiver) {
+    receivers_[{host, port}] = std::move(receiver);
   }
 
   void register_address(Ipv4Address a, NodeId owner, NodeId scope) {
@@ -256,7 +253,8 @@ class ReferenceNet : public Network {
   }
 
   DeliveryResult deliver(NodeId node, const Packet& pkt, int hops) {
-    if (auto it = receivers_.find(node); it != receivers_.end())
+    if (auto it = receivers_.find({node, pkt.dst.port});
+        it != receivers_.end())
       it->second(*this, pkt);
     return {.delivered = true, .hops = hops, .final_node = node};
   }
@@ -293,7 +291,7 @@ class ReferenceNet : public Network {
   std::map<std::pair<NodeId, Ipv4Address>, NodeId> routes_;
   std::set<std::pair<NodeId, Ipv4Address>> claims_;
   std::map<NodeId, Box> boxes_;
-  std::map<NodeId, Receiver> receivers_;
+  std::map<std::pair<NodeId, std::uint16_t>, Receiver> receivers_;
 };
 
 /// One random small world: MiniNet lines of every kind plus extra hosts
@@ -407,15 +405,18 @@ struct RandomWorld {
   }
 
   static constexpr Ipv4Address kAlias{198, 51, 100, 1};  // unrouted too
+  /// Every host listens on these ports, and all traffic is sent from them.
+  static constexpr std::uint16_t kPorts[] = {4000, 4001, 4002};
 
   void add_host(NodeId node, Ipv4Address address) {
     const std::size_t i = hosts.size();
     hosts.push_back({node, address});
     addresses.push_back(address);
     seen.emplace_back();
-    mini.net.set_receiver(node, [this, i](Network&, const Packet& p) {
-      seen[i].push_back(p);
-    });
+    for (std::uint16_t port : kPorts)
+      mini.net.bind(node, port, [this, i](Network&, const Packet& p) {
+        seen[i].push_back(p);
+      });
   }
 };
 
@@ -459,7 +460,7 @@ class RoutingDifferential {
     const std::size_t from = rng_.index(real_.hosts.size());
     Packet pkt = Packet::udp(
         {real_.hosts[from].address,
-         static_cast<std::uint16_t>(4000 + rng_.index(3))},
+         RandomWorld<Network>::kPorts[rng_.index(3)]},
         pick_destination());
     const DeliveryResult r = send(pkt, from);
     if (!r.delivered) return;
@@ -489,7 +490,7 @@ class RoutingDifferential {
 
  private:
   netcore::Endpoint pick_destination() {
-    const auto port = static_cast<std::uint16_t>(4000 + rng_.index(3));
+    const auto port = RandomWorld<Network>::kPorts[rng_.index(3)];
     const double u = rng_.uniform01();
     // An endpoint a host saw, often a mapping on some NAT: the server's
     // view first (hairpins when sender and mapping share a NAT).

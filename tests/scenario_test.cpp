@@ -48,7 +48,6 @@ TEST(InternetBuilder, BuildsConsistentUniverse) {
     }
     for (const Subscriber& s : isp.subscribers) {
       EXPECT_NE(s.device, sim::kNoNode);
-      EXPECT_NE(s.demux, nullptr);
       if (s.behind_cgn) {
         EXPECT_TRUE(isp.cgn_profile.has_value());
       }

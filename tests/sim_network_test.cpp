@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "nat/nat_device.hpp"
-#include "sim/demux.hpp"
 #include "test_metrics.hpp"
 #include "test_topology.hpp"
 
@@ -13,6 +12,7 @@ namespace {
 using netcore::Endpoint;
 using netcore::Ipv4Address;
 
+/// Two public hosts; a listens on port 1000, b on port 2000.
 struct TwoHosts {
   Clock clock;
   Network net{clock};
@@ -28,10 +28,10 @@ struct TwoHosts {
     b = net.add_node(rb, "host-b");
     net.register_address(addr_a, a, net.root());
     net.register_address(addr_b, b, net.root());
-    net.set_receiver(a, [this](Network&, const Packet& p) {
+    net.bind(a, 1000, [this](Network&, const Packet& p) {
       received_a.push_back(p);
     });
-    net.set_receiver(b, [this](Network&, const Packet& p) {
+    net.bind(b, 2000, [this](Network&, const Packet& p) {
       received_b.push_back(p);
     });
   }
@@ -98,10 +98,10 @@ TEST(Network, MinimalDeliveringTtlIsPathHopsPlusOne) {
 
 TEST(Network, ReceiverCanReplySynchronously) {
   TwoHosts w;
-  w.net.set_receiver(w.b, [&](Network& net, const Packet& p) {
+  w.net.bind(w.b, 2000, [&](Network& net, const Packet& p) {
     net.send(Packet::udp(p.dst, p.src), w.b);
   });
-  auto r = w.net.send(Packet::udp({w.addr_a, 5}, {w.addr_b, 6}), w.a);
+  auto r = w.net.send(Packet::udp({w.addr_a, 1000}, {w.addr_b, 2000}), w.a);
   EXPECT_TRUE(r.delivered);
   ASSERT_EQ(w.received_a.size(), 1u) << "reply must arrive before send returns";
 }
@@ -118,8 +118,8 @@ TEST(Network, ScopedAddressesInvisibleOutsideScope) {
   int got1 = 0, got2 = 0;
   net.register_address(internal, h1, scope1);
   net.register_address(internal, h2, scope2);
-  net.set_receiver(h1, [&](Network&, const Packet&) { ++got1; });
-  net.set_receiver(h2, [&](Network&, const Packet&) { ++got2; });
+  net.bind(h1, 2, [&](Network&, const Packet&) { ++got1; });
+  net.bind(h2, 2, [&](Network&, const Packet&) { ++got2; });
 
   NodeId h1b = net.add_node(scope1, "h1b");
   net.register_address(Ipv4Address{10, 0, 0, 6}, h1b, scope1);
@@ -175,8 +175,8 @@ TEST(Network, RegisterAddressRejectsSharedPath) {
   const Ipv4Address from{16, 0, 0, 1};
   net.register_address(from, sender, net.root());
   int at_dev = 0, at_other = 0;
-  net.set_receiver(dev, [&](Network&, const Packet&) { ++at_dev; });
-  net.set_receiver(other, [&](Network&, const Packet&) { ++at_other; });
+  net.bind(dev, 2, [&](Network&, const Packet&) { ++at_dev; });
+  net.bind(other, 2, [&](Network&, const Packet&) { ++at_other; });
 
   net.register_address(addr, dev, isp);  // path: isp, cpe
   // A higher scope whose path runs through isp.
@@ -252,21 +252,35 @@ TEST(Network, StatsStartAtZeroForEachNetwork) {
   EXPECT_EQ(w.net.stats().delivered, 0u);
 }
 
-TEST(PortDemux, RoutesByDestinationPort) {
+TEST(Network, DeliversByDestinationPort) {
   TwoHosts w;
-  PortDemux demux;
   int p100 = 0, p200 = 0;
-  demux.bind(100, [&](Network&, const Packet&) { ++p100; });
-  demux.bind(200, [&](Network&, const Packet&) { ++p200; });
-  demux.attach(w.net, w.b);
-  (void)w.net.send(Packet::udp({w.addr_a, 1}, {w.addr_b, 100}), w.a);
-  (void)w.net.send(Packet::udp({w.addr_a, 1}, {w.addr_b, 200}), w.a);
-  (void)w.net.send(Packet::udp({w.addr_a, 1}, {w.addr_b, 300}), w.a);
+  w.net.bind(w.b, 100, [&](Network&, const Packet&) { ++p100; });
+  w.net.bind(w.b, 200, [&](Network&, const Packet&) { ++p200; });
+  auto to_b = [&](std::uint16_t port) {
+    return w.net.send(Packet::udp({w.addr_a, 1}, {w.addr_b, port}), w.a);
+  };
+  EXPECT_TRUE(to_b(100).delivered);
+  EXPECT_TRUE(to_b(200).delivered);
   EXPECT_EQ(p100, 1);
   EXPECT_EQ(p200, 1);
-  demux.unbind(200);
-  (void)w.net.send(Packet::udp({w.addr_a, 1}, {w.addr_b, 200}), w.a);
+  EXPECT_TRUE(w.received_b.empty()) << "port 2000's app saw other ports";
+
+  // An unbound port, never bound or unbound later, reaches no app but the
+  // packet still counts as delivered.
+  w.net.unbind(w.b, 200);
+  const std::uint64_t delivered = w.net.stats().delivered;
+  EXPECT_TRUE(to_b(200).delivered);
+  EXPECT_TRUE(to_b(300).delivered);
+  EXPECT_EQ(p100, 1);
   EXPECT_EQ(p200, 1);
+  EXPECT_TRUE(w.received_b.empty());
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(w.net.stats().delivered, delivered + 2);
+  }
+
+  EXPECT_TRUE(to_b(100).delivered);
+  EXPECT_EQ(p100, 2) << "unbinding one port left the other bound";
 }
 
 TEST(Clock, AdvancesMonotonically) {

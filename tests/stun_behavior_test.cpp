@@ -19,8 +19,7 @@ struct DiscoveryWorld {
 
   explicit DiscoveryWorld(std::optional<nat::MappingType> type) {
     sim::NodeId host = mini.net.add_node(mini.net.root(), "stun");
-    server = std::make_unique<StunServer>(mini.net, host,
-                                          Ipv4Address{16, 255, 1, 1},
+    server = std::make_unique<StunServer>(host, Ipv4Address{16, 255, 1, 1},
                                           Ipv4Address{16, 255, 1, 2}, 3478,
                                           3479);
     server->install(mini.net);
@@ -35,8 +34,8 @@ struct DiscoveryWorld {
   }
 
   BehaviorDiscovery run() {
-    StunClient client(line.device, {line.device_address, 47000}, *line.demux);
-    return client.discover(mini.net, *server);
+    StunClient client(mini.net, line.device, {line.device_address, 47000});
+    return client.discover(*server);
   }
 };
 

@@ -18,8 +18,7 @@ struct StunWorld {
 
   StunWorld() {
     sim::NodeId host = mini.net.add_node(mini.net.root(), "stun");
-    server = std::make_unique<StunServer>(mini.net, host,
-                                          Ipv4Address{16, 255, 1, 1},
+    server = std::make_unique<StunServer>(host, Ipv4Address{16, 255, 1, 1},
                                           Ipv4Address{16, 255, 1, 2}, 3478,
                                           3479);
     server->install(mini.net);
@@ -31,8 +30,8 @@ TEST(StunClient, OpenInternetHostClassifiesAsOpen) {
   LineConfig lc;
   lc.with_cpe = false;
   auto line = w.mini.add_line(lc);
-  StunClient client(line.device, {line.device_address, 50000}, *line.demux);
-  auto outcome = client.classify(w.mini.net, *w.server);
+  StunClient client(w.mini.net, line.device, {line.device_address, 50000});
+  auto outcome = client.classify(*w.server);
   EXPECT_EQ(outcome.type, StunType::open_internet);
   ASSERT_TRUE(outcome.mapped.has_value());
   EXPECT_EQ(outcome.mapped->address, line.device_address);
@@ -59,8 +58,8 @@ TEST_P(StunClassification, DetectsNatType) {
                                : nat::PortAllocation::preservation;
   auto line = w.mini.add_line(lc);
 
-  StunClient client(line.device, {line.device_address, 50000}, *line.demux);
-  auto outcome = client.classify(w.mini.net, *w.server);
+  StunClient client(w.mini.net, line.device, {line.device_address, 50000});
+  auto outcome = client.classify(*w.server);
   EXPECT_EQ(outcome.type, c.expected)
       << "got " << to_string(outcome.type);
   ASSERT_TRUE(outcome.mapped.has_value());
@@ -100,8 +99,8 @@ TEST(StunClassification, Nat444ReportsMostRestrictiveOnPath) {
   lc.cgn.mapping = nat::MappingType::symmetric;
   lc.cgn.port_allocation = nat::PortAllocation::random;
   auto line = w.mini.add_line(lc);
-  StunClient client(line.device, {line.device_address, 50000}, *line.demux);
-  auto outcome = client.classify(w.mini.net, *w.server);
+  StunClient client(w.mini.net, line.device, {line.device_address, 50000});
+  auto outcome = client.classify(*w.server);
   EXPECT_EQ(outcome.type, StunType::symmetric);
 }
 
@@ -115,8 +114,8 @@ TEST(StunClassification, Nat444PermissiveComposite) {
   lc.cgn.name = "cgn";
   lc.cgn.mapping = nat::MappingType::full_cone;
   auto line = w.mini.add_line(lc);
-  StunClient client(line.device, {line.device_address, 50000}, *line.demux);
-  auto outcome = client.classify(w.mini.net, *w.server);
+  StunClient client(w.mini.net, line.device, {line.device_address, 50000});
+  auto outcome = client.classify(*w.server);
   EXPECT_EQ(outcome.type, StunType::full_cone);
 }
 

@@ -10,7 +10,6 @@
 #include "netcore/ipv4.hpp"
 #include "netcore/ipv6.hpp"
 #include "sim/clock.hpp"
-#include "sim/demux.hpp"
 #include "sim/network.hpp"
 #include "sim/rng.hpp"
 #include "v6/translator.hpp"
@@ -53,7 +52,6 @@ class BasicMiniNet {
     nat::NatDevice* cgn = nullptr;
     sim::NodeId cpe_node = sim::kNoNode;
     sim::NodeId cgn_node = sim::kNoNode;
-    sim::PortDemux* demux = nullptr;
   };
 
   Line add_line(const LineConfig& cfg, std::uint64_t seed = 7) {
@@ -99,11 +97,6 @@ class BasicMiniNet {
       line.device_address = line_addr;
       net.register_address(line.device_address, line.device, line_scope);
     }
-
-    auto demux = std::make_unique<sim::PortDemux>();
-    line.demux = demux.get();
-    demux->attach(net, line.device);
-    demuxes.push_back(std::move(demux));
     return line;
   }
 
@@ -114,7 +107,6 @@ class BasicMiniNet {
     Ipv4Address device_address;        ///< what v4 apps on the device see
     netcore::Ipv6Address device_v6;    ///< the line's true v6 address
     Ipv4Address underlay;              ///< CGN-internal routing handle
-    sim::PortDemux* demux = nullptr;
     v6::HostV6Stack* stack = nullptr;  ///< bare v6-only NAT64 lines only
   };
 
@@ -191,10 +183,6 @@ class BasicMiniNet {
     net.register_address(line.underlay, elem, nat64_node);
     line.device = net.add_node(elem, "dev6");
     net.register_address(line.device_address, line.device, elem);
-    auto demux = std::make_unique<sim::PortDemux>();
-    line.demux = demux.get();
-    demux->attach(net, line.device);
-    demuxes.push_back(std::move(demux));
     return line;
   }
 
@@ -218,10 +206,6 @@ class BasicMiniNet {
     net.register_address(line.underlay, elem, aftr_node);
     line.device = net.add_node(elem, "dev4in6");
     net.register_address(line.device_address, line.device, elem);
-    auto demux = std::make_unique<sim::PortDemux>();
-    line.demux = demux.get();
-    demux->attach(net, line.device);
-    demuxes.push_back(std::move(demux));
     return line;
   }
 
@@ -230,7 +214,6 @@ class BasicMiniNet {
   sim::NodeId server_host = sim::kNoNode;
   Ipv4Address server_address;
   std::vector<std::unique_ptr<nat::NatDevice>> nats;
-  std::vector<std::unique_ptr<sim::PortDemux>> demuxes;
   v6::Nat64Device* nat64 = nullptr;
   v6::DsLiteAftr* aftr = nullptr;
   sim::NodeId nat64_node = sim::kNoNode;

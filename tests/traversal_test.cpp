@@ -45,8 +45,8 @@ struct PunchWorld {
   }
 
   PunchResult attempt() {
-    PunchPeer a{line_a.device, {line_a.device_address, 50001}, line_a.demux};
-    PunchPeer b{line_b.device, {line_b.device_address, 50002}, line_b.demux};
+    PunchPeer a{line_a.device, {line_a.device_address, 50001}};
+    PunchPeer b{line_b.device, {line_b.device_address, 50002}};
     return punch(mini.net, *server, a, b, /*session=*/1);
   }
 };
@@ -116,8 +116,8 @@ TEST(HolePunch, OpenHostsAlwaysConnect) {
   auto a = mini.add_line(lc, 1);
   lc.line_public = Ipv4Address{16, 0, 2, 2};
   auto b = mini.add_line(lc, 2);
-  PunchPeer pa{a.device, {a.device_address, 50001}, a.demux};
-  PunchPeer pb{b.device, {b.device_address, 50002}, b.demux};
+  PunchPeer pa{a.device, {a.device_address, 50001}};
+  PunchPeer pb{b.device, {b.device_address, 50002}};
   EXPECT_EQ(punch(mini.net, server, pa, pb, 1), PunchResult::direct_both);
 }
 
@@ -140,8 +140,8 @@ TEST(HolePunch, SymmetricCgnOverPermissiveCpeStillBlocks) {
   auto a = mini.add_line(lc, 1);
   lc.line_internal = Ipv4Address{10, 0, 5, 2};
   auto b = mini.add_line(lc, 2);
-  PunchPeer pa{a.device, {a.device_address, 50001}, a.demux};
-  PunchPeer pb{b.device, {b.device_address, 50002}, b.demux};
+  PunchPeer pa{a.device, {a.device_address, 50001}};
+  PunchPeer pb{b.device, {b.device_address, 50002}};
   EXPECT_EQ(punch(mini.net, server, pa, pb, 1), PunchResult::relay_needed);
 }
 
@@ -160,8 +160,8 @@ TEST(HolePunch, FullConeCgnsAllowP2p) {
   auto a = mini.add_line(lc, 1);
   lc.line_internal = Ipv4Address{10, 0, 5, 2};
   auto b = mini.add_line(lc, 2);
-  PunchPeer pa{a.device, {a.device_address, 50001}, a.demux};
-  PunchPeer pb{b.device, {b.device_address, 50002}, b.demux};
+  PunchPeer pa{a.device, {a.device_address, 50001}};
+  PunchPeer pb{b.device, {b.device_address, 50002}};
   EXPECT_EQ(punch(mini.net, server, pa, pb, 1), PunchResult::direct_both);
 }
 

@@ -134,17 +134,17 @@ TEST(Nat64, ClatLineCompletesEchoRoundTrip) {
   const netcore::Endpoint dev{line.device_address, 4000};
   const netcore::Endpoint srv{world.server_address, 5000};
   int echoed = 0;
-  world.net.set_receiver(world.server_host,
-                         [&](sim::Network& net, const sim::Packet& p) {
-                           EXPECT_FALSE(p.v6.present)
-                               << "overlay must not leak past the NAT64";
-                           net.send(sim::Packet::udp(srv, p.src),
-                                    world.server_host);
-                         });
-  line.demux->bind(dev.port, [&](sim::Network&, const sim::Packet& p) {
-    EXPECT_EQ(p.dst.address, line.device_address);
-    ++echoed;
-  });
+  world.net.bind(world.server_host, srv.port,
+                 [&](sim::Network& net, const sim::Packet& p) {
+                   EXPECT_FALSE(p.v6.present)
+                       << "overlay must not leak past the NAT64";
+                   net.send(sim::Packet::udp(srv, p.src), world.server_host);
+                 });
+  world.net.bind(line.device, dev.port,
+                 [&](sim::Network&, const sim::Packet& p) {
+                   EXPECT_EQ(p.dst.address, line.device_address);
+                   ++echoed;
+                 });
 
   world.net.send(sim::Packet::udp(dev, srv), line.device);
   EXPECT_EQ(echoed, 1);
@@ -161,13 +161,12 @@ TEST(Nat64, BareV6LineDropsUnresolvedLiteralsUntilDnsTeachesIt) {
   const netcore::Endpoint dev{line.device_address, 4000};
   const netcore::Endpoint srv{world.server_address, 5000};
   int echoed = 0;
-  world.net.set_receiver(world.server_host,
-                         [&](sim::Network& net, const sim::Packet& p) {
-                           net.send(sim::Packet::udp(srv, p.src),
-                                    world.server_host);
-                         });
-  line.demux->bind(dev.port,
-                   [&](sim::Network&, const sim::Packet&) { ++echoed; });
+  world.net.bind(world.server_host, srv.port,
+                 [&](sim::Network& net, const sim::Packet& p) {
+                   net.send(sim::Packet::udp(srv, p.src), world.server_host);
+                 });
+  world.net.bind(line.device, dev.port,
+                 [&](sim::Network&, const sim::Packet&) { ++echoed; });
 
   // A raw v4 literal has no AAAA: it must die in the host stack — the
   // Big-NAT battery's NAT64-vs-464XLAT discriminator.
@@ -200,18 +199,17 @@ TEST(DsLite, TwoB4sShareTheSameInnerAddress) {
 
   const netcore::Endpoint srv{world.server_address, 5000};
   std::vector<netcore::Endpoint> seen;
-  world.net.set_receiver(world.server_host,
-                         [&](sim::Network& net, const sim::Packet& p) {
-                           seen.push_back(p.src);
-                           net.send(sim::Packet::udp(srv, p.src),
-                                    world.server_host);
-                         });
+  world.net.bind(world.server_host, srv.port,
+                 [&](sim::Network& net, const sim::Packet& p) {
+                   seen.push_back(p.src);
+                   net.send(sim::Packet::udp(srv, p.src), world.server_host);
+                 });
   int echoed_a = 0, echoed_b = 0;
-  a.demux->bind(4000, [&](sim::Network&, const sim::Packet& p) {
+  world.net.bind(a.device, 4000, [&](sim::Network&, const sim::Packet& p) {
     EXPECT_EQ(p.dst.address, inner);
     ++echoed_a;
   });
-  b.demux->bind(4000, [&](sim::Network&, const sim::Packet& p) {
+  world.net.bind(b.device, 4000, [&](sim::Network&, const sim::Packet& p) {
     EXPECT_EQ(p.dst.address, inner);
     ++echoed_b;
   });
@@ -246,13 +244,12 @@ TEST(Nat64, ScheduledRestartFlushesTranslatorState) {
   const netcore::Endpoint dev{line.device_address, 4000};
   const netcore::Endpoint srv{world.server_address, 5000};
   int echoed = 0;
-  world.net.set_receiver(world.server_host,
-                         [&](sim::Network& net, const sim::Packet& p) {
-                           net.send(sim::Packet::udp(srv, p.src),
-                                    world.server_host);
-                         });
-  line.demux->bind(dev.port,
-                   [&](sim::Network&, const sim::Packet&) { ++echoed; });
+  world.net.bind(world.server_host, srv.port,
+                 [&](sim::Network& net, const sim::Packet& p) {
+                   net.send(sim::Packet::udp(srv, p.src), world.server_host);
+                 });
+  world.net.bind(line.device, dev.port,
+                 [&](sim::Network&, const sim::Packet&) { ++echoed; });
 
   world.net.send(sim::Packet::udp(dev, srv), line.device);
   ASSERT_EQ(echoed, 1);
