@@ -263,7 +263,7 @@ std::vector<netalyzr::SessionResult> run_netalyzr_campaign(
   obs::ScopedPhase phase("campaign.netalyzr");
   // One fork keeps the Internet's RNG sequence aligned with earlier
   // drivers; its first output seeds every shard substream.
-  const std::uint64_t campaign_seed = internet.fork_rng().engine()();
+  const std::uint64_t campaign_seed = internet.fork_rng().next();
 
   // Shard = one ISP with sessions to run: an ISP's subscribers, CPE NATs
   // and CGN are confined to its own subtree, so shards mutate disjoint

@@ -641,9 +641,9 @@ class InternetBuilder {
             (lp.behind_cgn && rng_.chance(isp.cgn_profile->no_cpe_fraction));
         if (!lp.no_cpe) {
           lp.cpe_model = &sample_cpe(rng_);
-          // rng_.fork() == Rng(engine_()); record the engine draw so
+          // rng_.fork() == Rng(next()); record the engine draw so
           // build_v4_line can reconstruct the identical device RNG.
-          lp.cpe_seed = rng_.engine()();
+          lp.cpe_seed = rng_.next();
         }
       }
       const bool has_cpe = lp.cpe_model != nullptr;
@@ -653,7 +653,7 @@ class InternetBuilder {
       // the rng_.fork() engine draw lands before the node-id draw.
       auto plan_bt = [&](BtPlan& bp) {
         bp.sloppy = rng_.chance(kSloppyPeerFraction);
-        bp.dht_seed = rng_.engine()();
+        bp.dht_seed = rng_.next();
         bp.dht_id = dht::NodeId160::random(rng_);
         if (has_cpe && lp.cpe_model->upnp)
           bp.upnp_map = rng_.chance(kUpnpPortmapFraction);

@@ -103,7 +103,9 @@ void Network::bind(NodeId host, std::uint16_t port, Receiver receiver) {
 }
 
 void Network::unbind(NodeId host, std::uint16_t port) {
-  nodes_.at(host).ports.erase(port);
+  auto& ports = nodes_.at(host).ports;
+  // Free an emptied table: most hosts bind only for one session.
+  if (ports.erase(port) != 0 && ports.empty()) ports = {};
 }
 
 void Network::register_address(netcore::Ipv4Address address, NodeId owner,

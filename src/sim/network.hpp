@@ -132,6 +132,7 @@ class Network {
   /// table, so threads may bind on different hosts at once.
   void bind(NodeId host, std::uint16_t port, Receiver receiver);
   /// Removes `host`'s binding of `port`; an unbound port is ignored.
+  /// Removing the last binding frees the host's port table.
   void unbind(NodeId host, std::uint16_t port);
 
   /// Declares that `owner` owns `address` within the subtree of `scope`:

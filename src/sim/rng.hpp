@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -13,15 +14,38 @@
 
 namespace cgn::sim {
 
-/// Convenience wrapper around std::mt19937_64.
+/// Convenience wrapper around std::mt19937_64. The engine's 2.5 KB of
+/// state is created by the first draw whose value depends on it, which
+/// most generators in a built world never make. A *forced* draw,
+/// uniform(lo, lo) and so index(1), made before then returns lo and is
+/// counted, and creating the engine discards that many outputs. For a
+/// 64-bit engine and a one-value range libstdc++'s
+/// uniform_int_distribution consumes exactly one output, so every stream
+/// equals an eager engine's.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed) noexcept : seed_(seed) {}
+  Rng(const Rng& other)
+      : seed_(other.seed_),
+        forced_(other.forced_),
+        engine_(other.engine_
+                    ? std::make_unique<std::mt19937_64>(*other.engine_)
+                    : nullptr) {}
+  Rng& operator=(const Rng& other) {
+    if (this != &other) *this = Rng(other);
+    return *this;
+  }
+  Rng(Rng&&) noexcept = default;
+  Rng& operator=(Rng&&) noexcept = default;
 
   /// Uniform integer in [lo, hi] (inclusive). Throws if lo > hi.
   [[nodiscard]] std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) {
     if (lo > hi) throw std::invalid_argument("uniform: lo > hi");
-    return std::uniform_int_distribution<std::uint64_t>{lo, hi}(engine_);
+    if (lo == hi && !engine_) {
+      ++forced_;
+      return lo;
+    }
+    return std::uniform_int_distribution<std::uint64_t>{lo, hi}(engine());
   }
 
   /// Uniform integer in [0, n). Throws if n == 0.
@@ -32,7 +56,7 @@ class Rng {
 
   /// Uniform double in [0, 1).
   [[nodiscard]] double uniform01() {
-    return std::uniform_real_distribution<double>{0.0, 1.0}(engine_);
+    return std::uniform_real_distribution<double>{0.0, 1.0}(engine());
   }
 
   /// True with probability p (clamped to [0,1]).
@@ -64,11 +88,14 @@ class Rng {
 
   template <typename T>
   void shuffle(std::vector<T>& items) {
-    std::shuffle(items.begin(), items.end(), engine_);
+    std::shuffle(items.begin(), items.end(), engine());
   }
 
   /// Derives an independent child generator (for parallel subsystem seeding).
-  [[nodiscard]] Rng fork() { return Rng(engine_()); }
+  [[nodiscard]] Rng fork() { return Rng(next()); }
+
+  /// One raw 64-bit engine output.
+  [[nodiscard]] std::uint64_t next() { return engine()(); }
 
   /// Derives the substream for shard `shard_id` of a campaign seeded with
   /// `seed`. Unlike fork(), this consumes no generator state: shard k's
@@ -84,10 +111,18 @@ class Rng {
     return Rng(z ^ (z >> 31));
   }
 
-  [[nodiscard]] std::mt19937_64& engine() noexcept { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  std::mt19937_64& engine() {
+    if (!engine_) {
+      engine_ = std::make_unique<std::mt19937_64>(seed_);
+      engine_->discard(forced_);
+    }
+    return *engine_;
+  }
+
+  std::uint64_t seed_;
+  std::uint64_t forced_ = 0;  ///< forced draws made before the engine existed
+  std::unique_ptr<std::mt19937_64> engine_;
 };
 
 }  // namespace cgn::sim

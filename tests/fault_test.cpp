@@ -57,15 +57,15 @@ TEST(FaultInjector, SubstreamDependsOnlyOnSaltAndShard) {
   FaultInjector y(plan);
   sim::Rng a = x.substream(kSaltPingSweep, 7);
   sim::Rng b = y.substream(kSaltPingSweep, 7);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(a.engine()(), b.engine()());
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(a.next(), b.next());
   sim::Rng c = x.substream(kSaltPingSweep, 8);
   sim::Rng d = x.substream(kSaltNetalyzr, 7);
   bool differs_shard = false, differs_salt = false;
   sim::Rng e = x.substream(kSaltPingSweep, 7);
   for (int i = 0; i < 64; ++i) {
-    const auto ref = e.engine()();
-    differs_shard |= c.engine()() != ref;
-    differs_salt |= d.engine()() != ref;
+    const auto ref = e.next();
+    differs_shard |= c.next() != ref;
+    differs_salt |= d.next() != ref;
   }
   EXPECT_TRUE(differs_shard);
   EXPECT_TRUE(differs_salt);

@@ -131,6 +131,25 @@ TEST(HotPathAlloc, FirstContactOnAReusedSlotAllocatesNothing) {
       << "repeat destinations are already recorded";
 }
 
+TEST(HotPathAlloc, UnbindingTheLastPortFreesTheTable) {
+  // A host that ran one session must not keep its emptied port table: the
+  // next bind starts again from a minimum-size one.
+  Clock clock;
+  Network net(clock);
+  const NodeId host = net.add_node(net.root(), "host");
+  auto noop = [](Network&, const Packet&) {};
+  for (std::uint16_t port = 1000; port < 1100; ++port)
+    net.bind(host, port, noop);
+  for (std::uint16_t port = 1000; port < 1100; ++port) net.unbind(host, port);
+
+  g_alloc_bytes.store(0);
+  g_counting.store(true);
+  net.bind(host, 7, noop);
+  g_counting.store(false);
+  EXPECT_GT(g_alloc_bytes.load(), 0u) << "the emptied table was kept";
+  EXPECT_LT(g_alloc_bytes.load(), 1024u);
+}
+
 TEST(HotPathAlloc, WarmedNat444EchoRoundTripIsAllocationFree) {
   test::MiniNet world;
   test::LineConfig cfg;

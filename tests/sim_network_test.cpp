@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+
 #include "nat/nat_device.hpp"
 #include "test_metrics.hpp"
 #include "test_topology.hpp"
@@ -312,6 +316,135 @@ TEST(Rng, WeightedRespectsZeroWeight) {
   Rng r(3);
   std::vector<double> w{0.0, 1.0, 0.0};
   for (int i = 0; i < 50; ++i) EXPECT_EQ(r.weighted(w), 1u);
+}
+
+static_assert(sizeof(Rng) <= 32, "an idle Rng must not hold engine state");
+
+/// The stream an eagerly built std::mt19937_64 yields for the same calls.
+struct EagerRng {
+  std::mt19937_64 e;
+
+  std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>{lo, hi}(e);
+  }
+  double uniform01() {
+    return std::uniform_real_distribution<double>{0.0, 1.0}(e);
+  }
+  std::size_t weighted(const std::vector<double>& weights) {
+    double total = 0;
+    for (double w : weights) total += w;
+    double x = uniform01() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      x -= weights[i];
+      if (x < 0) return i;
+    }
+    return weights.size() - 1;
+  }
+};
+
+/// A run of forced draws: uniform(lo, lo) and index(1).
+void forced_run(Rng& r, EagerRng& ref, std::mt19937& script) {
+  const int n = std::uniform_int_distribution<int>{1, 700}(script);
+  for (int i = 0; i < n; ++i) {
+    if (i % 3 == 0) {
+      ASSERT_EQ(r.index(1), ref.uniform(0, 0));
+    } else {
+      const std::uint64_t lo = script();
+      ASSERT_EQ(r.uniform(lo, lo), ref.uniform(lo, lo));
+    }
+  }
+}
+
+/// One random call on both generators; every result must agree.
+void random_call(Rng& r, EagerRng& ref, std::mt19937& script) {
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>{lo, hi}(script);
+  };
+  switch (pick(0, 11)) {
+    case 0: {
+      const std::uint64_t lo = pick(0, 1000);
+      const std::uint64_t hi = pick(0, 1) ? lo : lo + script();
+      ASSERT_EQ(r.uniform(lo, hi), ref.uniform(lo, hi));
+      break;
+    }
+    case 1:
+      ASSERT_EQ(r.index(1), ref.uniform(0, 0));
+      break;
+    case 2: {
+      const auto n = static_cast<std::size_t>(pick(2, 5000));
+      ASSERT_EQ(r.index(n), ref.uniform(0, n - 1));
+      break;
+    }
+    case 3:
+      ASSERT_EQ(r.uniform01(), ref.uniform01());
+      break;
+    case 4:
+      ASSERT_EQ(r.chance(0.3), ref.uniform01() < 0.3);
+      break;
+    case 5: {
+      std::vector<double> w(static_cast<std::size_t>(pick(1, 6)));
+      for (double& x : w) x = pick(0, 4);
+      w.back() += 1;
+      ASSERT_EQ(r.weighted(w), ref.weighted(w));
+      break;
+    }
+    case 6: {
+      std::vector<int> a(static_cast<std::size_t>(pick(0, 40)));
+      std::iota(a.begin(), a.end(), 0);
+      std::vector<int> b = a;
+      r.shuffle(a);
+      std::shuffle(b.begin(), b.end(), ref.e);
+      ASSERT_EQ(a, b);
+      break;
+    }
+    case 7: {
+      Rng child = r.fork();
+      EagerRng child_ref{std::mt19937_64(ref.e())};
+      forced_run(child, child_ref, script);
+      ASSERT_EQ(child.next(), child_ref.e());
+      break;
+    }
+    case 8:
+      ASSERT_EQ(r.next(), ref.e());
+      break;
+    case 9: {
+      // A copy continues the same stream without advancing the original.
+      Rng copy(r);
+      EagerRng copy_ref = ref;
+      forced_run(copy, copy_ref, script);
+      ASSERT_EQ(copy.next(), copy_ref.e());
+      Rng assigned(0);
+      assigned = r;
+      r = assigned;
+      break;
+    }
+    case 10: {
+      Rng moved(std::move(r));
+      r = std::move(moved);
+      break;
+    }
+    case 11:
+      forced_run(r, ref, script);
+      break;
+  }
+}
+
+TEST(Rng, DeferredEngineMatchesEagerStream) {
+  for (std::uint64_t seed : {0ull, 1ull, 42ull, 0xdeadbeefcafef00dull}) {
+    SCOPED_TRACE(seed);
+    std::mt19937 script(static_cast<std::uint32_t>(seed) + 7);
+    Rng r(seed);
+    EagerRng ref{std::mt19937_64(seed)};
+    // Forced draws, and a copy, before the engine exists.
+    forced_run(r, ref, script);
+    Rng early(r);
+    EagerRng early_ref = ref;
+    ASSERT_EQ(early.uniform(0, 9), early_ref.uniform(0, 9));
+    for (int step = 0; step < 3000 && !::testing::Test::HasFatalFailure();
+         ++step)
+      random_call(r, ref, script);
+    ASSERT_EQ(r.next(), ref.e());
+  }
 }
 
 }  // namespace
