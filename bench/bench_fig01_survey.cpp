@@ -9,7 +9,7 @@ int main() {
   using namespace cgn;
   bench::print_header("Figure 1 (+ §2)", "operator survey tabulation");
 
-  sim::Rng rng(scenario::env_u64("CGN_BENCH_SEED", 42));
+  sim::Rng rng(scenario::bench_seed());
   auto responses = survey::generate_responses(75, rng);
   auto t = survey::tabulate(responses);
 

@@ -8,7 +8,6 @@
 // BENCH_perf_micro.json.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -23,7 +22,6 @@
 #include "bench/common.hpp"
 #include "dht/dht_node.hpp"
 #include "nat/nat_device.hpp"
-#include "netalyzr/messages.hpp"
 #include "netalyzr/session.hpp"
 #include "netcore/routing_table.hpp"
 #include "obs/metrics.hpp"
@@ -257,15 +255,6 @@ void BM_UnionFindClustering(benchmark::State& state) {
 }
 BENCHMARK(BM_UnionFindClustering)->Arg(1000)->Arg(100000);
 
-/// Nanoseconds per call of `op`, hand-timed over `iters` iterations.
-template <typename F>
-double ns_per_op(F&& op, int iters) {
-  auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) op();
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -276,15 +265,12 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks();
   }
 
-  // Hand-timed campaign hot loop: a TCP echo round trip exactly as
-  // NetalyzrClient::run_basic issues it — request through the CPE NAT, the
-  // ISP's CGN and the routed core to the echo server, whose reply crosses
-  // both NATs back. (The metrics cost on this path is measured by building
-  // the same binary with -DCGN_OBS=OFF; BM_ObsCounterInc and
+  // Hand-timed campaign hot loop: bench::time_echo_roundtrip's warmed
+  // NAT444 echo. (The metrics cost on this path is measured by building the
+  // same binary with -DCGN_OBS=OFF; BM_ObsCounterInc and
   // BM_ObsHistogramObserve time the primitives.)
-  double delivery_ns = 0;
+  cgn::bench::EchoTiming echo;
   double delivery_idle_endpoint_ns = 0;
-  bool behind_cpe_and_cgn = false;
   {
     cgn::obs::ScopedPhase phase("perf.overhead_estimate");
     cgn::scenario::InternetConfig cfg;
@@ -294,65 +280,28 @@ int main(int argc, char** argv) {
     cfg.apnic_eyeballs = 40;
     cfg.cellular_ases = 10;
     auto internet = cgn::scenario::build_internet(cfg);
-    const cgn::scenario::Subscriber* sub = nullptr;
-    for (const auto& isp : internet->isps) {
-      if (!isp.cgn) continue;
-      for (const auto& s : isp.subscribers)
-        if (s.cpe && s.behind_cgn) {  // behind both a CPE NAT and the CGN
-          sub = &s;
-          behind_cpe_and_cgn = true;
-          break;
-        }
-      if (sub) break;
-    }
-    if (!sub)  // tiny world without such a line: any subscriber will do
-      for (const auto& isp : internet->isps)
-        if (!isp.subscribers.empty()) {
-          sub = &isp.subscribers.front();
-          break;
-        }
-    const cgn::netcore::Endpoint dst =
-        internet->servers.netalyzr->echo_endpoint();
-
-    std::uint64_t tx = 0;
-    auto deliver = [&] {
-      cgn::sim::Packet pkt =
-          cgn::sim::Packet::tcp({sub->device_address, 40000}, dst);
-      pkt.payload = cgn::netalyzr::NetalyzrMessage{
-          cgn::netalyzr::EchoRequest{++tx}};
-      benchmark::DoNotOptimize(internet->net.send(std::move(pkt),
-                                                  sub->device));
-    };
-    // Best-of-N round-trip timing to shave scheduler/frequency noise.
-    delivery_ns = 1e18;
-    for (int rep = 0; rep < 5; ++rep)
-      delivery_ns = std::min(delivery_ns, ns_per_op(deliver, 100'000));
+    echo = cgn::bench::time_echo_roundtrip(*internet);
 
     // The observatory endpoint's idle cost on the same hot path: an
     // HttpServer blocked in accept() shares no state with the sim, so the
     // round trip must not move beyond noise. 0 when the sandbox can't bind
     // a loopback socket.
-    {
-      cgn::observatory::HttpServer server;
-      if (server.start(
-              0,
-              [](const std::string&) {
-                return cgn::observatory::HttpResponse{};
-              },
-              nullptr)) {
-        delivery_idle_endpoint_ns = 1e18;
-        for (int rep = 0; rep < 5; ++rep)
-          delivery_idle_endpoint_ns =
-              std::min(delivery_idle_endpoint_ns, ns_per_op(deliver, 100'000));
-        server.stop();
-      }
+    cgn::observatory::HttpServer server;
+    if (server.start(
+            0,
+            [](const std::string&) {
+              return cgn::observatory::HttpResponse{};
+            },
+            nullptr)) {
+      delivery_idle_endpoint_ns = cgn::bench::time_echo_roundtrip(*internet).ns;
+      server.stop();
     }
   }
   std::cout << "\nEcho round trip (metrics "
             << (cgn::obs::kMetricsEnabled ? "enabled" : "compiled out")
-            << ", " << (behind_cpe_and_cgn ? "CPE+CGN line" : "fallback line")
+            << ", " << (echo.nat444 ? "CPE+CGN line" : "fallback line")
             << "):\n"
-            << "  echo round trip (CPE+CGN): " << delivery_ns << " ns\n"
+            << "  echo round trip (CPE+CGN): " << echo.ns << " ns\n"
             << "  echo round trip with idle observatory endpoint: "
             << delivery_idle_endpoint_ns << " ns\n";
 
@@ -413,7 +362,7 @@ int main(int argc, char** argv) {
 
   cgn::bench::write_bench_json(
       "perf_micro",
-      {{"echo_roundtrip_ns", delivery_ns},
+      {{"echo_roundtrip_ns", echo.ns},
        {"echo_roundtrip_idle_endpoint_ns", delivery_idle_endpoint_ns},
        {"metrics_enabled", cgn::obs::kMetricsEnabled ? 1.0 : 0.0},
        {"netalyzr_campaign_s_1t", campaign_s[0]},

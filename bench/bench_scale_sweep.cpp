@@ -30,10 +30,7 @@
 #endif
 
 #include "bench/common.hpp"
-#include "netalyzr/messages.hpp"
-#include "netalyzr/session.hpp"
 #include "scenario/internet.hpp"
-#include "sim/network.hpp"
 
 namespace {
 
@@ -58,16 +55,6 @@ long peak_rss_kib() {
   return 0;
 }
 
-volatile std::uint64_t g_sink = 0;  // keeps the timed loop observable
-
-template <typename Fn>
-double ns_per_op(Fn&& fn, int iters) {
-  auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) fn();
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
-}
-
 /// Child mode: one scale, one process. Prints a single machine-readable
 /// line ("@scale_sweep {...}") that the parent scrapes out of the output.
 int run_child() {
@@ -88,47 +75,15 @@ int run_child() {
   for (const scenario::IspInstance& isp : internet->isps)
     lines += isp.subscribers.size();
 
-  // Warmed NAT444 echo round trip — same fixture as bench_perf_micro: a
-  // line behind both a CPE NAT and the CGN, pinging the Netalyzr echo
-  // server, so the packet crosses two translators each way.
-  const scenario::Subscriber* sub = nullptr;
-  for (const auto& isp : internet->isps) {
-    if (!isp.cgn) continue;
-    for (const auto& s : isp.subscribers)
-      if (s.cpe && s.behind_cgn) {
-        sub = &s;
-        break;
-      }
-    if (sub) break;
-  }
-  if (!sub)
-    for (const auto& isp : internet->isps)
-      if (!isp.subscribers.empty()) {
-        sub = &isp.subscribers.front();
-        break;
-      }
-  double echo_ns = 0.0;
-  if (sub) {
-    const netcore::Endpoint dst = internet->servers.netalyzr->echo_endpoint();
-    std::uint64_t tx = 0;
-    auto deliver = [&] {
-      sim::Packet pkt = sim::Packet::tcp({sub->device_address, 40000}, dst);
-      pkt.payload = netalyzr::NetalyzrMessage{netalyzr::EchoRequest{++tx}};
-      g_sink = g_sink + static_cast<std::uint64_t>(
-          internet->net.send(std::move(pkt), sub->device).hops);
-    };
-    ns_per_op(deliver, 10'000);  // warm the NAT mappings
-    echo_ns = 1e18;
-    for (int rep = 0; rep < 5; ++rep)
-      echo_ns = std::min(echo_ns, ns_per_op(deliver, 100'000));
-  }
+  // Warmed NAT444 echo round trip, the same fixture as bench_perf_micro.
+  const double echo_ns = bench::time_echo_roundtrip(*internet).ns;
 
   const double build_s = std::chrono::duration<double>(t1 - t0).count();
   const double materialize_s = std::chrono::duration<double>(t2 - t1).count();
   std::ostringstream os;
   os.precision(12);
   os << "@scale_sweep {\"scale\":"
-     << scenario::env_double("CGN_BENCH_SCALE", 0.4)
+     << scenario::bench_scale()
      << ",\"rss_kib\":" << peak_rss_kib() << ",\"ns_per_packet\":" << echo_ns
      << ",\"build_s\":" << build_s << ",\"materialize_s\":" << materialize_s
      << ",\"subscribers\":" << lines << "}";

@@ -11,6 +11,8 @@
 // the pool's own par.* counters.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -27,6 +29,7 @@
 #include "analysis/netalyzr_detector.hpp"
 #include "fault/fault.hpp"
 #include "fault/retry.hpp"
+#include "netalyzr/messages.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "par/thread_pool.hpp"
@@ -136,9 +139,59 @@ class World {
 inline void print_header(const std::string& experiment,
                          const std::string& title) {
   std::cout << "\n=== " << experiment << ": " << title << " ===\n"
-            << "    (scale=" << scenario::env_double("CGN_BENCH_SCALE", 0.4)
-            << ", seed=" << scenario::env_u64("CGN_BENCH_SEED", 42)
+            << "    (scale=" << scenario::bench_scale()
+            << ", seed=" << scenario::bench_seed()
             << "; paper values in [brackets]; expect shape, not absolutes)\n\n";
+}
+
+/// A warmed NAT444 echo round trip, the hot-path timing bench_perf_micro
+/// and bench_scale_sweep share.
+struct EchoTiming {
+  double ns = 0;        ///< best of 5 x 100k round trips; 0 without a line
+  bool nat444 = false;  ///< the line is behind both a CPE NAT and a CGN
+};
+
+/// Times a TCP echo round trip exactly as NetalyzrClient::run_basic issues
+/// it: from a line behind both a CPE NAT and its ISP's CGN (any line, in a
+/// world without one) through the routed core to the Netalyzr echo server,
+/// whose reply crosses both NATs back. 10k round trips warm the mappings
+/// first; the best of five 100k-round-trip runs shaves scheduler and
+/// frequency noise.
+inline EchoTiming time_echo_roundtrip(scenario::Internet& internet) {
+  EchoTiming out;
+  const scenario::Subscriber* sub = nullptr;
+  for (const auto& isp : internet.isps) {
+    if (!isp.cgn) continue;
+    const auto it = std::find_if(
+        isp.subscribers.begin(), isp.subscribers.end(),
+        [](const scenario::Subscriber& s) { return s.cpe && s.behind_cgn; });
+    if (it != isp.subscribers.end()) {
+      sub = &*it;
+      out.nat444 = true;
+      break;
+    }
+  }
+  for (const auto& isp : internet.isps)
+    if (!sub && !isp.subscribers.empty()) sub = &isp.subscribers.front();
+  if (!sub) return out;
+
+  const netcore::Endpoint dst = internet.servers.netalyzr->echo_endpoint();
+  std::uint64_t tx = 0;
+  auto ns_per_round_trip = [&](int n) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < n; ++i) {
+      sim::Packet pkt = sim::Packet::tcp({sub->device_address, 40000}, dst);
+      pkt.payload = netalyzr::NetalyzrMessage{netalyzr::EchoRequest{++tx}};
+      (void)internet.net.send(std::move(pkt), sub->device);
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::nano>(t1 - t0).count() / n;
+  };
+  (void)ns_per_round_trip(10'000);
+  out.ns = ns_per_round_trip(100'000);
+  for (int rep = 1; rep < 5; ++rep)
+    out.ns = std::min(out.ns, ns_per_round_trip(100'000));
+  return out;
 }
 
 /// Headline numbers a bench reproduced, in insertion order. (The figure
@@ -161,8 +214,8 @@ inline void write_bench_json(const std::string& name, const Figures& figures) {
   os.precision(12);  // keep large counts out of scientific notation
   os << "{\"bench\":";
   obs::json_escape(os, name);
-  os << ",\"scale\":" << scenario::env_double("CGN_BENCH_SCALE", 0.4)
-     << ",\"seed\":" << scenario::env_u64("CGN_BENCH_SEED", 42)
+  os << ",\"scale\":" << scenario::bench_scale()
+     << ",\"seed\":" << scenario::bench_seed()
      << ",\"threads\":" << par::configured_threads();
   // Provenance: which impairment scenario and retransmission policy were
   // active, so trajectories can tell clean runs from ablations.

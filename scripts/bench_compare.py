@@ -9,10 +9,11 @@ BASELINE is bench/baselines/perf_micro.json (committed); each FRESH is a
 BENCH_perf_micro.json produced by a run of build/bench/bench_perf_micro.
 Pass several fresh files (CI passes three) and the per-metric median is
 compared, which keeps one noisy run from tripping the gate. The exception
-is echo_roundtrip_ns, where the minimum of the fresh runs is compared:
-each run already reports a best-of-5, and on a shared VM one binary reads
-either ~300 or ~500 ns per process, so the median of three is a coin toss
-between the two modes while the minimum tracks the code.
+is the echo round trip timing (echo_roundtrip_ns, and each scale sweep's
+scale_<tag>_ns_per_packet), where the minimum of the fresh runs is
+compared: each run already reports a best-of-5, and on a shared VM one
+binary reads either ~300 or ~500 ns per process, so the median of three is
+a coin toss between the two modes while the minimum tracks the code.
 
 --schema-check validates that each FILE is a well-formed bench JSON
 (required keys, figure/phase shapes) without comparing anything; use it to
@@ -32,8 +33,8 @@ not noise), and ingest_max_lag must not exceed ingest_queue_capacity
 
 Scale-sweep files (bench == "scale_sweep", from bench_scale_sweep) take a
 different comparison path: for every scale tag present on both sides the
-peak RSS (scale_<tag>_rss_kib) and hot-path latency
-(scale_<tag>_ns_per_packet) are gated (warn >10%, fail >30% growth vs
+peak RSS (scale_<tag>_rss_kib, median of the fresh runs) and hot-path
+latency (scale_<tag>_ns_per_packet, minimum of the fresh runs) are gated (warn >10%, fail >30% growth vs
 bench/baselines/scale_sweep.json); build/materialize walls only warn. The
 schema check additionally requires every rss figure to be a positive
 number paired with a ns_per_packet figure for the same tag. A smoke run
@@ -312,8 +313,9 @@ def compare_scale(baseline, figures):
         for metric, gates in (("rss_kib", True), ("ns_per_packet", True),
                               ("build_s", False), ("materialize_s", False)):
             key = f"scale_{tag}_{metric}"
-            compare(f"figures.{key}", base_figs.get(key), figures.get(key),
-                    gates=gates)
+            label = f"figures.{key}" + (" (min of runs)"
+                                        if takes_minimum(key) else "")
+            compare(label, base_figs.get(key), figures.get(key), gates=gates)
         subs = figures.get(f"scale_{tag}_subscribers")
         if subs is not None:
             print(f"info scale {tag.replace('_', '.')}: "
@@ -335,13 +337,20 @@ def phase_walls(doc):
     }
 
 
+def takes_minimum(key):
+    """True for the echo round trip timings, gated on the minimum of the
+    fresh runs (see the module docstring)."""
+    return key == "echo_roundtrip_ns" or (
+        key.startswith("scale_") and key.endswith("_ns_per_packet"))
+
+
 def summarize_fresh(docs):
     """Median of each figure and phase over the fresh runs; the minimum for
-    echo_roundtrip_ns (see the module docstring)."""
+    the echo round trip timings (takes_minimum)."""
     figures = {}
     for key in docs[0].get("figures", {}):
         vals = [d["figures"][key] for d in docs if key in d.get("figures", {})]
-        figures[key] = (min(vals) if key == "echo_roundtrip_ns"
+        figures[key] = (min(vals) if takes_minimum(key)
                         else statistics.median(vals))
     phases = {}
     for name in phase_walls(docs[0]):

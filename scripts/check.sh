@@ -16,12 +16,14 @@
 #            (see scripts/bench_smoke.sh and scripts/bench_compare.py)
 #   figures  figure gate: the 18 figure/table benches and the 3 ablations
 #            at scale 0.1, seed 42, at 1 and 4 workers; every `figures`
-#            object must equal bench/baselines/figures.json (see
+#            object must equal bench/baselines/figures.json, and every
+#            run's sim.net.* counters must account for each packet (see
 #            scripts/figures_gate.py, which prints each differing bench.key)
 #   scale    scale-sweep smoke: bench_scale_sweep at scales 0.4 and 1
 #            (CGN_SCALE_STAGE_SCALES overrides; the nightly workflow passes
-#            0.4,1,4,10), peak RSS and ns/packet gated against
-#            bench/baselines/scale_sweep.json (see scripts/scale_smoke.sh)
+#            0.4,1,4,10), three sweeps, median peak RSS and minimum
+#            ns/packet gated against bench/baselines/scale_sweep.json (see
+#            scripts/scale_smoke.sh)
 #   recovery kill → resume differential smoke (build/): ctest -R
 #            'SuperRecovery' serial and at 4 workers — resumed campaigns
 #            must be byte-identical to uninterrupted ones
@@ -76,7 +78,7 @@ stage_asan() {
   # parsing, the Examples.* ctests diff their output.
   cmake --build build-asan -j --target cgn_tests --target cgn_observatoryd \
     --target cgn_feeder --target quickstart --target nat_behavior_lab \
-    --target isp_dimensioning --target p2p_connectivity
+    --target isp_dimensioning
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 }
 

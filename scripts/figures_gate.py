@@ -51,8 +51,23 @@ BENCHES = (
 )
 
 
+def conservation(counters):
+    """None when the sim.net.* counters add up, else a line saying how."""
+    net = {k[len("sim.net."):]: v for k, v in counters.items()
+           if k.startswith("sim.net.")}
+    dropped = sum(v for k, v in net.items() if k.startswith("dropped."))
+    lhs = net.get("sent", 0) + net.get("duplicated", 0)
+    rhs = net.get("delivered", 0) + dropped
+    if lhs == rhs:
+        return None
+    return (f"sent {net.get('sent', 0)} + duplicated "
+            f"{net.get('duplicated', 0)} = {lhs}, but delivered "
+            f"{net.get('delivered', 0)} + dropped {dropped} = {rhs}")
+
+
 def run_bench(build, binary, threads):
-    """Runs one bench; returns {bench name: figures} from its JSON output."""
+    """Runs one bench; returns {bench name: (figures, conservation)} from
+    its JSON output, where conservation is None or what failed."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("CGN_")}
     with tempfile.TemporaryDirectory(prefix="figures_gate.") as out:
         env.update(CGN_BENCH_SCALE=SCALE, CGN_BENCH_SEED=SEED,
@@ -67,17 +82,23 @@ def run_bench(build, binary, threads):
         figures = {}
         for path in sorted(Path(out).glob("BENCH_*.json")):
             record = json.loads(path.read_text())
-            figures[record["bench"]] = record["figures"]
+            counters = record["obs"]["metrics"]["counters"]
+            figures[record["bench"]] = (record["figures"],
+                                        conservation(counters))
         if not figures:
             sys.exit(f"figures_gate: {binary} wrote no BENCH_*.json")
         return figures
 
 
 def run_all(build, threads):
+    """({bench name: figures}, [lines naming each bench whose packet
+    counters do not add up]) over every bench."""
     merged = {}
     for binary in BENCHES:
         merged.update(run_bench(build, binary, threads))
-    return merged
+    leaks = [f"{bench}: {why}" for bench, (_, why) in sorted(merged.items())
+             if why is not None]
+    return {bench: figures for bench, (figures, _) in merged.items()}, leaks
 
 
 def diff(expected, got):
@@ -105,8 +126,20 @@ def main():
                     help="CMake build tree holding bench/ (default: build)")
     args = ap.parse_args()
 
-    runs = {t: run_all(args.build, t) for t in THREADS}
+    runs = {}
+    leaked = False
+    for t in THREADS:
+        runs[t], leaks = run_all(args.build, t)
+        if leaks:
+            leaked = True
+            print(f"packets unaccounted for at {t} workers:")
+            print("\n".join("  " + line for line in leaks))
+        else:
+            print(f"ok   {len(runs[t])} benches at {t} workers conserve "
+                  "packets")
     if args.mode == "record":
+        if leaked:
+            return 1
         first = runs[THREADS[0]]
         for t in THREADS[1:]:
             lines = diff(first, runs[t])
@@ -131,7 +164,7 @@ def main():
             print("\n".join("  " + line for line in lines))
         else:
             print(f"ok   {len(got)} benches at {t} workers match the baseline")
-    return 1 if failed else 0
+    return 1 if failed or leaked else 0
 
 
 if __name__ == "__main__":

@@ -148,9 +148,8 @@ void NatDevice::maybe_restart(sim::SimTime now) {
 }
 
 void NatDevice::reset_state(sim::SimTime now) {
-  // Close every live record in the operator's translation log before the
-  // state vanishes; a real syslog-based TranslationLog would see the same
-  // burst of teardown records when a CGN reboots.
+  // Report every live mapping to the expiry hook before the state vanishes,
+  // as a CGN's syslog reports a burst of teardowns when it reboots.
   if (on_expired_)
     for (const auto& [key, h] : mappings_) {
       const Mapping& m = slab_[h];

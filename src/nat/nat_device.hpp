@@ -98,10 +98,10 @@ class NatDevice final : public sim::Middlebox {
       netcore::Protocol proto, const netcore::Endpoint& internal,
       sim::SimTime now);
 
-  /// Observer hooks for translation logging (paper §2: operators must be
-  /// able to map flows back to subscribers). `on_created` fires when a
+  /// Observer hooks over each mapping's lifetime: `on_created` fires when a
   /// mapping is allocated; `on_expired` fires when it is reclaimed (expiry,
-  /// garbage collection or renumbering).
+  /// garbage collection, renumbering or a restart). Tests use them to check
+  /// that every external port has at most one live mapping.
   using CreatedHook =
       std::function<void(netcore::Protocol, const netcore::Endpoint& internal,
                          const netcore::Endpoint& external,
@@ -133,7 +133,7 @@ class NatDevice final : public sim::Middlebox {
   /// but flushes all dynamic state — mappings, sequential cursors,
   /// paired-pool stickiness and chunk_random bookkeeping
   /// (subscriber chunk assignments + taken-chunk sets), firing the expiry
-  /// hook for every live mapping so the TranslationLog closes its records.
+  /// hook for every live mapping.
   /// Freed chunks are immediately reusable (see nat_fault_test).
   void reset_state(sim::SimTime now);
 

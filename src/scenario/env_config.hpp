@@ -6,6 +6,7 @@
 // parsing code. Knob semantics are documented in README.md.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -144,20 +145,46 @@ inline V6ScenarioConfig v6_config_from_env() {
   return v6;
 }
 
+/// The world counts CGN_BENCH_SCALE multiplies.
+inline constexpr std::size_t InternetConfig::*kScaledCounts[] = {
+    &InternetConfig::routed_ases, &InternetConfig::pbl_eyeballs,
+    &InternetConfig::apnic_eyeballs, &InternetConfig::cellular_ases};
+
+/// CGN_BENCH_SCALE, the world's scale: 0.4 when unset. A value that is not
+/// a number above 0, or so large that a scaled count would not fit a
+/// std::size_t, warns once and reads as 0.4. The only reader of the
+/// variable.
+inline double bench_scale() {
+  constexpr double kDefault = 0.4;
+  const double scale = env_double("CGN_BENCH_SCALE", kDefault);
+  const InternetConfig base;
+  std::size_t largest = 0;
+  for (auto count : kScaledCounts) largest = std::max(largest, base.*count);
+  if (scale > 0 && static_cast<double>(largest) * scale <
+                       static_cast<double>(
+                           std::numeric_limits<std::size_t>::max()))
+    return scale;
+  if (detail::first_warning("CGN_BENCH_SCALE"))
+    std::fprintf(stderr,
+                 "cgn: CGN_BENCH_SCALE='%s' is not a scale above 0 that "
+                 "every world count fits; using %g\n",
+                 std::getenv("CGN_BENCH_SCALE"), kDefault);
+  return kDefault;
+}
+
+/// CGN_BENCH_SEED, the world seed: 42 when unset or unusable (env_u64).
+/// The only reader of the variable.
+inline std::uint64_t bench_seed() { return env_u64("CGN_BENCH_SEED", 42); }
+
 /// The calibrated world, scaled. Scale 1.0 is a 1:8 model of the paper's
 /// Internet (6,500 routed ASes, 360 PBL eyeballs, ...).
 inline InternetConfig scaled_config() {
-  double scale = env_double("CGN_BENCH_SCALE", 0.4);
+  const double scale = bench_scale();
   InternetConfig cfg;
-  cfg.seed = env_u64("CGN_BENCH_SEED", 42);
-  auto scaled = [scale](std::size_t n) {
-    return std::max<std::size_t>(8, static_cast<std::size_t>(
-                                        static_cast<double>(n) * scale));
-  };
-  cfg.routed_ases = scaled(cfg.routed_ases);
-  cfg.pbl_eyeballs = scaled(cfg.pbl_eyeballs);
-  cfg.apnic_eyeballs = scaled(cfg.apnic_eyeballs);
-  cfg.cellular_ases = scaled(cfg.cellular_ases);
+  cfg.seed = bench_seed();
+  for (auto count : kScaledCounts)
+    cfg.*count = std::max<std::size_t>(
+        8, static_cast<std::size_t>(static_cast<double>(cfg.*count) * scale));
   cfg.fault_plan = fault_plan_from_env();
   cfg.v6 = v6_config_from_env();
   // CGN_SILENT_LINES adds bench-only never-instrumented lines per CGN AS,

@@ -41,6 +41,7 @@ Network::ObsHandles Network::make_obs_handles() {
   return ObsHandles{
       .sent = obs::counter("sim.net.sent"),
       .delivered = obs::counter("sim.net.delivered"),
+      .delivered_unbound = obs::counter("sim.net.delivered_unbound"),
       .dropped_ttl = obs::counter("sim.net.dropped.ttl_expired"),
       .dropped_no_route = obs::counter("sim.net.dropped.no_route"),
       .dropped_filtered = obs::counter("sim.net.dropped.filtered"),
@@ -271,9 +272,11 @@ DeliveryResult Network::deliver_at(NodeId node, Packet& pkt, int hops) {
   dispatch(node, pkt);
   // Injected duplication: the host gets the same datagram twice, as after a
   // spurious link-layer retransmission. A link event, so it is drawn for
-  // every delivery, bound port or not.
+  // every delivery, bound port or not. The copy is one more packet, and it
+  // is delivered, so sent + duplicated = delivered + dropped.
   if (faults_ && faults_->duplicate_delivery()) {
     obs_.duplicated.inc();
+    obs_.delivered.inc();
     dispatch(node, pkt);
   }
   return finish({.delivered = true,
@@ -285,7 +288,10 @@ DeliveryResult Network::deliver_at(NodeId node, Packet& pkt, int hops) {
 void Network::dispatch(NodeId node, const Packet& pkt) {
   auto& ports = nodes_[node].ports;
   auto it = ports.find(pkt.dst.port);
-  if (it != ports.end()) it->second(*this, pkt);
+  if (it != ports.end())
+    it->second(*this, pkt);
+  else
+    obs_.delivered_unbound.inc();
 }
 
 DeliveryResult Network::send(Packet pkt, NodeId from) {

@@ -85,6 +85,11 @@ struct DeliveryResult {
 /// Delivery outcomes since the Network's construction or last
 /// reset_stats(). A view, not a store: each field is one sim.net.* counter
 /// (see Network::stats()), so a -DCGN_OBS=OFF build reads all zeros.
+/// Every packet is accounted for once: sent + duplicated = delivered + the
+/// dropped_* fields. `delivered` counts arrivals at a host, an injected
+/// duplicate included, whether or not a receiver is bound to the port
+/// (the obs-only counter sim.net.delivered_unbound counts the arrivals
+/// that found none).
 struct NetworkStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
@@ -95,7 +100,7 @@ struct NetworkStats {
   std::uint64_t dropped_other = 0;
   std::uint64_t dropped_fault_loss = 0;
   std::uint64_t dropped_fault_unresponsive = 0;
-  std::uint64_t duplicated = 0;  ///< extra deliveries from injected duplication
+  std::uint64_t duplicated = 0;  ///< extra packets from injected duplication
   /// Always 0: the route cache is gone; kept because perfbench reads it.
   std::uint64_t route_cache_hits = 0;
 };
@@ -240,6 +245,7 @@ class Network {
   struct ObsHandles {
     obs::Counter& sent;
     obs::Counter& delivered;
+    obs::Counter& delivered_unbound;
     obs::Counter& dropped_ttl;
     obs::Counter& dropped_no_route;
     obs::Counter& dropped_filtered;
@@ -289,8 +295,9 @@ class Network {
 
   DeliveryResult deliver_at(NodeId node, Packet& pkt, int hops);
   /// Hands `pkt` to the receiver bound to its destination port on `node`,
-  /// if any. The table is read afresh on each call: the receiver may bind
-  /// or unbind while deliveries nest under it.
+  /// or counts it in sim.net.delivered_unbound when there is none. The
+  /// table is read afresh on each call: the receiver may bind or unbind
+  /// while deliveries nest under it.
   void dispatch(NodeId node, const Packet& pkt);
   DeliveryResult finish(DeliveryResult r);
   static DropReason to_drop_reason(Middlebox::Verdict v) noexcept;

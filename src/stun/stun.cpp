@@ -73,53 +73,6 @@ std::optional<BindingResponse> StunClient::request(
   return std::nullopt;
 }
 
-std::string_view to_string(MappingBehavior b) noexcept {
-  switch (b) {
-    case MappingBehavior::endpoint_independent:
-      return "endpoint-independent mapping";
-    case MappingBehavior::address_and_port_dependent:
-      return "address-and-port-dependent mapping";
-  }
-  return "?";
-}
-
-std::string_view to_string(FilteringBehavior b) noexcept {
-  switch (b) {
-    case FilteringBehavior::endpoint_independent:
-      return "endpoint-independent filtering";
-    case FilteringBehavior::address_dependent:
-      return "address-dependent filtering";
-    case FilteringBehavior::address_and_port_dependent:
-      return "address-and-port-dependent filtering";
-  }
-  return "?";
-}
-
-BehaviorDiscovery StunClient::discover(const StunServer& server) {
-  BehaviorDiscovery out;
-  auto r1 = request(server.primary(), {});
-  if (!r1) return out;
-  out.responded = true;
-  out.natted = r1->mapped != local_;
-
-  // Filtering dimension first: these probes must run while the alternate
-  // address is still *uncontacted*, or the mapping-dimension request below
-  // would whitelist it on address-restricted NATs (RFC 5780 §4.4 ordering).
-  if (request(server.primary(), {.change_ip = true, .change_port = true}))
-    out.filtering = FilteringBehavior::endpoint_independent;
-  else if (request(server.primary(), {.change_port = true}))
-    out.filtering = FilteringBehavior::address_dependent;
-  else
-    out.filtering = FilteringBehavior::address_and_port_dependent;
-
-  // Mapping dimension: compare the mapped endpoint across destinations.
-  auto r2 = request(server.alternate_address(), {});
-  out.mapping = (r2 && r2->mapped == r1->mapped)
-                    ? MappingBehavior::endpoint_independent
-                    : MappingBehavior::address_and_port_dependent;
-  return out;
-}
-
 StunOutcome StunClient::classify(const StunServer& server) {
   // RFC 3489 decision tree.
   // Test I: plain binding request to the primary endpoint.

@@ -93,31 +93,7 @@ struct StunOutcome {
   std::optional<netcore::Endpoint> mapped;
 };
 
-/// RFC 5780 decomposes NAT behaviour into two independent dimensions,
-/// replacing the monolithic RFC 3489 types.
-enum class MappingBehavior : std::uint8_t {
-  endpoint_independent,       ///< one mapping regardless of destination
-  address_and_port_dependent, ///< fresh mapping per destination (symmetric)
-};
-enum class FilteringBehavior : std::uint8_t {
-  endpoint_independent,       ///< anyone may send (full cone)
-  address_dependent,          ///< contacted IPs may send, any port
-  address_and_port_dependent, ///< only contacted IP:port pairs may send
-};
-
-[[nodiscard]] std::string_view to_string(MappingBehavior b) noexcept;
-[[nodiscard]] std::string_view to_string(FilteringBehavior b) noexcept;
-
-/// Outcome of an RFC 5780 behaviour-discovery run.
-struct BehaviorDiscovery {
-  bool responded = false;
-  bool natted = false;  ///< mapped address != local address
-  MappingBehavior mapping = MappingBehavior::endpoint_independent;
-  FilteringBehavior filtering = FilteringBehavior::endpoint_independent;
-};
-
-/// The client side: runs the RFC 3489 decision tree (classify) or the
-/// RFC 5780 behaviour-discovery procedure (discover) from a host. The sim
+/// The client side: runs the RFC 3489 decision tree from a host. The sim
 /// is synchronous, so each request either yields a response before send()
 /// returns, or never will.
 class StunClient {
@@ -131,11 +107,6 @@ class StunClient {
 
   /// Runs the classification against a server.
   [[nodiscard]] StunOutcome classify(const StunServer& server);
-
-  /// Runs RFC 5780 behaviour discovery: probes the server's alternate
-  /// address to separate the *mapping* dimension from the *filtering*
-  /// dimension.
-  [[nodiscard]] BehaviorDiscovery discover(const StunServer& server);
 
  private:
   std::optional<BindingResponse> request(const netcore::Endpoint& server,

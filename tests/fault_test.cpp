@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/network.hpp"
+#include "test_metrics.hpp"
 
 namespace cgn::fault {
 namespace {
@@ -250,7 +251,8 @@ TEST(NetworkFaults, CertainDuplicationInvokesReceiverTwice) {
   EXPECT_TRUE(r.delivered);
   EXPECT_EQ(w.received_b, 2);
   if (obs::kMetricsEnabled) {
-    EXPECT_EQ(w.net.stats().delivered, 1u);
+    // The copy is one more packet, and one more delivery.
+    EXPECT_EQ(w.net.stats().delivered, 2u);
     EXPECT_EQ(w.net.stats().duplicated, 1u);
     EXPECT_EQ(duplicated.value() - duplicated_before, 1u);
   }
@@ -264,14 +266,40 @@ TEST(NetworkFaults, DuplicationIgnoresBindings) {
   w.net.set_fault_injector(&inj);
   // A duplicated datagram is a link event: a delivery to a port no
   // application has bound is still duplicated and counted.
+  const obs::Counter& unbound = obs::counter("sim.net.delivered_unbound");
+  const std::uint64_t unbound_before = unbound.value();
   auto r = w.net.send(
       sim::Packet::udp({w.addr_a, 1000}, {w.addr_b, 2001}), w.a);
   EXPECT_TRUE(r.delivered);
   EXPECT_EQ(w.received_b, 0);
   if (obs::kMetricsEnabled) {
-    EXPECT_EQ(w.net.stats().delivered, 1u);
+    EXPECT_EQ(w.net.stats().delivered, 2u);
     EXPECT_EQ(w.net.stats().duplicated, 1u);
+    EXPECT_EQ(unbound.value() - unbound_before, 2u);
   }
+}
+
+TEST(NetworkFaults, LossAndDuplicationConservePackets) {
+  CGN_SKIP_IF_METRICS_DISABLED();
+  // Each send ends in one delivery or one drop, and each injected copy is
+  // one more delivery: sent + duplicated = delivered + dropped.
+  FaultyPair w;
+  FaultPlan plan;
+  plan.link.loss_rate = 0.1;
+  plan.link.duplication_rate = 0.3;
+  FaultInjector inj(plan);
+  w.net.set_fault_injector(&inj);
+  for (int i = 0; i < 500; ++i) (void)w.ping();
+  const sim::NetworkStats st = w.net.stats();
+  EXPECT_GT(st.duplicated, 0u);
+  EXPECT_GT(st.dropped_fault_loss, 0u);
+  EXPECT_EQ(st.sent + st.duplicated,
+            st.delivered + st.dropped_ttl + st.dropped_no_route +
+                st.dropped_filtered + st.dropped_no_mapping +
+                st.dropped_other + st.dropped_fault_loss +
+                st.dropped_fault_unresponsive);
+  EXPECT_EQ(static_cast<std::uint64_t>(w.received_b), st.delivered)
+      << "every delivery here reaches the bound receiver";
 }
 
 TEST(NetworkFaults, UnresponsiveEndpointDropsAtDelivery) {

@@ -245,6 +245,11 @@ TEST_P(NatInvariants, ChurnKeepsOneMappingPerExternalPort) {
         const auto old = nat.external_pool()[rng.index(2)];
         ASSERT_TRUE(
             nat.renumber_external(old, Ipv4Address(16, 2, 0, ++renumbered)));
+        // Renumbering drops every mapping on the old address, and the
+        // expiry hook hears of each one.
+        for (const auto& [proto, address, port] : stored)
+          EXPECT_NE(address, old.value())
+              << "step " << step << ": renumbering left port " << port;
         break;
       }
       case 5:

@@ -271,9 +271,11 @@ TEST(Network, DeliversByDestinationPort) {
   EXPECT_TRUE(w.received_b.empty()) << "port 2000's app saw other ports";
 
   // An unbound port, never bound or unbound later, reaches no app but the
-  // packet still counts as delivered.
+  // packet still counts as delivered, and as delivered to no receiver.
   w.net.unbind(w.b, 200);
   const std::uint64_t delivered = w.net.stats().delivered;
+  const obs::Counter& unbound = obs::counter("sim.net.delivered_unbound");
+  const std::uint64_t unbound_before = unbound.value();
   EXPECT_TRUE(to_b(200).delivered);
   EXPECT_TRUE(to_b(300).delivered);
   EXPECT_EQ(p100, 1);
@@ -281,10 +283,15 @@ TEST(Network, DeliversByDestinationPort) {
   EXPECT_TRUE(w.received_b.empty());
   if (obs::kMetricsEnabled) {
     EXPECT_EQ(w.net.stats().delivered, delivered + 2);
+    EXPECT_EQ(unbound.value() - unbound_before, 2u);
   }
 
   EXPECT_TRUE(to_b(100).delivered);
   EXPECT_EQ(p100, 2) << "unbinding one port left the other bound";
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(unbound.value() - unbound_before, 2u)
+        << "a bound port's delivery counted as unbound";
+  }
 }
 
 TEST(Clock, AdvancesMonotonically) {

@@ -86,22 +86,32 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(StunClassification, Nat444ReportsMostRestrictiveOnPath) {
-  // Full-cone CPE behind a symmetric CGN: the composite must classify as
-  // symmetric (the paper's argument for using the most permissive STUN type
-  // per AS as a CGN lower bound).
-  StunWorld w;
-  LineConfig lc;
-  lc.with_cpe = true;
-  lc.with_cgn = true;
-  lc.cpe.name = "cpe";
-  lc.cpe.mapping = nat::MappingType::full_cone;
-  lc.cgn.name = "cgn";
-  lc.cgn.mapping = nat::MappingType::symmetric;
-  lc.cgn.port_allocation = nat::PortAllocation::random;
-  auto line = w.mini.add_line(lc);
-  StunClient client(w.mini.net, line.device, {line.device_address, 50000});
-  auto outcome = client.classify(*w.server);
-  EXPECT_EQ(outcome.type, StunType::symmetric);
+  // Full-cone CPE behind a restrictive CGN: the composite must classify as
+  // the CGN (the paper's argument for using the most permissive STUN type
+  // per AS as a CGN lower bound). A symmetric CGN maps per destination; a
+  // port-address-restricted one passes Test I' with one mapping for both
+  // server addresses, the endpoint-independent mapping RFC 6888 REQ-1
+  // asks of a CGN.
+  for (auto cgn_type : {nat::MappingType::symmetric,
+                        nat::MappingType::port_address_restricted}) {
+    StunWorld w;
+    LineConfig lc;
+    lc.with_cpe = true;
+    lc.with_cgn = true;
+    lc.cpe.name = "cpe";
+    lc.cpe.mapping = nat::MappingType::full_cone;
+    lc.cgn.name = "cgn";
+    lc.cgn.mapping = cgn_type;
+    lc.cgn.port_allocation = nat::PortAllocation::random;
+    auto line = w.mini.add_line(lc);
+    StunClient client(w.mini.net, line.device, {line.device_address, 50000});
+    auto outcome = client.classify(*w.server);
+    EXPECT_EQ(outcome.type, cgn_type == nat::MappingType::symmetric
+                                ? StunType::symmetric
+                                : StunType::port_address_restricted)
+        << "CGN " << nat::to_string(cgn_type) << ", got "
+        << to_string(outcome.type);
+  }
 }
 
 TEST(StunClassification, Nat444PermissiveComposite) {
