@@ -76,16 +76,7 @@ int main() {
                       "push-ingestion soak: figure convergence under "
                       "disconnects, resume and overload");
 
-  observatory::StreamDriverConfig driver_cfg;
-  driver_cfg.world = scenario::scaled_config();
-  driver_cfg.crawl.crawl.retry = scenario::retry_policy_from_env();
-  driver_cfg.crawl.supervise =
-      scenario::supervisor_config_from_env("crawl_ping");
-  driver_cfg.netalyzr.retry = scenario::retry_policy_from_env();
-  driver_cfg.netalyzr.transition_battery = driver_cfg.world.v6.enabled;
-  driver_cfg.netalyzr.supervise =
-      scenario::supervisor_config_from_env("netalyzr");
-
+  const auto driver_cfg = observatory::stream_driver_config_from_env();
   observatory::StreamDriver driver(driver_cfg);
   CapturingSink capture;
   driver.run(capture);

@@ -91,18 +91,6 @@ class Ipv6Prefix {
   int length_ = 0;
 };
 
-/// Dual-stack host addressing: which families a host holds, and the
-/// concrete addresses. A v6-only host (NAT64 line) has has_v4 == false even
-/// though the simulator still routes its traffic over a v4 underlay handle.
-struct DualStackAddress {
-  Ipv4Address v4;
-  Ipv6Address v6;
-  bool has_v4 = false;
-  bool has_v6 = false;
-
-  auto operator<=>(const DualStackAddress&) const = default;
-};
-
 // ---- RFC 6052: IPv4-embedded IPv6 addresses ------------------------------
 
 /// The six prefix lengths RFC 6052 defines for NAT64/DNS64 prefixes.

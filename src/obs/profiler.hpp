@@ -3,8 +3,7 @@
 // PhaseProfiler keeps a begin/end stack; nested phases accumulate under a
 // slash-joined path ("campaign.crawl/walk"), so the export shows both the
 // totals and where inside a phase the time went. ScopedPhase is the RAII
-// entry point campaign drivers use; ScopedTimer is the bare building block
-// for accumulating a double somewhere else.
+// entry point campaign drivers use.
 #pragma once
 
 #include <chrono>
@@ -82,24 +81,6 @@ class ScopedPhase {
 
  private:
   PhaseProfiler* profiler_;
-};
-
-/// Accumulates elapsed wall-clock seconds into a caller-owned double.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double& sink)
-      : sink_(&sink), start_(std::chrono::steady_clock::now()) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    *sink_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start_)
-                  .count();
-  }
-
- private:
-  double* sink_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace cgn::obs

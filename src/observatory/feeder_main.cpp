@@ -114,15 +114,7 @@ int main(int argc, char** argv) {
   }
   if (client_cfg.port == 0) return usage(argv[0]);
 
-  observatory::StreamDriverConfig driver_cfg;
-  driver_cfg.world = scenario::scaled_config();
-  driver_cfg.crawl.crawl.retry = scenario::retry_policy_from_env();
-  driver_cfg.crawl.supervise =
-      scenario::supervisor_config_from_env("crawl_ping");
-  driver_cfg.netalyzr.retry = scenario::retry_policy_from_env();
-  driver_cfg.netalyzr.transition_battery = driver_cfg.world.v6.enabled;
-  driver_cfg.netalyzr.supervise =
-      scenario::supervisor_config_from_env("netalyzr");
+  auto driver_cfg = observatory::stream_driver_config_from_env();
   driver_cfg.pace_us = pace_us;
 
   client_cfg.world_seed = driver_cfg.world.seed;

@@ -115,17 +115,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  observatory::StreamDriverConfig driver_cfg;
-  driver_cfg.world = scenario::scaled_config();
-  driver_cfg.crawl.crawl.retry = scenario::retry_policy_from_env();
-  driver_cfg.crawl.supervise =
-      scenario::supervisor_config_from_env("crawl_ping");
-  driver_cfg.netalyzr.retry = scenario::retry_policy_from_env();
-  // In a v6-transition world (CGN_V6_TRANSITION=1) sessions run the
-  // Big-NAT battery, which makes /figures grow the fig14_transition set.
-  driver_cfg.netalyzr.transition_battery = driver_cfg.world.v6.enabled;
-  driver_cfg.netalyzr.supervise =
-      scenario::supervisor_config_from_env("netalyzr");
+  auto driver_cfg = observatory::stream_driver_config_from_env();
   driver_cfg.netalyzr.supervise.abort_after_shards = abort_after_shards;
   driver_cfg.pace_us = pace_us;
 

@@ -5,8 +5,20 @@
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "scenario/env_config.hpp"
 
 namespace cgn::observatory {
+
+StreamDriverConfig stream_driver_config_from_env() {
+  StreamDriverConfig cfg;
+  cfg.world = scenario::scaled_config();
+  cfg.crawl.crawl.retry = scenario::retry_policy_from_env();
+  cfg.crawl.supervise = scenario::supervisor_config_from_env("crawl_ping");
+  cfg.netalyzr.retry = scenario::retry_policy_from_env();
+  cfg.netalyzr.transition_battery = cfg.world.v6.enabled;
+  cfg.netalyzr.supervise = scenario::supervisor_config_from_env("netalyzr");
+  return cfg;
+}
 
 StreamDriver::StreamDriver(StreamDriverConfig config)
     : config_(std::move(config)),

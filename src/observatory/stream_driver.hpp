@@ -51,6 +51,13 @@ struct StreamDriverConfig {
   int pace_us = 0;
 };
 
+/// The config the daemons and the soak bench stream with: the
+/// CGN_BENCH_SCALE / CGN_BENCH_SEED world, and retry policy and supervision
+/// for both campaigns from the environment (scenario/env_config.hpp). In a
+/// v6-transition world (CGN_V6_TRANSITION=1) sessions run the Big-NAT
+/// battery, which makes /figures grow the fig14_transition set.
+[[nodiscard]] StreamDriverConfig stream_driver_config_from_env();
+
 class StreamDriver {
  public:
   explicit StreamDriver(StreamDriverConfig config);

@@ -4,6 +4,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "netcore/prefix_carver.hpp"
 #include "obs/profiler.hpp"
 
 namespace cgn::scenario {
@@ -195,7 +196,7 @@ class InternetBuilder {
           sim::Rng(lp.cpe_seed));
       sub.cpe = nat.get();
       sub.cpe_upnp = model.upnp;
-      I_.nats_.push_back(std::move(nat));
+      I_.middleboxes_.push_back(std::move(nat));
       I_.net.set_middlebox(cpe_node, sub.cpe);
       I_.net.register_address(lp.line_addr, cpe_node, line_scope);
 
@@ -224,7 +225,7 @@ class InternetBuilder {
         auto clat = std::make_unique<v6::ClatElement>(
             sub.device_v6, isp.cgn_profile->pref64, underlay, kClatDeviceV4);
         I_.net.set_middlebox(elem_node, clat.get());
-        I_.clats_.push_back(std::move(clat));
+        I_.middleboxes_.push_back(std::move(clat));
       } else {
         elem_node =
             I_.net.add_node(site.cpe_chain, site.as_name + "-v6stk" + home);
@@ -234,7 +235,7 @@ class InternetBuilder {
             sub.device_v6, underlay, sub.device_address);
         sub.v6stack = stack.get();
         I_.net.set_middlebox(elem_node, stack.get());
-        I_.v6stacks_.push_back(std::move(stack));
+        I_.middleboxes_.push_back(std::move(stack));
       }
       isp.nat64->add_host(sub.device_v6, underlay);
     } else {  // DS-Lite softwire
@@ -244,7 +245,7 @@ class InternetBuilder {
       auto b4 = std::make_unique<v6::B4Element>(sub.device_v6,
                                                 isp.aftr->aftr_address());
       I_.net.set_middlebox(elem_node, b4.get());
-      I_.b4s_.push_back(std::move(b4));
+      I_.middleboxes_.push_back(std::move(b4));
       isp.aftr->add_softwire(sub.device_v6, underlay);
     }
     I_.net.register_address(underlay, elem_node, isp.cgn_node);
@@ -541,7 +542,7 @@ class InternetBuilder {
         isp.nat64 = t.get();
         isp.cgn = &t->core();
         edge = t.get();
-        I_.nat64s_.push_back(std::move(t));
+        I_.middleboxes_.push_back(std::move(t));
         auto dns = std::make_unique<v6::Dns64Resolver>(prof.pref64);
         isp.dns64 = dns.get();
         I_.dns64s_.push_back(std::move(dns));
@@ -551,13 +552,13 @@ class InternetBuilder {
         isp.aftr = t.get();
         isp.cgn = &t->core();
         edge = t.get();
-        I_.aftrs_.push_back(std::move(t));
+        I_.middleboxes_.push_back(std::move(t));
       } else {
         auto nat = std::make_unique<nat::NatDevice>(nat_cfg, pool,
                                                     rng_.fork());
         isp.cgn = nat.get();
         edge = nat.get();
-        I_.nats_.push_back(std::move(nat));
+        I_.middleboxes_.push_back(std::move(nat));
       }
       I_.net.set_middlebox(isp.cgn_node, edge);
       for (const auto& a : pool)

@@ -20,7 +20,6 @@
 #include "fault/fault.hpp"
 #include "nat/nat_device.hpp"
 #include "netalyzr/server.hpp"
-#include "netcore/address_pool.hpp"
 #include "netcore/as_registry.hpp"
 #include "netcore/routing_table.hpp"
 #include "scenario/profiles.hpp"
@@ -189,16 +188,12 @@ class Internet {
   std::unordered_map<netcore::Asn, nat::TranslatorMode> truth_transition_;
   std::vector<dht::DhtNode*> bt_peer_ptrs_;
 
-  // Ownership of everything wired into the network by raw pointer.
-  std::vector<std::unique_ptr<nat::NatDevice>> nats_;
+  // Ownership of everything wired into the network by raw pointer: every
+  // NAT, translator and v6 line element, the DHT nodes, and the DNS64s
+  // (empty in a v4-only world).
+  std::vector<std::unique_ptr<sim::Middlebox>> middleboxes_;
   std::vector<std::unique_ptr<dht::DhtNode>> dht_nodes_;
-  // v6-transition elements (all empty in a v4-only world).
-  std::vector<std::unique_ptr<v6::Nat64Device>> nat64s_;
-  std::vector<std::unique_ptr<v6::DsLiteAftr>> aftrs_;
   std::vector<std::unique_ptr<v6::Dns64Resolver>> dns64s_;
-  std::vector<std::unique_ptr<v6::HostV6Stack>> v6stacks_;
-  std::vector<std::unique_ptr<v6::ClatElement>> clats_;
-  std::vector<std::unique_ptr<v6::B4Element>> b4s_;
 };
 
 /// Builds a full Internet from a config (the constructor delegates here).

@@ -4,72 +4,44 @@ namespace cgn::v6 {
 
 using Verdict = sim::Middlebox::Verdict;
 
-// --- Nat64Device -----------------------------------------------------------
+// --- Translator ------------------------------------------------------------
 
-Verdict Nat64Device::process_outbound(sim::Packet& pkt, sim::SimTime now) {
-  if (!pkt.v6.present) {
-    ++v6_stats_.drop_no_overlay;
-    return Verdict::drop_other;
-  }
-  auto underlay = v6_to_underlay_.find(pkt.v6.src);
-  if (underlay == v6_to_underlay_.end()) {
-    ++v6_stats_.drop_unknown_host;
-    return Verdict::drop_no_mapping;
-  }
-  auto v4dst = netcore::pref64_extract(pref64_, pkt.v6.dst);
-  if (!v4dst) {
-    ++v6_stats_.drop_not_pref64;
-    return Verdict::drop_other;
-  }
-  // From here on the packet is plain IPv4: internal = the line's underlay
-  // handle, destination = the address embedded in the pref64. The NAT44
-  // core applies its port-allocation strategy, timeouts and fault schedule
-  // exactly as it would for a NAT444 subscriber.
-  pkt.src.address = underlay->second;
-  pkt.dst.address = *v4dst;
-  pkt.v6.present = false;
-  Verdict v = core_.process_outbound(pkt, now);
-  if (v == Verdict::forward) ++v6_stats_.out_translated;
-  return v;
+Verdict Translator::process_outbound(sim::Packet& pkt, sim::SimTime now) {
+  Verdict v = unwrap(pkt, /*outbound=*/true);
+  return v == Verdict::forward ? core_.process_outbound(pkt, now) : v;
 }
 
-Verdict Nat64Device::process_inbound(sim::Packet& pkt, sim::SimTime now) {
+Verdict Translator::process_inbound(sim::Packet& pkt, sim::SimTime now) {
+  // The core rewrites dst to the internal endpoint: a handle.
   Verdict v = core_.process_inbound(pkt, now);
-  if (v != Verdict::forward) return v;
-  // The core rewrote dst to the internal endpoint — an underlay handle.
-  auto host = underlay_to_v6_.find(pkt.dst.address);
-  if (host == underlay_to_v6_.end()) {
-    ++v6_stats_.drop_unknown_host;
-    return Verdict::drop_no_mapping;
+  return v == Verdict::forward ? rewrap(pkt) : v;
+}
+
+Verdict Translator::process_hairpin(sim::Packet& pkt, sim::SimTime now) {
+  Verdict v = unwrap(pkt, /*outbound=*/false);
+  if (v == Verdict::forward) v = core_.process_hairpin(pkt, now);
+  return v == Verdict::forward ? rewrap(pkt) : v;
+}
+
+// --- Nat64Device -----------------------------------------------------------
+
+Verdict Nat64Device::unwrap(sim::Packet& pkt, bool outbound) {
+  if (!pkt.v6.present) return Verdict::drop_other;
+  auto underlay = v6_to_underlay_.find(pkt.v6.src);
+  if (underlay == v6_to_underlay_.end()) return Verdict::drop_no_mapping;
+  if (outbound) {
+    auto v4dst = netcore::pref64_extract(pref64_, pkt.v6.dst);
+    if (!v4dst) return Verdict::drop_other;
+    pkt.dst.address = *v4dst;
   }
-  pkt.v6.src = netcore::pref64_embed(pref64_, pkt.src.address);
-  pkt.v6.dst = host->second;
-  pkt.v6.inner = netcore::Ipv4Address{};
-  pkt.v6.present = true;
-  ++v6_stats_.in_translated;
+  pkt.src.address = underlay->second;
+  pkt.v6.present = false;
   return Verdict::forward;
 }
 
-Verdict Nat64Device::process_hairpin(sim::Packet& pkt, sim::SimTime now) {
-  if (!pkt.v6.present) {
-    ++v6_stats_.drop_no_overlay;
-    return Verdict::drop_other;
-  }
-  auto underlay = v6_to_underlay_.find(pkt.v6.src);
-  if (underlay == v6_to_underlay_.end()) {
-    ++v6_stats_.drop_unknown_host;
-    return Verdict::drop_no_mapping;
-  }
-  pkt.src.address = underlay->second;
-  pkt.v6.present = false;
-  Verdict v = core_.process_hairpin(pkt, now);
-  if (v != Verdict::forward) return v;
-  // Re-wrap for the destination line (dst is its underlay handle now).
+Verdict Nat64Device::rewrap(sim::Packet& pkt) {
   auto host = underlay_to_v6_.find(pkt.dst.address);
-  if (host == underlay_to_v6_.end()) {
-    ++v6_stats_.drop_unknown_host;
-    return Verdict::drop_no_mapping;
-  }
+  if (host == underlay_to_v6_.end()) return Verdict::drop_no_mapping;
   pkt.v6.src = netcore::pref64_embed(pref64_, pkt.src.address);
   pkt.v6.dst = host->second;
   pkt.v6.inner = netcore::Ipv4Address{};
@@ -90,87 +62,31 @@ netcore::Ipv4Address DsLiteAftr::handle_for(netcore::Ipv4Address underlay,
   return handle;
 }
 
-Verdict DsLiteAftr::process_outbound(sim::Packet& pkt, sim::SimTime now) {
-  if (!pkt.v6.present) {
-    ++v6_stats_.drop_no_overlay;
-    return Verdict::drop_other;
-  }
-  if (pkt.v6.dst != aftr_address_) {
-    ++v6_stats_.drop_not_pref64;
-    return Verdict::drop_other;
-  }
+Verdict DsLiteAftr::unwrap(sim::Packet& pkt, bool outbound) {
+  if (!pkt.v6.present) return Verdict::drop_other;
+  if (outbound && pkt.v6.dst != aftr_address_) return Verdict::drop_other;
   auto underlay = b4_to_underlay_.find(pkt.v6.src);
-  if (underlay == b4_to_underlay_.end()) {
-    ++v6_stats_.drop_unknown_host;
-    return Verdict::drop_no_mapping;
-  }
+  if (underlay == b4_to_underlay_.end()) return Verdict::drop_no_mapping;
   // Decapsulate onto a per-(softwire, inner v4) handle so overlapping inner
   // spaces (every home reusing 192.168.1.0/24 or 10.0.0.1) stay distinct
   // inside the shared NAT44 core.
   pkt.src.address = handle_for(underlay->second, pkt.src.address);
   pkt.v6.present = false;
-  Verdict v = core_.process_outbound(pkt, now);
-  if (v == Verdict::forward) ++v6_stats_.out_translated;
-  return v;
+  return Verdict::forward;
 }
 
-Verdict DsLiteAftr::process_inbound(sim::Packet& pkt, sim::SimTime now) {
-  Verdict v = core_.process_inbound(pkt, now);
-  if (v != Verdict::forward) return v;
+Verdict DsLiteAftr::rewrap(sim::Packet& pkt) {
   auto key = key_by_handle_.find(pkt.dst.address);
-  if (key == key_by_handle_.end()) {
-    ++v6_stats_.drop_unknown_host;
-    return Verdict::drop_no_mapping;
-  }
+  if (key == key_by_handle_.end()) return Verdict::drop_no_mapping;
   const netcore::Ipv4Address underlay{
       static_cast<std::uint32_t>(key->second >> 32)};
   const netcore::Ipv4Address inner{
       static_cast<std::uint32_t>(key->second & 0xffffffffu)};
   auto b4 = underlay_to_b4_.find(underlay);
-  if (b4 == underlay_to_b4_.end()) {
-    ++v6_stats_.drop_unknown_host;
-    return Verdict::drop_no_mapping;
-  }
+  if (b4 == underlay_to_b4_.end()) return Verdict::drop_no_mapping;
   // Re-encapsulate: route down on the underlay handle, stash the inner v4
   // destination for the B4 to restore at decap time.
   pkt.dst.address = underlay;
-  pkt.v6.src = aftr_address_;
-  pkt.v6.dst = b4->second;
-  pkt.v6.inner = inner;
-  pkt.v6.present = true;
-  ++v6_stats_.in_translated;
-  return Verdict::forward;
-}
-
-Verdict DsLiteAftr::process_hairpin(sim::Packet& pkt, sim::SimTime now) {
-  if (!pkt.v6.present) {
-    ++v6_stats_.drop_no_overlay;
-    return Verdict::drop_other;
-  }
-  auto underlay = b4_to_underlay_.find(pkt.v6.src);
-  if (underlay == b4_to_underlay_.end()) {
-    ++v6_stats_.drop_unknown_host;
-    return Verdict::drop_no_mapping;
-  }
-  pkt.src.address = handle_for(underlay->second, pkt.src.address);
-  pkt.v6.present = false;
-  Verdict v = core_.process_hairpin(pkt, now);
-  if (v != Verdict::forward) return v;
-  auto key = key_by_handle_.find(pkt.dst.address);
-  if (key == key_by_handle_.end()) {
-    ++v6_stats_.drop_unknown_host;
-    return Verdict::drop_no_mapping;
-  }
-  const netcore::Ipv4Address dst_underlay{
-      static_cast<std::uint32_t>(key->second >> 32)};
-  const netcore::Ipv4Address inner{
-      static_cast<std::uint32_t>(key->second & 0xffffffffu)};
-  auto b4 = underlay_to_b4_.find(dst_underlay);
-  if (b4 == underlay_to_b4_.end()) {
-    ++v6_stats_.drop_unknown_host;
-    return Verdict::drop_no_mapping;
-  }
-  pkt.dst.address = dst_underlay;
   pkt.v6.src = aftr_address_;
   pkt.v6.dst = b4->second;
   pkt.v6.inner = inner;

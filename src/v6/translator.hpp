@@ -6,14 +6,12 @@
 // exactly like a NAT444 line address — and the elements here translate
 // between the overlay's true 128-bit addresses and that handle:
 //
-//   Nat64Device   RFC 6146 stateful translator (also the PLAT of 464XLAT).
-//                 Wraps an unmodified nat::NatDevice core keyed on the
-//                 underlay handle, so port-allocation strategies, mapping
-//                 timeouts and restart flushes are the same code the NAT444
-//                 figures exercise.
-//   DsLiteAftr    RFC 6333 AFTR: terminates per-subscriber softwires and
-//                 runs a NAT44 core over (softwire, inner v4) pairs, which
-//                 is what lets two B4s share inner 10.0.0.1.
+//   Translator    the stateful skeleton of the next two: unwrap onto a v4
+//                 handle, run an unmodified nat::NatDevice core, re-wrap.
+//   Nat64Device   RFC 6146 stateful translator (also the PLAT of 464XLAT);
+//                 the handle is the line's underlay address.
+//   DsLiteAftr    RFC 6333 AFTR: one handle per (softwire, inner v4) pair,
+//                 which is what lets two B4s share inner 10.0.0.1.
 //   B4Element     the subscriber end of a DS-Lite softwire (encap/decap).
 //   ClatElement   stateless RFC 6877 CLAT: v4 apps on a v6-only line.
 //   HostV6Stack   a v6-only host: flows to destinations with no AAAA
@@ -32,25 +30,47 @@
 
 namespace cgn::v6 {
 
-/// Counters of the v6-specific half of a translator (the embedded NAT core
-/// keeps its own nat::NatStats).
-struct V6Stats {
-  std::uint64_t out_translated = 0;
-  std::uint64_t in_translated = 0;
-  std::uint64_t drop_unknown_host = 0;   ///< src v6 not provisioned here
-  std::uint64_t drop_not_pref64 = 0;     ///< dst outside the pref64
-  std::uint64_t drop_no_overlay = 0;     ///< v4 packet hit a v6-only path
+/// A NAT44 core between two mapping steps that each mechanism supplies:
+/// outbound runs unwrap then the core, inbound the core then rewrap, a
+/// hairpin all three. The first failing step's verdict is the packet's.
+/// Port allocation, timeouts and restart flushes are the code the NAT444
+/// figures exercise, and the core's nat::NatStats count every translation.
+class Translator : public sim::Middlebox {
+ public:
+  Verdict process_outbound(sim::Packet& pkt, sim::SimTime now) final;
+  Verdict process_inbound(sim::Packet& pkt, sim::SimTime now) final;
+  Verdict process_hairpin(sim::Packet& pkt, sim::SimTime now) final;
+
+  [[nodiscard]] nat::NatDevice& core() noexcept { return core_; }
+  [[nodiscard]] const nat::NatDevice& core() const noexcept { return core_; }
+
+ protected:
+  Translator(nat::NatConfig config,
+             std::vector<netcore::Ipv4Address> external_pool, sim::Rng rng)
+      : core_(std::move(config), std::move(external_pool), std::move(rng)) {}
+
+  /// Maps a line's packet onto its v4 handle (src) and drops the overlay.
+  /// `outbound` also checks the overlay destination and, where the
+  /// mechanism carries one, takes the v4 destination from it; a hairpin's
+  /// destination is already one of the core's own external addresses.
+  virtual Verdict unwrap(sim::Packet& pkt, bool outbound) = 0;
+  /// Maps a packet the core addressed to a handle back onto its line.
+  virtual Verdict rewrap(sim::Packet& pkt) = 0;
+
+ private:
+  nat::NatDevice core_;
 };
 
 /// RFC 6146 stateful NAT64. `add_host` provisions one v6 host and its
 /// underlay handle; the embedded NAT44 core sees only handles, so all of
 /// its behaviour (and its fault hooks) transfer unchanged.
-class Nat64Device final : public sim::Middlebox {
+class Nat64Device final : public Translator {
  public:
   Nat64Device(nat::NatConfig config,
               std::vector<netcore::Ipv4Address> external_pool, sim::Rng rng,
               netcore::Ipv6Prefix pref64)
-      : core_(std::move(config), std::move(external_pool), std::move(rng)),
+      : Translator(std::move(config), std::move(external_pool),
+                   std::move(rng)),
         pref64_(pref64) {}
 
   void add_host(netcore::Ipv6Address host, netcore::Ipv4Address underlay) {
@@ -58,23 +78,17 @@ class Nat64Device final : public sim::Middlebox {
     underlay_to_v6_.insert_or_assign(underlay, host);
   }
 
-  Verdict process_outbound(sim::Packet& pkt, sim::SimTime now) override;
-  Verdict process_inbound(sim::Packet& pkt, sim::SimTime now) override;
-  Verdict process_hairpin(sim::Packet& pkt, sim::SimTime now) override;
-
-  [[nodiscard]] nat::NatDevice& core() noexcept { return core_; }
-  [[nodiscard]] const nat::NatDevice& core() const noexcept { return core_; }
   [[nodiscard]] const netcore::Ipv6Prefix& pref64() const noexcept {
     return pref64_;
   }
-  [[nodiscard]] const V6Stats& v6_stats() const noexcept { return v6_stats_; }
 
  private:
-  nat::NatDevice core_;
+  Verdict unwrap(sim::Packet& pkt, bool outbound) override;
+  Verdict rewrap(sim::Packet& pkt) override;
+
   netcore::Ipv6Prefix pref64_;
   flat::FlatMap<netcore::Ipv6Address, netcore::Ipv4Address> v6_to_underlay_;
   flat::FlatMap<netcore::Ipv4Address, netcore::Ipv6Address> underlay_to_v6_;
-  V6Stats v6_stats_;
 };
 
 /// RFC 6333 AFTR. Each subscriber softwire is keyed by its B4's v6 address;
@@ -83,12 +97,13 @@ class Nat64Device final : public sim::Middlebox {
 /// 240.0.0.0/4 space that never routes. Handles are assigned first-seen and
 /// looked up on every later packet, which keeps shard-retry replays
 /// bit-identical (same key -> same handle, no matter where a replay starts).
-class DsLiteAftr final : public sim::Middlebox {
+class DsLiteAftr final : public Translator {
  public:
   DsLiteAftr(nat::NatConfig config,
              std::vector<netcore::Ipv4Address> external_pool, sim::Rng rng,
              netcore::Ipv6Address aftr_address)
-      : core_(std::move(config), std::move(external_pool), std::move(rng)),
+      : Translator(std::move(config), std::move(external_pool),
+                   std::move(rng)),
         aftr_address_(aftr_address) {}
 
   /// Provisions a subscriber softwire: the B4's v6 address and the line's
@@ -98,16 +113,9 @@ class DsLiteAftr final : public sim::Middlebox {
     underlay_to_b4_.insert_or_assign(underlay, b4);
   }
 
-  Verdict process_outbound(sim::Packet& pkt, sim::SimTime now) override;
-  Verdict process_inbound(sim::Packet& pkt, sim::SimTime now) override;
-  Verdict process_hairpin(sim::Packet& pkt, sim::SimTime now) override;
-
-  [[nodiscard]] nat::NatDevice& core() noexcept { return core_; }
-  [[nodiscard]] const nat::NatDevice& core() const noexcept { return core_; }
   [[nodiscard]] netcore::Ipv6Address aftr_address() const noexcept {
     return aftr_address_;
   }
-  [[nodiscard]] const V6Stats& v6_stats() const noexcept { return v6_stats_; }
   /// Distinct (softwire, inner v4) pairs seen so far.
   [[nodiscard]] std::size_t handle_count() const noexcept {
     return handle_by_key_.size();
@@ -116,6 +124,9 @@ class DsLiteAftr final : public sim::Middlebox {
  private:
   static constexpr std::uint32_t kHandleBase = 0xF0000000;  // 240.0.0.0/4
 
+  Verdict unwrap(sim::Packet& pkt, bool outbound) override;
+  Verdict rewrap(sim::Packet& pkt) override;
+
   [[nodiscard]] static std::uint64_t pack_key(netcore::Ipv4Address underlay,
                                               netcore::Ipv4Address inner) {
     return (std::uint64_t{underlay.value()} << 32) | inner.value();
@@ -123,14 +134,12 @@ class DsLiteAftr final : public sim::Middlebox {
   netcore::Ipv4Address handle_for(netcore::Ipv4Address underlay,
                                   netcore::Ipv4Address inner);
 
-  nat::NatDevice core_;
   netcore::Ipv6Address aftr_address_;
   flat::FlatMap<netcore::Ipv6Address, netcore::Ipv4Address> b4_to_underlay_;
   flat::FlatMap<netcore::Ipv4Address, netcore::Ipv6Address> underlay_to_b4_;
   flat::FlatMap<std::uint64_t, netcore::Ipv4Address> handle_by_key_;
   flat::FlatMap<netcore::Ipv4Address, std::uint64_t> key_by_handle_;
   std::uint32_t next_handle_ = kHandleBase;
-  V6Stats v6_stats_;
 };
 
 /// The subscriber end of a DS-Lite softwire: stateless v4-in-v6
@@ -215,10 +224,7 @@ class HostV6Stack final : public sim::Middlebox {
 
   Verdict process_outbound(sim::Packet& pkt, sim::SimTime) override {
     auto aaaa = resolved_.find(pkt.dst.address);
-    if (aaaa == resolved_.end()) {
-      ++stats_.drop_unresolved_literal;
-      return Verdict::drop_no_mapping;
-    }
+    if (aaaa == resolved_.end()) return Verdict::drop_no_mapping;
     pkt.v6.src = host_;
     pkt.v6.dst = aaaa->second;
     pkt.v6.present = true;
@@ -235,17 +241,11 @@ class HostV6Stack final : public sim::Middlebox {
     return Verdict::drop_other;
   }
 
-  struct Stats {
-    std::uint64_t drop_unresolved_literal = 0;
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   netcore::Ipv6Address host_;
   netcore::Ipv4Address underlay_;
   netcore::Ipv4Address device_v4_;
   flat::FlatMap<netcore::Ipv4Address, netcore::Ipv6Address> resolved_;
-  Stats stats_;
 };
 
 }  // namespace cgn::v6

@@ -48,6 +48,7 @@ namespace cgn::sim {
 namespace {
 
 using netcore::Endpoint;
+using netcore::Ipv4Address;
 
 TEST(HotPathAlloc, CounterSeesAllocations) {
   g_allocs.store(0);
@@ -150,73 +151,66 @@ TEST(HotPathAlloc, UnbindingTheLastPortFreesTheTable) {
   EXPECT_LT(g_alloc_bytes.load(), 1024u);
 }
 
+// Echoes 64 datagrams between `device` and the world's server to establish
+// every mapping and grow every table past its final size, then returns the
+// heap allocations made by 256 more round trips.
+std::uint64_t allocations_of_warmed_echo(test::MiniNet& world, NodeId device,
+                                         Ipv4Address device_address) {
+  Endpoint device_ep{device_address, 4000};
+  Endpoint server_ep{world.server_address, 5000};
+  std::uint64_t echoed = 0;
+  world.net.bind(world.server_host, server_ep.port,
+                 [&](Network& net, const Packet& p) {
+                   net.send(Packet::udp(server_ep, p.src), world.server_host);
+                 });
+  world.net.bind(device, device_ep.port,
+                 [&](Network&, const Packet&) { ++echoed; });
+
+  for (int i = 0; i < 64; ++i)
+    world.net.send(Packet::udp(device_ep, server_ep), device);
+  EXPECT_EQ(echoed, 64u);
+
+  constexpr int kRounds = 256;
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < kRounds; ++i)
+    world.net.send(Packet::udp(device_ep, server_ep), device);
+  g_counting.store(false);
+
+  EXPECT_EQ(echoed, 64u + kRounds);
+  return g_allocs.load();
+}
+
 TEST(HotPathAlloc, WarmedNat444EchoRoundTripIsAllocationFree) {
   test::MiniNet world;
   test::LineConfig cfg;
   cfg.with_cpe = true;
   cfg.with_cgn = true;
   auto line = world.add_line(cfg);
-
-  Endpoint device_ep{line.device_address, 4000};
-  Endpoint server_ep{world.server_address, 5000};
-  std::uint64_t echoed = 0;
-  world.net.bind(world.server_host, server_ep.port,
-                 [&](Network& net, const Packet& p) {
-                   net.send(Packet::udp(server_ep, p.src), world.server_host);
-                 });
-  world.net.bind(line.device, device_ep.port,
-                 [&](Network&, const Packet&) { ++echoed; });
-
-  // Warm-up: establish the NAT mappings and grow every table past its
-  // final size.
-  for (int i = 0; i < 64; ++i)
-    world.net.send(Packet::udp(device_ep, server_ep), line.device);
-  ASSERT_EQ(echoed, 64u);
-
-  constexpr int kRounds = 256;
-  g_allocs.store(0);
-  g_counting.store(true);
-  for (int i = 0; i < kRounds; ++i)
-    world.net.send(Packet::udp(device_ep, server_ep), line.device);
-  g_counting.store(false);
-
-  EXPECT_EQ(echoed, 64u + kRounds);
-  EXPECT_EQ(g_allocs.load(), 0u)
+  EXPECT_EQ(allocations_of_warmed_echo(world, line.device, line.device_address),
+            0u)
       << "warmed-up echo round trips must not touch the heap";
 }
 
+// Same contract for the v6 translation paths: they ride the v4 engine plus a
+// POD overlay, so a warmed 464XLAT (CLAT -> NAT64) or DS-Lite (B4 -> AFTR)
+// echo must be as heap-silent as NAT444.
 TEST(HotPathAlloc, WarmedNat64EchoRoundTripIsAllocationFree) {
-  // Same contract for the v6 translation path: CLAT -> NAT64 -> server and
-  // back rides the v4 engine plus a POD overlay, so a warmed 464XLAT echo
-  // leg must be as heap-silent as NAT444.
   test::MiniNet world;
   world.ensure_nat64(netcore::well_known_pref64());
   auto line = world.add_nat64_line(/*with_clat=*/true);
-
-  Endpoint device_ep{line.device_address, 4000};
-  Endpoint server_ep{world.server_address, 5000};
-  std::uint64_t echoed = 0;
-  world.net.bind(world.server_host, server_ep.port,
-                 [&](Network& net, const Packet& p) {
-                   net.send(Packet::udp(server_ep, p.src), world.server_host);
-                 });
-  world.net.bind(line.device, device_ep.port,
-                 [&](Network&, const Packet&) { ++echoed; });
-
-  for (int i = 0; i < 64; ++i)
-    world.net.send(Packet::udp(device_ep, server_ep), line.device);
-  ASSERT_EQ(echoed, 64u);
-
-  constexpr int kRounds = 256;
-  g_allocs.store(0);
-  g_counting.store(true);
-  for (int i = 0; i < kRounds; ++i)
-    world.net.send(Packet::udp(device_ep, server_ep), line.device);
-  g_counting.store(false);
-
-  EXPECT_EQ(echoed, 64u + kRounds);
-  EXPECT_EQ(g_allocs.load(), 0u)
+  EXPECT_EQ(allocations_of_warmed_echo(world, line.device, line.device_address),
+            0u)
       << "warmed-up NAT64 echo round trips must not touch the heap";
+}
+
+TEST(HotPathAlloc, WarmedDsLiteEchoRoundTripIsAllocationFree) {
+  test::MiniNet world;
+  world.ensure_aftr();
+  auto line = world.add_dslite_line(Ipv4Address{10, 0, 0, 1});
+  EXPECT_EQ(allocations_of_warmed_echo(world, line.device, line.device_address),
+            0u)
+      << "warmed-up DS-Lite echo round trips must not touch the heap";
 }
 
 }  // namespace

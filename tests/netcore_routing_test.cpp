@@ -1,4 +1,4 @@
-#include "netcore/address_pool.hpp"
+#include "netcore/prefix_carver.hpp"
 #include "netcore/as_registry.hpp"
 #include "netcore/routing_table.hpp"
 
@@ -104,18 +104,6 @@ TEST(PrefixCarver, ExhaustsAndRejects) {
   (void)carver.next(31);
   (void)carver.next(31);
   EXPECT_THROW(carver.next(31), std::length_error);
-}
-
-TEST(AddressPool, RoundRobinAndContains) {
-  AddressPool pool(Ipv4Prefix::parse("16.0.0.0/30"));
-  EXPECT_EQ(pool.size(), 4u);
-  EXPECT_TRUE(pool.contains(Ipv4Address::parse("16.0.0.3")));
-  EXPECT_FALSE(pool.contains(Ipv4Address::parse("16.0.0.4")));
-  auto first = pool.next();
-  for (int i = 0; i < 3; ++i) (void)pool.next();
-  EXPECT_EQ(pool.next(), first) << "round robin wraps";
-  AddressPool empty;
-  EXPECT_THROW(empty.next(), std::length_error);
 }
 
 }  // namespace

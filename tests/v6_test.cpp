@@ -148,8 +148,8 @@ TEST(Nat64, ClatLineCompletesEchoRoundTrip) {
 
   world.net.send(sim::Packet::udp(dev, srv), line.device);
   EXPECT_EQ(echoed, 1);
-  EXPECT_EQ(world.nat64->v6_stats().out_translated, 1u);
-  EXPECT_EQ(world.nat64->v6_stats().in_translated, 1u);
+  EXPECT_EQ(world.nat64->core().stats().outbound_translated, 1u);
+  EXPECT_EQ(world.nat64->core().stats().inbound_translated, 1u);
   EXPECT_EQ(world.nat64->core().active_mappings(0.0), 1u);
 }
 
@@ -170,10 +170,10 @@ TEST(Nat64, BareV6LineDropsUnresolvedLiteralsUntilDnsTeachesIt) {
 
   // A raw v4 literal has no AAAA: it must die in the host stack — the
   // Big-NAT battery's NAT64-vs-464XLAT discriminator.
-  world.net.send(sim::Packet::udp(dev, srv), line.device);
+  EXPECT_EQ(world.net.send(sim::Packet::udp(dev, srv), line.device).reason,
+            sim::DropReason::no_mapping);
   EXPECT_EQ(echoed, 0);
   ASSERT_NE(line.stack, nullptr);
-  EXPECT_EQ(line.stack->stats().drop_unresolved_literal, 1u);
 
   // After a DNS64 answer the same destination works end to end.
   line.stack->note_resolved(
@@ -181,6 +181,102 @@ TEST(Nat64, BareV6LineDropsUnresolvedLiteralsUntilDnsTeachesIt) {
       netcore::pref64_embed(world.nat64->pref64(), world.server_address));
   world.net.send(sim::Packet::udp(dev, srv), line.device);
   EXPECT_EQ(echoed, 1);
+}
+
+TEST(Nat64, HairpinsBetweenTwoLinesBehindOneTranslator) {
+  // Line b reaches line a on a's public endpoint: the NAT64 unwraps b's
+  // packet, its core loops it onto a's mapping, and the reply side is
+  // re-wrapped for a's CLAT — a's device sees b's public endpoint.
+  test::MiniNet world;
+  nat::NatConfig cfg;
+  cfg.mapping = nat::MappingType::full_cone;
+  cfg.hairpinning = true;
+  world.ensure_nat64(netcore::well_known_pref64(), cfg);
+  auto a = world.add_nat64_line(/*with_clat=*/true);
+  auto b = world.add_nat64_line(/*with_clat=*/true);
+
+  const netcore::Endpoint srv{world.server_address, 5000};
+  netcore::Endpoint a_public;
+  world.net.bind(
+      world.server_host, srv.port,
+      [&](sim::Network&, const sim::Packet& p) { a_public = p.src; });
+  std::vector<netcore::Endpoint> seen_by_a;
+  world.net.bind(a.device, 4000, [&](sim::Network&, const sim::Packet& p) {
+    EXPECT_EQ(p.dst.address, a.device_address);
+    seen_by_a.push_back(p.src);
+  });
+
+  ASSERT_TRUE(world.net.send(sim::Packet::udp({a.device_address, 4000}, srv),
+                             a.device)
+                  .delivered);
+  const auto r = world.net.send(
+      sim::Packet::udp({b.device_address, 4000}, a_public), b.device);
+  EXPECT_TRUE(r.delivered) << to_string(r.reason);
+  ASSERT_EQ(seen_by_a.size(), 1u);
+  EXPECT_NE(seen_by_a[0], a_public);
+  EXPECT_EQ(world.nat64->core().stats().hairpins_forwarded, 1u);
+}
+
+TEST(Nat64, EachTranslationFailureReturnsItsVerdict) {
+  using Verdict = sim::Middlebox::Verdict;
+  test::MiniNet world;
+  v6::Nat64Device& nat64 = world.ensure_nat64(netcore::well_known_pref64());
+  auto line = world.add_nat64_line(/*with_clat=*/true);
+  const netcore::Endpoint srv{world.server_address, 5000};
+  const Ipv6Address stranger = Ipv6Address::parse("2001:db8:bad::1");
+
+  // What the line's CLAT hands up: underlay source, pref64 destination.
+  const auto from_line = [&] {
+    sim::Packet p = sim::Packet::udp({line.underlay, 4000}, srv);
+    p.v6.src = line.device_v6;
+    p.v6.dst = netcore::pref64_embed(nat64.pref64(), srv.address);
+    p.v6.present = true;
+    return p;
+  };
+
+  sim::Packet p = from_line();
+  p.v6.present = false;
+  EXPECT_EQ(nat64.process_outbound(p, 0.0), Verdict::drop_other)
+      << "no overlay";
+  p = from_line();
+  p.v6.src = stranger;
+  EXPECT_EQ(nat64.process_outbound(p, 0.0), Verdict::drop_no_mapping)
+      << "unknown v6 source";
+  // The source is checked before the destination.
+  p.v6.dst = Ipv6Address::parse("2001:db8:cafe::1");
+  EXPECT_EQ(nat64.process_outbound(p, 0.0), Verdict::drop_no_mapping);
+  p = from_line();
+  p.v6.dst = Ipv6Address::parse("2001:db8:cafe::1");
+  EXPECT_EQ(nat64.process_outbound(p, 0.0), Verdict::drop_other)
+      << "destination outside the pref64";
+
+  p = from_line();
+  p.v6.present = false;
+  EXPECT_EQ(nat64.process_hairpin(p, 0.0), Verdict::drop_other)
+      << "hairpin without overlay";
+  p = from_line();
+  p.v6.src = stranger;
+  EXPECT_EQ(nat64.process_hairpin(p, 0.0), Verdict::drop_no_mapping)
+      << "hairpin from an unknown v6 source";
+  // A hairpin's destination is not checked: this one reaches the core,
+  // whose hairpinning is off.
+  p = from_line();
+  p.v6.dst = Ipv6Address::parse("2001:db8:cafe::1");
+  EXPECT_EQ(nat64.process_hairpin(p, 0.0), Verdict::drop_other);
+  EXPECT_EQ(nat64.core().stats().hairpins_dropped, 1u);
+
+  // A core mapping whose internal side is no provisioned host's handle:
+  // the core forwards the reply, the translator has nobody to re-wrap for.
+  sim::Packet stray = sim::Packet::udp({Ipv4Address{10, 99, 0, 1}, 4000}, srv);
+  ASSERT_EQ(nat64.core().process_outbound(stray, 0.0), Verdict::forward);
+  sim::Packet reply = sim::Packet::udp(srv, stray.src);
+  EXPECT_EQ(nat64.process_inbound(reply, 0.0), Verdict::drop_no_mapping)
+      << "unknown handle on the way back";
+
+  p = from_line();
+  EXPECT_EQ(nat64.process_outbound(p, 0.0), Verdict::forward);
+  EXPECT_FALSE(p.v6.present);
+  EXPECT_EQ(p.dst, srv);
 }
 
 // --- DS-Lite ---------------------------------------------------------------
@@ -225,6 +321,108 @@ TEST(DsLite, TwoB4sShareTheSameInnerAddress) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_NE(seen[0], seen[1]);
   EXPECT_EQ(world.aftr->core().active_mappings(0.0), 2u);
+}
+
+TEST(DsLite, HairpinsBetweenTwoSoftwiresWithTheSameInnerAddress) {
+  // Both homes use inner 10.0.0.1; b reaches a on a's public endpoint and
+  // the AFTR re-encapsulates the looped packet into a's softwire.
+  test::MiniNet world;
+  nat::NatConfig cfg;
+  cfg.mapping = nat::MappingType::full_cone;
+  cfg.hairpinning = true;
+  world.ensure_aftr(cfg);
+  const Ipv4Address inner{10, 0, 0, 1};
+  auto a = world.add_dslite_line(inner);
+  auto b = world.add_dslite_line(inner);
+
+  const netcore::Endpoint srv{world.server_address, 5000};
+  netcore::Endpoint a_public;
+  world.net.bind(
+      world.server_host, srv.port,
+      [&](sim::Network&, const sim::Packet& p) { a_public = p.src; });
+  std::vector<netcore::Endpoint> seen_by_a;
+  world.net.bind(a.device, 4000, [&](sim::Network&, const sim::Packet& p) {
+    EXPECT_EQ(p.dst, (netcore::Endpoint{inner, 4000}));
+    seen_by_a.push_back(p.src);
+  });
+  world.net.bind(b.device, 4000, [&](sim::Network&, const sim::Packet&) {
+    ADD_FAILURE() << "the hairpin must not loop back into b's softwire";
+  });
+
+  ASSERT_TRUE(
+      world.net.send(sim::Packet::udp({inner, 4000}, srv), a.device).delivered);
+  const auto r =
+      world.net.send(sim::Packet::udp({inner, 4000}, a_public), b.device);
+  EXPECT_TRUE(r.delivered) << to_string(r.reason);
+  ASSERT_EQ(seen_by_a.size(), 1u);
+  EXPECT_NE(seen_by_a[0], a_public);
+  EXPECT_EQ(world.aftr->handle_count(), 2u);
+  EXPECT_EQ(world.aftr->core().stats().hairpins_forwarded, 1u);
+}
+
+TEST(DsLite, EachTranslationFailureReturnsItsVerdict) {
+  using Verdict = sim::Middlebox::Verdict;
+  test::MiniNet world;
+  v6::DsLiteAftr& aftr = world.ensure_aftr();
+  const Ipv4Address inner{10, 0, 0, 1};
+  auto line = world.add_dslite_line(inner);
+  const netcore::Endpoint srv{world.server_address, 5000};
+  const Ipv6Address stranger = Ipv6Address::parse("2001:db8:bad::1");
+
+  // What the line's B4 hands up: inner source, softwire to the AFTR.
+  const auto from_b4 = [&] {
+    sim::Packet p = sim::Packet::udp({inner, 4000}, srv);
+    p.v6.src = line.device_v6;
+    p.v6.dst = aftr.aftr_address();
+    p.v6.present = true;
+    return p;
+  };
+
+  sim::Packet p = from_b4();
+  p.v6.present = false;
+  EXPECT_EQ(aftr.process_outbound(p, 0.0), Verdict::drop_other)
+      << "no overlay";
+  p = from_b4();
+  p.v6.dst = Ipv6Address::parse("2001:db8::af2");
+  EXPECT_EQ(aftr.process_outbound(p, 0.0), Verdict::drop_other)
+      << "softwire to another AFTR";
+  // The destination is checked before the source.
+  p.v6.src = stranger;
+  EXPECT_EQ(aftr.process_outbound(p, 0.0), Verdict::drop_other);
+  p = from_b4();
+  p.v6.src = stranger;
+  EXPECT_EQ(aftr.process_outbound(p, 0.0), Verdict::drop_no_mapping)
+      << "unknown B4";
+
+  p = from_b4();
+  p.v6.present = false;
+  EXPECT_EQ(aftr.process_hairpin(p, 0.0), Verdict::drop_other)
+      << "hairpin without overlay";
+  p = from_b4();
+  p.v6.src = stranger;
+  EXPECT_EQ(aftr.process_hairpin(p, 0.0), Verdict::drop_no_mapping)
+      << "hairpin from an unknown B4";
+  EXPECT_EQ(aftr.handle_count(), 0u) << "no handle for a refused packet";
+  // A hairpin's destination is not checked: this one reaches the core,
+  // whose hairpinning is off.
+  p = from_b4();
+  p.v6.dst = Ipv6Address::parse("2001:db8::af2");
+  EXPECT_EQ(aftr.process_hairpin(p, 0.0), Verdict::drop_other);
+  EXPECT_EQ(aftr.core().stats().hairpins_dropped, 1u);
+
+  // A core mapping on a handle the AFTR never assigned: the core forwards
+  // the reply, the AFTR has no softwire to re-encapsulate it into.
+  sim::Packet stray =
+      sim::Packet::udp({Ipv4Address{240, 99, 0, 1}, 4000}, srv);
+  ASSERT_EQ(aftr.core().process_outbound(stray, 0.0), Verdict::forward);
+  sim::Packet reply = sim::Packet::udp(srv, stray.src);
+  EXPECT_EQ(aftr.process_inbound(reply, 0.0), Verdict::drop_no_mapping)
+      << "unknown handle on the way back";
+
+  p = from_b4();
+  EXPECT_EQ(aftr.process_outbound(p, 0.0), Verdict::forward);
+  EXPECT_FALSE(p.v6.present);
+  EXPECT_EQ(aftr.handle_count(), 1u);
 }
 
 // --- Fault hooks ------------------------------------------------------------
