@@ -55,8 +55,9 @@ int main(int argc, char** argv) {
       bool permissive = false;
       if (idx != internet->isp_index.end()) {
         const auto& prof = internet->isps[idx->second].cgn_profile;
-        permissive = prof && prof->mapping == nat::MappingType::full_cone &&
-                     prof->hairpin_preserve_source;
+        permissive = prof &&
+                     prof->nat.mapping == nat::MappingType::full_cone &&
+                     prof->nat.hairpin_preserve_source;
       }
       (permissive ? fn_permissive : fn_other)++;
     }

@@ -22,18 +22,7 @@ constexpr std::size_t kMinSessions = 3;
   return (a.value() & 0xFFFF0000u) == 0xC0A80000u;
 }
 
-}  // namespace
-
-std::string_view to_string(TransitionVerdict v) noexcept {
-  switch (v) {
-    case TransitionVerdict::nat444: return "nat444";
-    case TransitionVerdict::nat64: return "nat64";
-    case TransitionVerdict::xlat464: return "464xlat";
-    case TransitionVerdict::dslite: return "dslite";
-  }
-  return "?";
-}
-
+/// Ground-truth class of one session, from its builder stamps.
 TransitionVerdict truth_verdict(const netalyzr::SessionResult& s) noexcept {
   switch (s.line_mode) {
     case nat::TranslatorMode::nat64:
@@ -45,6 +34,18 @@ TransitionVerdict truth_verdict(const netalyzr::SessionResult& s) noexcept {
       break;
   }
   return TransitionVerdict::nat444;
+}
+
+}  // namespace
+
+std::string_view to_string(TransitionVerdict v) noexcept {
+  switch (v) {
+    case TransitionVerdict::nat444: return "nat444";
+    case TransitionVerdict::nat64: return "nat64";
+    case TransitionVerdict::xlat464: return "464xlat";
+    case TransitionVerdict::dslite: return "dslite";
+  }
+  return "?";
 }
 
 TransitionDetectionResult TransitionDetector::analyze(

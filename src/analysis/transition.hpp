@@ -30,10 +30,6 @@ inline constexpr int kTransitionVerdicts = 4;
 
 [[nodiscard]] std::string_view to_string(TransitionVerdict v) noexcept;
 
-/// Ground-truth class of one session, from its builder stamps.
-[[nodiscard]] TransitionVerdict truth_verdict(
-    const netalyzr::SessionResult& s) noexcept;
-
 struct MechanismScore {
   std::size_t truth_sessions = 0;       ///< sessions whose line runs this
   std::size_t classified_sessions = 0;  ///< sessions classified as this

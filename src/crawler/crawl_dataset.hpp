@@ -1,9 +1,10 @@
 // The dataset a DHT crawl produces: queried/learned peers, bt_ping
 // responders, and internal-address leak edges (paper §4.1, Tables 2-3).
+// It keeps the raw observations only; Table 2's unique-IP counts are the
+// analysis's (analysis::CrawlSummary, from StreamingBtAnalyzer).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -36,17 +37,10 @@ struct LeakEdge {
 
 class CrawlDataset {
  public:
-  void note_learned(const dht::Contact& c) {
-    if (learned_.insert(PeerKey{c}).second)
-      learned_ips_.insert(c.endpoint.address);
-  }
-  void note_queried(const dht::Contact& c) {
-    if (queried_.insert(PeerKey{c}).second)
-      queried_ips_.insert(c.endpoint.address);
-  }
+  void note_learned(const dht::Contact& c) { learned_.insert(PeerKey{c}); }
+  void note_queried(const dht::Contact& c) { queried_.insert(PeerKey{c}); }
   void note_ping_response(const dht::Contact& c) {
-    if (responders_.insert(PeerKey{c}).second)
-      responder_ips_.insert(c.endpoint.address);
+    responders_.insert(PeerKey{c});
   }
   void note_leak(const dht::Contact& leaker, const dht::Contact& internal) {
     leaks_.push_back(LeakEdge{leaker, internal});
@@ -55,20 +49,11 @@ class CrawlDataset {
   [[nodiscard]] std::size_t learned_peers() const noexcept {
     return learned_.size();
   }
-  [[nodiscard]] std::size_t learned_unique_ips() const noexcept {
-    return learned_ips_.size();
-  }
   [[nodiscard]] std::size_t queried_peers() const noexcept {
     return queried_.size();
   }
-  [[nodiscard]] std::size_t queried_unique_ips() const noexcept {
-    return queried_ips_.size();
-  }
   [[nodiscard]] std::size_t responding_peers() const noexcept {
     return responders_.size();
-  }
-  [[nodiscard]] std::size_t responding_unique_ips() const noexcept {
-    return responder_ips_.size();
   }
   [[nodiscard]] const std::vector<LeakEdge>& leaks() const noexcept {
     return leaks_;
@@ -105,9 +90,6 @@ class CrawlDataset {
   std::unordered_set<PeerKey, PeerKeyHash> learned_;
   std::unordered_set<PeerKey, PeerKeyHash> queried_;
   std::unordered_set<PeerKey, PeerKeyHash> responders_;
-  std::unordered_set<netcore::Ipv4Address> learned_ips_;
-  std::unordered_set<netcore::Ipv4Address> queried_ips_;
-  std::unordered_set<netcore::Ipv4Address> responder_ips_;
   std::vector<LeakEdge> leaks_;
 };
 

@@ -56,10 +56,6 @@ class Ipv6Address {
     return static_cast<std::uint16_t>(half >> (16 * (3 - (i & 3))));
   }
 
-  [[nodiscard]] constexpr bool is_unspecified() const noexcept {
-    return hi_ == 0 && lo_ == 0;
-  }
-
   /// RFC 5952 canonical text: lowercase hex, longest zero run compressed.
   [[nodiscard]] std::string to_string() const;
 

@@ -208,12 +208,13 @@ bool Observatory::stream_done(const std::string& campaign) const {
 std::map<std::string, analysis::Figures> Observatory::figure_sets_locked(
     const Channel& ch) const {
   std::map<std::string, analysis::Figures> sets;
-  sets["fig04_clusters"] = analysis::fig04_figures(ch.bt.snapshot());
-  sets["fig05_netalyzr_candidates"] =
-      analysis::fig05_figures(ch.nz.snapshot());
+  const analysis::BtDetectionResult bt = ch.bt.snapshot();
+  const analysis::NetalyzrDetectionResult nz = ch.nz.snapshot();
+  sets["fig04_clusters"] = analysis::fig04_figures(bt);
+  sets["fig05_netalyzr_candidates"] = analysis::fig05_figures(nz);
   {
-    analysis::CoverageResult cov = analysis::combine_coverage(
-        ch.bt.snapshot(), ch.nz.snapshot(), registry_);
+    analysis::CoverageResult cov =
+        analysis::combine_coverage(bt, nz, registry_);
     const auto bt_it = ch.reports.find("crawl_ping");
     const auto nz_it = ch.reports.find("netalyzr");
     analysis::note_supervision(
@@ -386,10 +387,6 @@ void Observatory::stop_ingest() {
   if (!ingest_) return;
   ingest_->stop();
   ingest_.reset();
-}
-
-bool Observatory::ingest_serving() const noexcept {
-  return ingest_ != nullptr && ingest_->running();
 }
 
 std::uint16_t Observatory::ingest_port() const noexcept {

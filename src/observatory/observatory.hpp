@@ -8,8 +8,15 @@
 // session classification on analysis::StreamingNetalyzrClassifier, and the
 // §5 coverage roll-up is derived from both on demand. Because the streaming
 // engines are the same code the batch detectors delegate to — and their
-// results are order-independent — the figures served mid-stream converge
-// on exactly the bytes the bench binaries write to BENCH_<name>.json.
+// results are order-independent — the fig04 and fig05 sets served
+// mid-stream converge on exactly the bytes bench_fig04_clusters and
+// bench_fig05_netalyzr_candidates write (ObservatoryStream.* and
+// scripts/obs_soak_smoke.sh check those two). tab05_coverage and
+// fig14_transition share the bench schema but not the bench campaigns:
+// coverage here combines a crawl and a Netalyzr campaign run each on its
+// own world, where bench_tab05 runs Netalyzr and then the crawl on one
+// world, and the stream runs no TTL enumeration (enum_fraction 0) where
+// bench_fig14 runs 0.30. Nothing compares those two sets with the benches.
 //
 // Streams arrive through two doors. The in-process StreamDriver feeds the
 // *default channel* (the historical single-campaign shape of /figures and
@@ -17,8 +24,8 @@
 // (serve_ingest(); see ingest.hpp), each hello naming a campaign that gets
 // its own channel — an independent detector stack with per-campaign figure
 // sets at /figures/<campaign>. Both doors run the same detector code over
-// the same event structs, so a push-fed channel's figures are byte-
-// identical to the batch ground truth.
+// the same event structs, so a push-fed channel serves the same bytes as
+// the in-process stream of the same campaign.
 //
 // The HTTP side (serve()) exposes:
 //   GET /metrics          — Prometheus text exposition of the registry
@@ -181,7 +188,6 @@ class Observatory : public EventSink {
                     std::string* error = nullptr);
   bool serve_ingest(std::uint16_t port, std::string* error = nullptr);
   void stop_ingest();
-  [[nodiscard]] bool ingest_serving() const noexcept;
   [[nodiscard]] std::uint16_t ingest_port() const noexcept;
   [[nodiscard]] IngestServer* ingest_server() noexcept {
     return ingest_.get();

@@ -31,21 +31,18 @@
 
 namespace cgn::observatory {
 
-/// Netalyzr campaign defaults for streaming parity with bench_fig05: the
-/// fig05 bench classifies address/port-test sessions only, so the optional
-/// STUN / TTL-enumeration subsets default off here too.
-[[nodiscard]] inline scenario::NetalyzrCampaignConfig
-stream_netalyzr_defaults() {
-  scenario::NetalyzrCampaignConfig cfg;
-  cfg.enum_fraction = 0.0;
-  cfg.stun_fraction = 0.0;
-  return cfg;
-}
-
 struct StreamDriverConfig {
   scenario::InternetConfig world;
   scenario::CrawlPhaseConfig crawl;
-  scenario::NetalyzrCampaignConfig netalyzr = stream_netalyzr_defaults();
+  /// Streaming parity with bench_fig05: the fig05 bench classifies
+  /// address/port-test sessions only, so the optional STUN /
+  /// TTL-enumeration subsets default off here too.
+  scenario::NetalyzrCampaignConfig netalyzr = [] {
+    scenario::NetalyzrCampaignConfig cfg;
+    cfg.enum_fraction = 0.0;
+    cfg.stun_fraction = 0.0;
+    return cfg;
+  }();
   /// Wall-clock pause between ingested events, for soak runs where a
   /// scraper should see the figures converge. 0 = flat out.
   int pace_us = 0;

@@ -126,36 +126,12 @@ class InternetBuilder {
     [[nodiscard]] bool instrumented() const { return bt || nz; }
   };
 
-  // --- Subscriber lines: plan, then build ---------------------------------
-  // build_isp makes every RNG draw for an ISP's lines first, in the recorded
-  // order below, and keeps the outcomes in LinePlans; build_home then turns
-  // each plan into nodes without touching any generator, so node ids, names
-  // and registration order follow the line order.
-
-  /// One BitTorrent client to attach (primary or second device of a home).
-  struct BtPlan {
-    bool sloppy = false;         ///< propagates unvalidated contacts
-    std::uint64_t dht_seed = 0;  ///< the engine draw rng_.fork() would take
-    dht::NodeId160 dht_id;
-    bool upnp_map = false;  ///< CPE static mapping for port 6881
-    bool deaf = false;      ///< fault plan marks the device unresponsive
-  };
-
-  /// One home: a subscriber line plus (maybe) a second LAN device.
-  struct LinePlan {
-    int index = 0;  ///< line index within the ISP (home id, names, v6)
-    bool behind_cgn = false;
-    bool has_bt = false;
-    bool no_cpe = false;  ///< archetype B (v4 path only)
-    bool multi_home = false;
-    netcore::Ipv4Address line_addr;
-    const CpeModel* cpe_model = nullptr;  ///< catalog entry; null: no CPE
-    std::uint64_t cpe_seed = 0;           ///< CPE NAT's forked engine seed
-    nat::TranslatorMode v6_mode = nat::TranslatorMode::nat44;
-    bool has_clat = false;
-    BtPlan bt;      ///< meaningful when has_bt
-    BtPlan second;  ///< meaningful when multi_home
-  };
+  // --- Subscriber lines, one pass -----------------------------------------
+  // build_isp draws each line's values and builds its home before it moves
+  // to the next line. No build step draws from rng_ (a CPE's UPnP mapping
+  // draws from the CPE's own generator; v6rng_ and the fault substream are
+  // separate streams), so node ids, names and registration order follow the
+  // line order and the draws keep theirs.
 
   /// The ISP a home is built into, and its attachment points.
   struct IspSite {
@@ -166,59 +142,50 @@ class InternetBuilder {
     sim::NodeId public_chain;  ///< lines outside the CGN
   };
 
-  void build_v4_line(const IspSite& site, const LinePlan& lp,
-                     Subscriber& sub) {
-    const std::string home = std::to_string(lp.index);
+  /// Builds a v4 line: a CPE NAT with one LAN device, or (model == null,
+  /// archetype B and cellular) a device on the line address itself.
+  void build_v4_line(const IspSite& site, netcore::Ipv4Address line_addr,
+                     const CpeModel* model, Subscriber& sub) {
+    const std::string home = std::to_string(sub.home_id);
     const sim::NodeId line_scope =
-        lp.behind_cgn ? site.isp.cgn_node : I_.net.root();
-    if (lp.no_cpe) {
-      sim::NodeId attach = lp.behind_cgn ? site.direct_chain
-                                         : site.public_chain;
+        sub.behind_cgn ? site.isp.cgn_node : I_.net.root();
+    if (!model) {
+      sim::NodeId attach = sub.behind_cgn ? site.direct_chain
+                                          : site.public_chain;
       sub.device = I_.net.add_node(attach, site.as_name + "-dev" + home);
-      sub.device_address = lp.line_addr;
-      I_.net.register_address(lp.line_addr, sub.device, line_scope);
+      sub.device_address = line_addr;
+      I_.net.register_address(line_addr, sub.device, line_scope);
     } else {
-      sim::NodeId attach = lp.behind_cgn ? site.cpe_chain : site.public_chain;
-      const CpeModel& model = *lp.cpe_model;
+      sim::NodeId attach = sub.behind_cgn ? site.cpe_chain : site.public_chain;
       sim::NodeId cpe_node =
           I_.net.add_node(attach, site.as_name + "-cpe" + home);
-      nat::NatConfig cfg;
-      cfg.name = model.name;
-      cfg.mapping = model.mapping;
-      cfg.port_allocation = model.allocation;
-      cfg.pooling = nat::Pooling::paired;
-      cfg.udp_timeout_s = model.udp_timeout_s;
-      cfg.hairpinning = model.hairpinning;
-      cfg.hairpin_preserve_source = model.hairpin_preserve_source;
-      cfg.port_min = 1024;
       auto nat = std::make_unique<nat::NatDevice>(
-          cfg, std::vector<netcore::Ipv4Address>{lp.line_addr},
-          sim::Rng(lp.cpe_seed));
+          model->nat, std::vector<netcore::Ipv4Address>{line_addr},
+          rng_.fork());
       sub.cpe = nat.get();
-      sub.cpe_upnp = model.upnp;
+      sub.cpe_upnp = model->upnp;
       I_.middleboxes_.push_back(std::move(nat));
       I_.net.set_middlebox(cpe_node, sub.cpe);
-      I_.net.register_address(lp.line_addr, cpe_node, line_scope);
+      I_.net.register_address(line_addr, cpe_node, line_scope);
 
       sub.device = I_.net.add_node(cpe_node, site.as_name + "-dev" + home);
-      sub.device_address = model.lan_prefix.at(2);
+      sub.device_address = model->lan_prefix.at(2);
       I_.net.register_address(sub.device_address, sub.device, cpe_node);
       sub.cpe_node = cpe_node;
     }
   }
 
-  void build_v6_line(const IspSite& site, const LinePlan& lp,
-                     Subscriber& sub) {
+  void build_v6_line(const IspSite& site, netcore::Ipv4Address underlay,
+                     bool has_clat, Subscriber& sub) {
     IspInstance& isp = site.isp;
     const std::uint64_t asn = isp.asn;
-    const std::string home = std::to_string(lp.index);
-    const netcore::Ipv4Address underlay = lp.line_addr;
-    sub.v6_mode = lp.v6_mode;
+    const std::string home = std::to_string(sub.home_id);
+    sub.v6_mode = isp.transition;
     sim::NodeId elem_node;
-    if (lp.v6_mode == nat::TranslatorMode::nat64) {
-      sub.device_v6 = line_v6_address(2, asn, lp.index);
-      sub.has_clat = lp.has_clat;
-      if (lp.has_clat) {
+    if (isp.transition == nat::TranslatorMode::nat64) {
+      sub.device_v6 = line_v6_address(2, asn, sub.home_id);
+      sub.has_clat = has_clat;
+      if (has_clat) {
         elem_node =
             I_.net.add_node(site.cpe_chain, site.as_name + "-clat" + home);
         sub.device_address = kClatDeviceV4;
@@ -230,7 +197,7 @@ class InternetBuilder {
         elem_node =
             I_.net.add_node(site.cpe_chain, site.as_name + "-v6stk" + home);
         sub.device_address = netcore::Ipv4Address(
-            0xA9FE0000u + static_cast<std::uint32_t>(lp.index) + 257);
+            0xA9FE0000u + static_cast<std::uint32_t>(sub.home_id) + 257);
         auto stack = std::make_unique<v6::HostV6Stack>(
             sub.device_v6, underlay, sub.device_address);
         sub.v6stack = stack.get();
@@ -239,7 +206,7 @@ class InternetBuilder {
       }
       isp.nat64->add_host(sub.device_v6, underlay);
     } else {  // DS-Lite softwire
-      sub.device_v6 = line_v6_address(1, asn, lp.index);
+      sub.device_v6 = line_v6_address(1, asn, sub.home_id);
       elem_node = I_.net.add_node(site.cpe_chain, site.as_name + "-b4" + home);
       sub.device_address = kB4DeviceV4;
       auto b4 = std::make_unique<v6::B4Element>(sub.device_v6,
@@ -270,51 +237,35 @@ class InternetBuilder {
     return sub;
   }
 
-  void attach_bt(Subscriber& sub, const BtPlan& bp) {
+  /// Runs a BitTorrent client on the subscriber's device. `frng` is the
+  /// ISP's fault substream.
+  void attach_bt(Subscriber& sub, sim::Rng& frng) {
     dht::DhtNodeConfig cfg;
     cfg.table_capacity = kDhtTableCapacity;
     cfg.pings_per_round = 24;  // active clients validate aggressively
-    cfg.validate_before_propagate = !bp.sloppy;
+    cfg.validate_before_propagate = !rng_.chance(kSloppyPeerFraction);
+    // The client's generator is forked before its id is drawn.
+    sim::Rng node_rng = rng_.fork();
+    const dht::NodeId160 id = dht::NodeId160::random(rng_);
     netcore::Endpoint local{sub.device_address, 6881};
-    auto node = std::make_unique<dht::DhtNode>(bp.dht_id, local, sub.device,
-                                               cfg, sim::Rng(bp.dht_seed));
+    auto node = std::make_unique<dht::DhtNode>(id, local, sub.device, cfg,
+                                               std::move(node_rng));
     sub.bt_client = node.get();
     I_.net.bind(sub.device, local.port,
                 [ptr = node.get()](sim::Network& n, const sim::Packet& p) {
                   ptr->handle(n, p);
                 });
-    if (bp.upnp_map)
+    if (sub.cpe_upnp && rng_.chance(kUpnpPortmapFraction))
       sub.cpe->add_static_mapping(netcore::Protocol::udp, local, 0.0);
     I_.bt_peer_ptrs_.push_back(node.get());
     I_.dht_nodes_.push_back(std::move(node));
-    if (bp.deaf) I_.faults->mark_unresponsive(sub.device, 6881);
-  }
-
-  /// Builds one planned home and appends its subscriber slot(s).
-  void build_home(const IspSite& site, const LinePlan& lp) {
-    Subscriber sub;
-    sub.home_id = lp.index;
-    sub.behind_cgn = lp.behind_cgn;
-    if (lp.behind_cgn && lp.v6_mode != nat::TranslatorMode::nat44)
-      build_v6_line(site, lp, sub);
-    else
-      build_v4_line(site, lp, sub);
-    if (lp.has_bt) attach_bt(sub, lp.bt);
-    site.isp.subscribers.push_back(sub);
-
-    if (lp.multi_home) {
-      // A second BitTorrent device in the same home LAN; both clients
-      // discover each other via local peer discovery.
-      Subscriber second = build_lan_device(site, sub);
-      attach_bt(second, lp.second);
-      dht::DhtNode* a = sub.bt_client;
-      dht::DhtNode* b = second.bt_client;
-      a->learn_contact(dht::Contact{b->id(), b->local_endpoint()},
-                       /*pinned=*/true);
-      b->learn_contact(dht::Contact{a->id(), a->local_endpoint()},
-                       /*pinned=*/true);
-      site.isp.subscribers.push_back(second);
-    }
+    // Injected-unresponsive peers: the client's inbound UDP is discarded
+    // (app crashed / strict host firewall) while its own outbound still
+    // refreshes NAT state — the peers the crawler probes and then discards
+    // as dead.
+    const double deaf_rate = I_.config.fault_plan.peers.unresponsive_fraction;
+    if (deaf_rate > 0 && frng.chance(deaf_rate))
+      I_.faults->mark_unresponsive(sub.device, 6881);
   }
 
   void build_universe() {
@@ -513,7 +464,7 @@ class InternetBuilder {
                                  plan.info.cellular, plan.info.asn);
         isp.transition = isp.cgn_profile->transition;
       }
-      I_.truth_transition_[plan.info.asn] = isp.transition;
+      isp.cgn_profile->nat.name = "CGN-" + plan.info.name;
       const CgnProfile& prof = *isp.cgn_profile;
 
       isp.cgn_node = I_.net.add_node(agg_bottom, plan.info.name + "-cgn");
@@ -522,22 +473,12 @@ class InternetBuilder {
       for (int i = 0; i < prof.pool_size; ++i)
         pool.push_back(pool_prefix.at(static_cast<std::uint64_t>(i) + 1));
 
-      nat::NatConfig nat_cfg;
-      nat_cfg.name = "CGN-" + plan.info.name;
-      nat_cfg.mapping = prof.mapping;
-      nat_cfg.port_allocation = prof.allocation;
-      nat_cfg.chunk_size = prof.chunk_size;
-      nat_cfg.pooling = prof.pooling;
-      nat_cfg.udp_timeout_s = prof.udp_timeout_s;
-      nat_cfg.hairpinning = prof.hairpinning;
-      nat_cfg.hairpin_preserve_source = prof.hairpin_preserve_source;
-      nat_cfg.port_min = 1024;
       // NAT64 / DS-Lite edges wrap the same NatDevice core the NAT444 path
       // instantiates (isp.cgn always points at the core, so GC, fault
       // wiring and figure extractors are mechanism-agnostic).
       sim::Middlebox* edge = nullptr;
       if (isp.transition == nat::TranslatorMode::nat64) {
-        auto t = std::make_unique<v6::Nat64Device>(nat_cfg, pool, rng_.fork(),
+        auto t = std::make_unique<v6::Nat64Device>(prof.nat, pool, rng_.fork(),
                                                    prof.pref64);
         isp.nat64 = t.get();
         isp.cgn = &t->core();
@@ -548,13 +489,13 @@ class InternetBuilder {
         I_.dns64s_.push_back(std::move(dns));
       } else if (isp.transition == nat::TranslatorMode::dslite_aftr) {
         auto t = std::make_unique<v6::DsLiteAftr>(
-            nat_cfg, pool, rng_.fork(), aftr_address_for(plan.info.asn));
+            prof.nat, pool, rng_.fork(), aftr_address_for(plan.info.asn));
         isp.aftr = t.get();
         isp.cgn = &t->core();
         edge = t.get();
         I_.middleboxes_.push_back(std::move(t));
       } else {
-        auto nat = std::make_unique<nat::NatDevice>(nat_cfg, pool,
+        auto nat = std::make_unique<nat::NatDevice>(prof.nat, pool,
                                                     rng_.fork());
         isp.cgn = nat.get();
         edge = nat.get();
@@ -600,77 +541,64 @@ class InternetBuilder {
         agg_bottom, static_cast<int>(rng_.uniform(1, 3)),
         plan.info.name + "-pub");
 
-    // Injected-unresponsive BitTorrent peers: the client's inbound UDP is
-    // discarded (app crashed / strict host firewall) while its own outbound
-    // still refreshes NAT state — the peers the crawler probes and then
-    // discards as dead.
-    const double deaf_rate = fplan.peers.unresponsive_fraction;
-
-    // Subscribers: plan every line first (all RNG draws, in the recorded
-    // order), then build the homes in line order.
-    std::vector<LinePlan> lines(n_subs);
-    std::size_t n_slots = 0;
+    // Subscribers, one home at a time.
+    const IspSite site{isp, plan.info.name, cpe_chain_bottom,
+                       direct_chain_bottom, public_chain_bottom};
+    isp.subscribers.reserve(n_subs);
     for (std::size_t i = 0; i < n_subs; ++i) {
-      LinePlan& lp = lines[i];
-      lp.index = static_cast<int>(i);
-      lp.has_bt = i < bt_count;
-      lp.behind_cgn =
+      Subscriber sub;
+      sub.home_id = static_cast<int>(i);
+      sub.behind_cgn =
           plan.cgn && rng_.chance(isp.cgn_profile->cgn_subscriber_fraction);
 
       // The line-side address handed out by the ISP: either a public
       // address or a CGN-internal one (each subscriber its own /24, which
       // is what CGN-scale address management looks like and what the
       // Figure 5 diversity heuristic keys on).
-      if (lp.behind_cgn) {
+      netcore::Ipv4Address line_addr;
+      if (sub.behind_cgn) {
         netcore::Ipv4Address base =
             internal_bases[i % internal_bases.size()];
-        lp.line_addr = netcore::Ipv4Address(
+        line_addr = netcore::Ipv4Address(
             base.value() + static_cast<std::uint32_t>(i + 1) * 256 + 2);
       } else {
-        lp.line_addr = next_public_address(pool_carver);
+        line_addr = next_public_address(pool_carver);
       }
 
-      if (lp.behind_cgn && isp.transition != nat::TranslatorMode::nat44) {
+      if (sub.behind_cgn && isp.transition != nat::TranslatorMode::nat44) {
         // v6 line: the element swap draws only the per-line CLAT share,
         // from the AS's independent v6 substream.
-        lp.v6_mode = isp.transition;
-        if (isp.transition == nat::TranslatorMode::nat64)
-          lp.has_clat = v6rng_.chance(isp.cgn_profile->clat_fraction);
+        const bool has_clat =
+            isp.transition == nat::TranslatorMode::nat64 &&
+            v6rng_.chance(isp.cgn_profile->clat_fraction);
+        build_v6_line(site, line_addr, has_clat, sub);
       } else {
-        lp.no_cpe =
+        const bool no_cpe =
             plan.info.cellular ||
-            (lp.behind_cgn && rng_.chance(isp.cgn_profile->no_cpe_fraction));
-        if (!lp.no_cpe) {
-          lp.cpe_model = &sample_cpe(rng_);
-          // rng_.fork() == Rng(next()); record the engine draw so
-          // build_v4_line can reconstruct the identical device RNG.
-          lp.cpe_seed = rng_.next();
-        }
+            (sub.behind_cgn && rng_.chance(isp.cgn_profile->no_cpe_fraction));
+        build_v4_line(site, line_addr, no_cpe ? nullptr : &sample_cpe(rng_),
+                      sub);
       }
-      const bool has_cpe = lp.cpe_model != nullptr;
+      const bool has_bt = i < bt_count;
+      if (has_bt) attach_bt(sub, frng);
+      isp.subscribers.push_back(sub);
 
-      // One BT client's draws, in attach_bt_client's order. The DhtNode
-      // constructor call evaluated its arguments right-to-left (GCC):
-      // the rng_.fork() engine draw lands before the node-id draw.
-      auto plan_bt = [&](BtPlan& bp) {
-        bp.sloppy = rng_.chance(kSloppyPeerFraction);
-        bp.dht_seed = rng_.next();
-        bp.dht_id = dht::NodeId160::random(rng_);
-        if (has_cpe && lp.cpe_model->upnp)
-          bp.upnp_map = rng_.chance(kUpnpPortmapFraction);
-        bp.deaf = deaf_rate > 0 && frng.chance(deaf_rate);
-      };
-      if (lp.has_bt) plan_bt(lp.bt);
-      lp.multi_home = lp.has_bt && !plan.info.cellular && has_cpe &&
-                      rng_.chance(kMultiDeviceHomeFraction);
-      if (lp.multi_home) plan_bt(lp.second);
-      n_slots += lp.multi_home ? 2 : 1;
+      // A second BitTorrent device in the same home LAN; both clients
+      // discover each other via local peer discovery.
+      if (has_bt && !plan.info.cellular && sub.cpe &&
+          rng_.chance(kMultiDeviceHomeFraction)) {
+        Subscriber second = build_lan_device(site, sub);
+        attach_bt(second, frng);
+        dht::DhtNode* a = sub.bt_client;
+        dht::DhtNode* b = second.bt_client;
+        a->learn_contact(dht::Contact{b->id(), b->local_endpoint()},
+                         /*pinned=*/true);
+        b->learn_contact(dht::Contact{a->id(), a->local_endpoint()},
+                         /*pinned=*/true);
+        isp.subscribers.push_back(second);
+      }
     }
-
-    isp.subscribers.reserve(n_slots);
-    const IspSite site{isp, plan.info.name, cpe_chain_bottom,
-                       direct_chain_bottom, public_chain_bottom};
-    for (const LinePlan& lp : lines) build_home(site, lp);
+    isp.subscribers.shrink_to_fit();
 
     SilentLines::Pool& silent = I_.silent_->pools.emplace_back();
     if (plan.cgn && !internal_bases.empty() &&

@@ -159,14 +159,6 @@ class Internet {
     return it != truth_cgn_.end() && it->second;
   }
 
-  /// Ground truth: the AS's transition mechanism. nat44 for every AS of a
-  /// v4-only world (and for v6-world ASes that stayed NAT444).
-  [[nodiscard]] nat::TranslatorMode truth_transition(netcore::Asn asn) const {
-    auto it = truth_transition_.find(asn);
-    return it == truth_transition_.end() ? nat::TranslatorMode::nat44
-                                         : it->second;
-  }
-
   /// All BitTorrent peers across all ISPs, in subscriber-slot order.
   [[nodiscard]] const std::vector<dht::DhtNode*>& bt_peers() const {
     return bt_peer_ptrs_;
@@ -185,7 +177,6 @@ class Internet {
   sim::Rng rng_;
   std::unique_ptr<SilentLines> silent_;
   std::unordered_map<netcore::Asn, bool> truth_cgn_;
-  std::unordered_map<netcore::Asn, nat::TranslatorMode> truth_transition_;
   std::vector<dht::DhtNode*> bt_peer_ptrs_;
 
   // Ownership of everything wired into the network by raw pointer: every

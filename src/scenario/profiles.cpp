@@ -25,64 +25,72 @@ constexpr double kFixedClatFraction = 0.45;
 /// otherwise a network-specific prefix with a varied RFC 6052 length.
 constexpr double kWellKnownPref64Fraction = 0.50;
 
-std::vector<CpeModel> make_catalog() {
+/// The CPE model catalog (a fixed, deterministic market).
+const std::vector<CpeModel>& cpe_catalog() {
   // Market calibrated to the paper: ~92% of CPE sessions preserve ports
   // (Fig 8b); <2% symmetric, the rest spread over the cone types with a
   // substantial full-cone share (Fig 13a); UPnP answerable in ~40% of
   // sessions (Table 4); modal UDP timeout 65 s (Fig 12).
-  auto p = [](std::string_view s) { return Ipv4Prefix::parse(s); };
-  return {
-      // name, mapping, allocation, upnp, hairpin, hp_preserve, timeout, lan, weight
-      {"AcmeHome AH-100", MappingType::full_cone,
-       PortAllocation::preservation, true, true, true, 65.0,
-       p("192.168.0.0/24"), 18.0},
-      {"AcmeHome AH-200", MappingType::address_restricted,
-       PortAllocation::preservation, true, false, false, 65.0,
-       p("192.168.1.0/24"), 15.0},
-      {"RiverRouter R1", MappingType::port_address_restricted,
-       PortAllocation::preservation, false, false, false, 65.0,
-       p("192.168.0.0/24"), 14.0},
-      {"RiverRouter R2 Pro", MappingType::address_restricted,
-       PortAllocation::preservation, true, true, false, 400.0,
-       p("192.168.2.0/24"), 9.0},
-      {"HomeGate HG-5", MappingType::full_cone,
-       PortAllocation::preservation, false, true, true, 65.0,
-       p("192.168.1.0/24"), 10.0},
-      {"HomeGate HG-7", MappingType::port_address_restricted,
-       PortAllocation::preservation, false, false, false, 35.0,
-       p("192.168.178.0/24"), 8.0},
-      {"NetBox Duo", MappingType::address_restricted,
-       PortAllocation::preservation, false, false, false, 300.0,
-       p("192.168.100.0/24"), 7.0},
-      {"NetBox Uno", MappingType::full_cone,
-       PortAllocation::preservation, true, true, true, 600.0,
-       p("10.0.0.0/24"), 6.0},
-      {"TelcoCPE T-1", MappingType::port_address_restricted,
-       PortAllocation::sequential, true, false, false, 65.0,
-       p("192.168.0.0/24"), 4.0},
-      {"TelcoCPE T-2", MappingType::address_restricted,
-       PortAllocation::preservation, false, false, false, 240.0,
-       p("10.0.1.0/24"), 3.5},
-      {"SecureGate SG", MappingType::symmetric,
-       PortAllocation::random, false, false, false, 65.0,
-       p("192.168.50.0/24"), 1.5},
-      {"CarrierBox CB-2", MappingType::address_restricted,
-       PortAllocation::preservation, true, true, true, 65.0,
-       p("172.16.0.0/24"), 2.5},
-      {"CarrierBox CB-3", MappingType::full_cone,
-       PortAllocation::preservation, false, true, true, 300.0,
-       p("172.16.1.0/24"), 1.5},
-      {"OpenWrtish OW", MappingType::full_cone,
-       PortAllocation::preservation, true, true, false, 60.0,
-       p("192.168.77.0/24"), 4.0},
+  auto m = [](const char* name, MappingType mapping, PortAllocation alloc,
+              bool upnp, bool hairpin, bool hp_preserve, double timeout,
+              std::string_view lan, double weight) {
+    nat::NatConfig nat;
+    nat.name = name;
+    nat.mapping = mapping;
+    nat.port_allocation = alloc;
+    nat.udp_timeout_s = timeout;
+    nat.hairpinning = hairpin;
+    nat.hairpin_preserve_source = hp_preserve;
+    return CpeModel{nat, upnp, Ipv4Prefix::parse(lan), weight};
   };
-}
-}  // namespace
-
-const std::vector<CpeModel>& cpe_catalog() {
-  static const std::vector<CpeModel> catalog = make_catalog();
+  static const std::vector<CpeModel> catalog{
+      // name, mapping, allocation, upnp, hairpin, hp_preserve, timeout, lan, weight
+      m("AcmeHome AH-100", MappingType::full_cone,
+        PortAllocation::preservation, true, true, true, 65.0,
+        "192.168.0.0/24", 18.0),
+      m("AcmeHome AH-200", MappingType::address_restricted,
+        PortAllocation::preservation, true, false, false, 65.0,
+        "192.168.1.0/24", 15.0),
+      m("RiverRouter R1", MappingType::port_address_restricted,
+        PortAllocation::preservation, false, false, false, 65.0,
+        "192.168.0.0/24", 14.0),
+      m("RiverRouter R2 Pro", MappingType::address_restricted,
+        PortAllocation::preservation, true, true, false, 400.0,
+        "192.168.2.0/24", 9.0),
+      m("HomeGate HG-5", MappingType::full_cone,
+        PortAllocation::preservation, false, true, true, 65.0,
+        "192.168.1.0/24", 10.0),
+      m("HomeGate HG-7", MappingType::port_address_restricted,
+        PortAllocation::preservation, false, false, false, 35.0,
+        "192.168.178.0/24", 8.0),
+      m("NetBox Duo", MappingType::address_restricted,
+        PortAllocation::preservation, false, false, false, 300.0,
+        "192.168.100.0/24", 7.0),
+      m("NetBox Uno", MappingType::full_cone,
+        PortAllocation::preservation, true, true, true, 600.0,
+        "10.0.0.0/24", 6.0),
+      m("TelcoCPE T-1", MappingType::port_address_restricted,
+        PortAllocation::sequential, true, false, false, 65.0,
+        "192.168.0.0/24", 4.0),
+      m("TelcoCPE T-2", MappingType::address_restricted,
+        PortAllocation::preservation, false, false, false, 240.0,
+        "10.0.1.0/24", 3.5),
+      m("SecureGate SG", MappingType::symmetric,
+        PortAllocation::random, false, false, false, 65.0,
+        "192.168.50.0/24", 1.5),
+      m("CarrierBox CB-2", MappingType::address_restricted,
+        PortAllocation::preservation, true, true, true, 65.0,
+        "172.16.0.0/24", 2.5),
+      m("CarrierBox CB-3", MappingType::full_cone,
+        PortAllocation::preservation, false, true, true, 300.0,
+        "172.16.1.0/24", 1.5),
+      m("OpenWrtish OW", MappingType::full_cone,
+        PortAllocation::preservation, true, true, false, 60.0,
+        "192.168.77.0/24", 4.0),
+  };
   return catalog;
 }
+}  // namespace
 
 const CpeModel& sample_cpe(sim::Rng& rng) {
   const auto& catalog = cpe_catalog();
@@ -139,7 +147,7 @@ CgnProfile sample_cgn_profile(sim::Rng& rng, bool cellular) {
                                     MappingType::port_address_restricted,
                                     MappingType::address_restricted,
                                     MappingType::full_cone};
-    p.mapping = t[rng.weighted(cellular ? w_cell : w_noncell)];
+    p.nat.mapping = t[rng.weighted(cellular ? w_cell : w_noncell)];
   }
 
   // Port allocation (Table 6): preservation 41%/28%, sequential 22%/26%,
@@ -150,17 +158,18 @@ CgnProfile sample_cgn_profile(sim::Rng& rng, bool cellular) {
     static const PortAllocation a[] = {
         PortAllocation::preservation, PortAllocation::sequential,
         PortAllocation::random, PortAllocation::chunk_random};
-    p.allocation = a[rng.weighted(cellular ? w_cell : w_noncell)];
-    if (p.allocation == PortAllocation::chunk_random) {
+    p.nat.port_allocation = a[rng.weighted(cellular ? w_cell : w_noncell)];
+    if (p.nat.port_allocation == PortAllocation::chunk_random) {
       static const std::vector<double> cw{0.18, 0.18, 0.16, 0.22, 0.14, 0.12};
       static const std::uint32_t sizes[] = {512, 1024, 2048, 4096, 8192,
                                             16384};
-      p.chunk_size = sizes[rng.weighted(cw)];
+      p.nat.chunk_size = sizes[rng.weighted(cw)];
     }
   }
 
   // Pooling (§6.2): 21% of CGNs use arbitrary pooling.
-  p.pooling = rng.chance(0.21) ? nat::Pooling::arbitrary : nat::Pooling::paired;
+  p.nat.pooling =
+      rng.chance(0.21) ? nat::Pooling::arbitrary : nat::Pooling::paired;
 
   // UDP mapping timeouts (Figure 12): 10 s steps; cellular median ~65 s,
   // non-cellular median ~35 s, both ranging 10-200 s (74% expire <= 60 s).
@@ -173,14 +182,14 @@ CgnProfile sample_cgn_profile(sim::Rng& rng, bool cellular) {
                                                0.02, 0.03, 0.03, 0.03};
     static const double timeouts[] = {10,  20,  30,  40,  50,  65,  80,
                                       100, 120, 150, 180, 200, 240, 300};
-    p.udp_timeout_s = timeouts[rng.weighted(cellular ? w_cell : w_noncell)];
+    p.nat.udp_timeout_s = timeouts[rng.weighted(cellular ? w_cell : w_noncell)];
   }
 
   // Hairpinning: RFC 6888 requires it; a share of implementations forward
   // hairpinned packets with the internal source intact (the §4.1 leak
   // enabler, which the paper verified in the wild).
-  p.hairpinning = rng.chance(0.90);
-  p.hairpin_preserve_source = p.hairpinning && rng.chance(0.92);
+  p.nat.hairpinning = rng.chance(0.90);
+  p.nat.hairpin_preserve_source = p.nat.hairpinning && rng.chance(0.92);
 
   // Deployment shape.
   // Most deployments are partial (paper §2/§3); about a third of cellular
@@ -232,18 +241,18 @@ void apply_transition_profile(CgnProfile& p, sim::Rng& v6rng, bool cellular,
     {
       static const std::vector<double> w{0.10, 0.22, 0.30, 0.18, 0.12, 0.08};
       static const double timeouts[] = {10, 20, 30, 40, 50, 65};
-      p.udp_timeout_s = timeouts[v6rng.weighted(w)];
+      p.nat.udp_timeout_s = timeouts[v6rng.weighted(w)];
     }
     {
       static const std::vector<double> w{0.16, 0.22, 0.44, 0.18};
       static const PortAllocation a[] = {
           PortAllocation::preservation, PortAllocation::sequential,
           PortAllocation::random, PortAllocation::chunk_random};
-      p.allocation = a[v6rng.weighted(w)];
-      if (p.allocation == PortAllocation::chunk_random) {
+      p.nat.port_allocation = a[v6rng.weighted(w)];
+      if (p.nat.port_allocation == PortAllocation::chunk_random) {
         static const std::vector<double> cw{0.30, 0.40, 0.30};
         static const std::uint32_t sizes[] = {1024, 2048, 4096};
-        p.chunk_size = sizes[v6rng.weighted(cw)];
+        p.nat.chunk_size = sizes[v6rng.weighted(cw)];
       }
     }
   }

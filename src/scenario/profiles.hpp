@@ -5,7 +5,6 @@
 // these and then re-measures it end-to-end.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "nat/nat_types.hpp"
@@ -22,23 +21,17 @@ struct V6ScenarioConfig {
   bool enabled = false;
 };
 
-/// One CPE hardware model (Figure 8(b) keys sessions by UPnP model string).
+/// One CPE hardware model (Figure 8(b) keys sessions by UPnP model string,
+/// the NAT config's name).
 struct CpeModel {
-  std::string name;
-  nat::MappingType mapping = nat::MappingType::port_address_restricted;
-  nat::PortAllocation allocation = nat::PortAllocation::preservation;
+  nat::NatConfig nat;
   bool upnp = false;
-  bool hairpinning = false;
-  bool hairpin_preserve_source = false;
-  double udp_timeout_s = 65.0;
   netcore::Ipv4Prefix lan_prefix;  ///< block the CPE assigns devices from
   double weight = 1.0;             ///< market share for sampling
 };
 
-/// The CPE model catalog (a fixed, deterministic market).
-[[nodiscard]] const std::vector<CpeModel>& cpe_catalog();
-
-/// Samples a model by market share.
+/// Samples a model from the CPE catalog (a fixed, deterministic market) by
+/// market share.
 [[nodiscard]] const CpeModel& sample_cpe(sim::Rng& rng);
 
 /// Ground-truth configuration of one ISP's CGN deployment.
@@ -54,13 +47,8 @@ struct CgnProfile {
   /// non-cellular, 1-12 cellular).
   int hop_distance = 3;
 
-  nat::MappingType mapping = nat::MappingType::port_address_restricted;
-  nat::PortAllocation allocation = nat::PortAllocation::random;
-  std::uint32_t chunk_size = 4096;  ///< when allocation == chunk_random
-  nat::Pooling pooling = nat::Pooling::paired;
-  double udp_timeout_s = 35.0;
-  bool hairpinning = true;
-  bool hairpin_preserve_source = false;
+  /// The CGN's NAT behaviour; the builder names it "CGN-<AS name>".
+  nat::NatConfig nat;
 
   /// Fraction of subscribers the ISP has (so far) moved behind the CGN —
   /// the paper stresses that most deployments are partial.

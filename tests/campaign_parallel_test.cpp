@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "analysis/bt_detector.hpp"
 #include "fault/fault.hpp"
 #include "netalyzr/session.hpp"
 #include "obs/metrics.hpp"
@@ -117,7 +118,9 @@ CrawlRun run_crawl(std::size_t threads) {
   run.learned = crawler->dataset().learned_peers();
   run.queried = crawler->dataset().queried_peers();
   run.responding = crawler->dataset().responding_peers();
-  run.responding_ips = crawler->dataset().responding_unique_ips();
+  run.responding_ips = analysis::BtDetector()
+                           .analyze(crawler->dataset(), internet->routes)
+                           .summary.responding_unique_ips;
   run.leaks = crawler->dataset().leaks().size();
   run.pings_sent = crawler->stats().pings_sent;
   return run;

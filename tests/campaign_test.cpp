@@ -75,7 +75,7 @@ TEST_F(CampaignFixture, PortAnalyzerRecoversConfiguredStrategies) {
     // only (near-)full deployments have a clean dominant strategy.
     if (truth.cgn_subscriber_fraction < 0.9) continue;
     ++checked;
-    switch (truth.allocation) {
+    switch (truth.nat.port_allocation) {
       case nat::PortAllocation::preservation:
         EXPECT_EQ(profile.dominant, analysis::PortStrategy::preservation)
             << "AS" << asn;
@@ -103,9 +103,9 @@ TEST_F(CampaignFixture, ChunkDetectionMatchesGroundTruth) {
     if (!profile.chunk_based) continue;
     const auto& truth = *internet_->isps[internet_->isp_index.at(asn)]
                              .cgn_profile;
-    EXPECT_EQ(truth.allocation, nat::PortAllocation::chunk_random)
+    EXPECT_EQ(truth.nat.port_allocation, nat::PortAllocation::chunk_random)
         << "AS" << asn << " flagged chunked but is not";
-    EXPECT_LE(profile.chunk_size_estimate, truth.chunk_size)
+    EXPECT_LE(profile.chunk_size_estimate, truth.nat.chunk_size)
         << "a 10-flow sample cannot span more than the chunk";
   }
 }
@@ -117,7 +117,7 @@ TEST_F(CampaignFixture, ArbitraryPoolingDetectedOnlyWhereConfigured) {
     if (!profile.arbitrary_pooling) continue;
     const auto& truth = *internet_->isps[internet_->isp_index.at(asn)]
                              .cgn_profile;
-    EXPECT_EQ(truth.pooling, nat::Pooling::arbitrary) << "AS" << asn;
+    EXPECT_EQ(truth.nat.pooling, nat::Pooling::arbitrary) << "AS" << asn;
   }
 }
 
@@ -156,7 +156,7 @@ TEST_F(CampaignFixture, EnumerationTimeoutsTrackConfiguredTimeouts) {
     for (const auto& hop : s.enumeration->hops) {
       if (!hop.stateful || !hop.timeout_s) continue;
       if (hop.hop != isp.cgn_profile->hop_distance) continue;
-      double truth = isp.cgn_profile->udp_timeout_s;
+      double truth = isp.cgn_profile->nat.udp_timeout_s;
       if (truth > 200.0) continue;  // beyond the probing budget
       EXPECT_GE(*hop.timeout_s, truth);
       EXPECT_LE(*hop.timeout_s, truth + 10.0) << "AS" << s.asn;
@@ -180,7 +180,7 @@ TEST_F(CampaignFixture, StunNeverReportsMorePermissiveThanTheCgn) {
     // so restrict the check to sessions with translated device addresses).
     bool behind = s.ip_cpe && netcore::is_reserved(*s.ip_cpe);
     if (!behind) continue;
-    int cgn_rank = static_cast<int>(isp.cgn_profile->mapping);
+    int cgn_rank = static_cast<int>(isp.cgn_profile->nat.mapping);
     EXPECT_LE(*rank, cgn_rank) << "AS" << s.asn;
   }
 }

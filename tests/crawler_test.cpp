@@ -184,8 +184,12 @@ TEST(CrawlDataset, CountsUniquePeersAndIps) {
   data.note_learned(a);   // duplicate tuple
   data.note_learned(a2);  // same IP, different port
   EXPECT_EQ(data.learned_peers(), 2u);
-  EXPECT_EQ(data.learned_unique_ips(), 1u);
   EXPECT_TRUE(data.was_learned(a));
+  // The unique-IP count is the analysis's, over the dataset's peers.
+  const netcore::RoutingTable routes;
+  EXPECT_EQ(
+      analysis::BtDetector().analyze(data, routes).summary.learned_unique_ips,
+      1u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "analysis/bt_detector.hpp"
 #include "fault/fault.hpp"
 #include "netalyzr/session.hpp"
 #include "scenario/campaign.hpp"
@@ -102,7 +103,9 @@ TEST(FaultCampaign, FaultedCrawlSweepIsThreadCountInvariant) {
       std::uint64_t pings;
     } out{crawler->dataset().learned_peers(),
           crawler->dataset().responding_peers(),
-          crawler->dataset().responding_unique_ips(),
+          analysis::BtDetector()
+              .analyze(crawler->dataset(), internet->routes)
+              .summary.responding_unique_ips,
           crawler->stats().pings_sent};
     return out;
   };

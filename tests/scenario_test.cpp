@@ -9,6 +9,7 @@
 #include "analysis/bt_detector.hpp"
 #include "analysis/coverage.hpp"
 #include "analysis/netalyzr_detector.hpp"
+#include "flat/flat.hpp"
 #include "netalyzr/session.hpp"
 #include "scenario/env_config.hpp"
 
@@ -133,6 +134,89 @@ TEST(InternetBuilder, SilentLinesAddBallastWithoutPerturbingFigures) {
   for (IspInstance& isp : internet->isps)
     EXPECT_EQ(internet->materialize_silent_lines(isp), isp.cgn ? kSilent : 0u);
   EXPECT_EQ(internet->net.node_count(), nodes_before + built);
+}
+
+// FNV-1a over a text transcript of everything the builder decides for each
+// subscriber slot and each ISP: node ids, addresses, NAT configurations and
+// pools, the UPnP static mappings, DHT ids and endpoints, and the v6 fields.
+// A change to the builder's RNG draw order, node order or NAT settings moves
+// the digest.
+std::uint64_t world_digest(const InternetConfig& world) {
+  auto internet = build_internet(world);
+  for (IspInstance& isp : internet->isps)
+    (void)internet->materialize_silent_lines(isp);
+  std::string t;
+  auto put = [&](auto v) { t += std::to_string(v) + ' '; };
+  auto put_config = [&](const nat::NatConfig& c) {
+    t += c.name + ' ';
+    put(static_cast<int>(c.mapping));
+    put(static_cast<int>(c.port_allocation));
+    put(static_cast<int>(c.pooling));
+    put(c.udp_timeout_s);
+    put(c.tcp_timeout_s);
+    put(c.tcp_transitory_timeout_s);
+    put(c.hairpinning);
+    put(c.hairpin_preserve_source);
+    put(c.port_min);
+    put(c.port_max);
+    put(c.chunk_size);
+  };
+  for (const IspInstance& isp : internet->isps) {
+    put(isp.asn);
+    put(isp.cgn_node);
+    put(static_cast<int>(isp.transition));
+    if (isp.cgn) {
+      put_config(isp.cgn->config());
+      for (netcore::Ipv4Address a : isp.cgn->external_pool()) put(a.value());
+    }
+    for (const Subscriber& s : isp.subscribers) {
+      put(s.device);
+      put(s.device_address.value());
+      put(s.home_id);
+      put(s.behind_cgn);
+      put(s.cpe_node);
+      put(s.cpe_upnp);
+      if (s.cpe) put_config(s.cpe->config());
+      if (s.bt_client) {
+        t += s.bt_client->id().to_hex() + ' ';
+        put(s.bt_client->local_endpoint().address.value());
+        put(s.bt_client->local_endpoint().port);
+        if (s.cpe) {
+          const auto ext = s.cpe->lookup_external(
+              netcore::Protocol::udp, s.bt_client->local_endpoint(), {}, 0.0);
+          put(ext ? ext->address.value() : 0u);
+          put(ext ? ext->port : 0);
+        }
+      }
+      put(static_cast<int>(s.v6_mode));
+      put(s.has_clat);
+      put(s.device_v6.hi());
+      put(s.device_v6.lo());
+      put(s.v6stack != nullptr);
+    }
+    t += '\n';
+  }
+  put(internet->net.node_count());
+  return flat::fnv1a_bytes(t.data(), t.size());
+}
+
+TEST(InternetBuilder, WorldDigestIsPinned) {
+  InternetConfig v4 = small_config();
+  v4.silent_lines_per_cgn_as = 6;
+  InternetConfig v6 = v4;
+  v6.v6.enabled = true;
+  {
+    auto internet = build_internet(v6);
+    std::size_t v6_lines = 0;
+    for (const IspInstance& isp : internet->isps)
+      for (const Subscriber& s : isp.subscribers)
+        v6_lines += s.v6_mode != nat::TranslatorMode::nat44 ? 1 : 0;
+    EXPECT_GT(v6_lines, 0u) << "the v6 world builds no v6 line";
+  }
+  // A refactor of the builder must leave both digests as they are; only a
+  // change meant to move the world (and its figures) re-records them.
+  EXPECT_EQ(world_digest(v4), 17778836180909046825ull);
+  EXPECT_EQ(world_digest(v6), 8760754364439887072ull);
 }
 
 TEST(FullPipeline, CrawlDetectsLeakyCgnsWithoutFalsePositives) {

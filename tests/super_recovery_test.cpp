@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "analysis/bt_detector.hpp"
 #include "fault/fault.hpp"
 #include "netalyzr/session.hpp"
 #include "scenario/campaign.hpp"
@@ -134,7 +135,9 @@ CrawlRun run_crawl(const InternetConfig& world,
   auto crawler = run_crawl_phase(*internet, cfg, &run.report);
   run.learned = crawler->dataset().learned_peers();
   run.responding = crawler->dataset().responding_peers();
-  run.responding_ips = crawler->dataset().responding_unique_ips();
+  run.responding_ips = analysis::BtDetector()
+                           .analyze(crawler->dataset(), internet->routes)
+                           .summary.responding_unique_ips;
   run.pings_sent = crawler->stats().pings_sent;
   run.final_time = internet->clock.now();
   return run;
